@@ -11,8 +11,18 @@ timestep within a radius, temporal per agent with a causal mask (last-step
 token is the agent summary), agent-lane cross attention against lane
 segments within the radius, and global agent-agent attention without a
 radius mask. Every stage uses pre-norm blocks with the configured
-normalization (DynamicTanh or LayerNorm) at all sites, including the
-decoder head norm.
+normalization (DynamicTanh or LayerNorm) at all sites. The decoder head reads
+the encoder output directly, with no norm of its own: a DynamicTanh there
+saturates as the residual stream grows in training, its output stops
+depending on the input, and the model settles on input-independent anchor
+trajectories from which its gradient (tanh' near 0) cannot lead it out.
+
+`forward` takes a list of scenarios and runs every stage once for the whole
+batch. The batch's agents are concatenated onto one axis (no padding);
+agent-agent and global attention AND a same-scene block-diagonal term into
+their masks, and agent-lane keys are padded to the batch's largest segment
+count with the padding masked out, so a scene's outputs do not depend on the
+other scenes in its batch. `predict` is the batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Scenario
-from .layers import Linear, Module, TransformerBlock, BlockConfig, gelu, make_norm
+from .layers import Linear, Module, TransformerBlock, BlockConfig, gelu
 from .tensor import Rng, Tensor
 
 SCALE_FLOOR = 1e-6  # keeps softplus output strictly positive after underflow
@@ -66,9 +76,9 @@ class ModelConfig:
 
 
 @dataclass
-class EncodedScene:
-    embeddings: Tensor      # [N, D]
-    origins: np.ndarray     # [N, 2] frame origin per agent (last observed position)
+class EncodedBatch:
+    embeddings: Tensor      # [A, D]
+    origins: np.ndarray     # [A, 2] frame origin per agent (last observed position)
 
 
 @dataclass
@@ -88,8 +98,21 @@ class PredictionSet:
         return self.locations.data.shape[0]
 
 
-def frame_origins(scenario: Scenario) -> np.ndarray:
-    """Last valid observed position per agent; zeros if never observed."""
+@dataclass
+class BatchPrediction:
+    """Predictions for every agent of a batch, in scene order then agent order."""
+    locations: Tensor   # [A, K, F, 2] world frame, meters
+    scales: Tensor      # [A, K, F, 2] strictly positive
+    mode_probs: Tensor  # [A, K] simplex per agent
+
+    def per_agent(self) -> list:
+        """One PredictionSet per agent (views of the batch arrays, off the tape)."""
+        return [PredictionSet(Tensor(loc), Tensor(sc), Tensor(pr)) for loc, sc, pr in
+                zip(self.locations.data, self.scales.data, self.mode_probs.data)]
+
+
+def frame_origins(scenario) -> np.ndarray:
+    """Last valid observed position per agent of a Scenario or SceneBatch; zeros if never observed."""
     hist, valid = scenario.agent_histories, scenario.agent_valid
     n, t = valid.shape
     origins = np.zeros((n, 2))
@@ -99,8 +122,8 @@ def frame_origins(scenario: Scenario) -> np.ndarray:
     return origins
 
 
-def agent_step_features(scenario: Scenario) -> np.ndarray:
-    """[N, T, 3] per-step displacement (dx, dy) plus a validity flag."""
+def agent_step_features(scenario) -> np.ndarray:
+    """[N, T, 3] per-step displacement (dx, dy) plus a validity flag, for a Scenario or SceneBatch."""
     hist, valid = scenario.agent_histories, scenario.agent_valid
     n, t, _ = hist.shape
     feats = np.zeros((n, t, 3))
@@ -131,6 +154,38 @@ def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(feats), np.concatenate(mids)
 
 
+class SceneBatch:
+    """Scenarios run together, their agents flattened onto one axis of A = sum N_i.
+
+    Agents keep scene order, then their order within the scene; `scene_of`
+    maps each agent to its scene. Lane segments are split once per scene and
+    padded to the batch's largest segment count S_max, with `seg_valid`
+    marking the real ones. The stages build their attention masks from these
+    arrays and AND in `same_scene`, so no agent attends across scenes.
+    """
+
+    def __init__(self, scenes):
+        scenes = list(scenes)
+        if not scenes:
+            raise ValueError("a batch needs at least one scenario")
+        self.size = b = len(scenes)
+        self.scene_of = np.repeat(np.arange(b), [s.num_agents for s in scenes])    # [A]
+        self.same_scene = self.scene_of[:, None] == self.scene_of[None, :]        # [A, A]
+        self.agent_histories = np.concatenate([s.agent_histories for s in scenes])  # [A, T, 2]
+        self.agent_valid = np.concatenate([s.agent_valid for s in scenes])          # [A, T]
+        self.origins = frame_origins(self)                                          # [A, 2]
+        segments = [lane_segments(s.lanes) for s in scenes]
+        s_max = max(feats.shape[0] for feats, _ in segments)
+        self.seg_feats = np.zeros((b, s_max, 3))
+        self.seg_mids = np.zeros((b, s_max, 2))
+        self.seg_valid = np.zeros((b, s_max), dtype=bool)
+        for i, (feats, mids) in enumerate(segments):
+            n = feats.shape[0]
+            self.seg_feats[i, :n] = feats
+            self.seg_mids[i, :n] = mids
+            self.seg_valid[i, :n] = True
+
+
 class TrajectoryPredictor(Module):
     def __init__(self, cfg: ModelConfig, rng: Rng):
         d = cfg.width
@@ -144,112 +199,101 @@ class TrajectoryPredictor(Module):
         self.temporal_blocks = [TransformerBlock(bc, rng) for _ in range(cfg.blocks_per_stage)]
         self.lane_blocks = [TransformerBlock(bc, rng, cross=True) for _ in range(cfg.blocks_per_stage)]
         self.global_blocks = [TransformerBlock(bc, rng) for _ in range(cfg.blocks_per_stage)]
-        self.head_norm = make_norm(cfg.norm_kind, d)
         self.head_hidden = Linear(d, 2 * d, rng)
         k, f = cfg.modes, cfg.pred_steps
         self.head_out = Linear(2 * d, k * (4 * f + 1), rng)
 
     # ----- embedding -----
 
-    def embed_inputs(self, s: Scenario):
-        """(agent tokens [N, T, D], lane segment tokens [S, D])."""
-        feats = agent_step_features(s)
-        tokens = T.add(self.input_proj(Tensor(feats)), self.pos_embed)
-        seg_feats, _ = lane_segments(s.lanes)
-        if seg_feats.shape[0] == 0:
-            lane_tokens = Tensor(np.zeros((0, self.cfg.width)))
-        else:
-            lane_tokens = self.lane_proj(Tensor(seg_feats))
-        return tokens, lane_tokens
+    def embed_inputs(self, scenes):
+        """(agent tokens [A, T, D], lane segment tokens [B, S_max, D], the SceneBatch)."""
+        batch = SceneBatch(scenes)
+        tokens = T.add(self.input_proj(Tensor(agent_step_features(batch))), self.pos_embed)
+        lane_tokens = self.lane_proj(Tensor(batch.seg_feats))
+        return tokens, lane_tokens, batch
 
     # ----- encoder stages -----
 
-    def stage_agent_agent(self, tokens: Tensor, s: Scenario, rng=None, training=False) -> Tensor:
-        n, t, _ = tokens.shape
-        pos_t = np.transpose(s.agent_histories, (1, 0, 2))      # [T, N, 2]
-        vt = s.agent_valid.T                                     # [T, N]
+    def stage_agent_agent(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+        a = tokens.shape[0]
+        pos_t = np.transpose(batch.agent_histories, (1, 0, 2))  # [T, A, 2]
+        vt = batch.agent_valid.T                                 # [T, A]
         diff = pos_t[:, :, None, :] - pos_t[:, None, :, :]
         near = (diff ** 2).sum(-1) <= self.cfg.radius ** 2
-        mask = vt[:, :, None] & vt[:, None, :] & near
-        mask |= np.eye(n, dtype=bool)[None]
+        mask = vt[:, :, None] & vt[:, None, :] & near & batch.same_scene
+        mask |= np.eye(a, dtype=bool)[None]
         x = T.transpose(tokens, (1, 0, 2))
         for block in self.social_blocks:
             x = block(x, mask=mask, rng=rng, training=training)
         return T.transpose(x, (1, 0, 2))
 
-    def stage_temporal(self, tokens: Tensor, s: Scenario, rng=None, training=False) -> Tensor:
-        n, t, _ = tokens.shape
+    def stage_temporal(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+        t = tokens.shape[1]
         causal = np.tril(np.ones((t, t), dtype=bool))
-        keys_ok = s.agent_valid[:, None, :] | np.eye(t, dtype=bool)[None]
+        keys_ok = batch.agent_valid[:, None, :] | np.eye(t, dtype=bool)[None]
         mask = causal[None] & keys_ok
         x = tokens
         for block in self.temporal_blocks:
             x = block(x, mask=mask, rng=rng, training=training)
         return x
 
-    def stage_agent_lane(self, summary: Tensor, s: Scenario, lane_tokens: Tensor,
-                         origins: np.ndarray, rng=None, training=False) -> Tensor:
-        _, mids = lane_segments(s.lanes)
-        n_seg = mids.shape[0]
-        if n_seg == 0:
+    def stage_agent_lane(self, summary: Tensor, lane_tokens: Tensor, batch: SceneBatch,
+                         rng=None, training=False) -> Tensor:
+        if batch.seg_valid.shape[1] == 0:
             return summary
-        n = summary.shape[0]
-        rel = mids[None, :, :] - origins[:, None, :]             # [N, S, 2]
-        near = (rel ** 2).sum(-1) <= self.cfg.radius ** 2        # [N, S]
+        a = summary.shape[0]
+        rel = batch.seg_mids[batch.scene_of] - batch.origins[:, None, :]      # [A, S_max, 2]
+        near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.seg_valid[batch.scene_of]
         has_key = near.any(axis=1)
         if not has_key.any():
             return summary
         mask = near[:, None, :].copy()
         mask[~has_key, 0, 0] = True  # placeholder key; its update is discarded below
-        keys = T.add(T.reshape(lane_tokens, (1, n_seg, -1)), self.rel_proj(Tensor(rel)))
-        x = T.reshape(summary, (n, 1, -1))
+        # a batch of one broadcasts its [1, S, D] lane tokens over the agents
+        lanes = lane_tokens if batch.size == 1 else T.getitem(lane_tokens, batch.scene_of)
+        keys = T.add(lanes, self.rel_proj(Tensor(rel)))
+        x = T.reshape(summary, (a, 1, -1))
         for block in self.lane_blocks:
             x = block(x, kv=keys, mask=mask, rng=rng, training=training)
-        updated = T.reshape(x, (n, -1))
+        updated = T.reshape(x, (a, -1))
         ind = has_key.astype(np.float64)[:, None]
         return T.add(T.mul(updated, ind), T.mul(summary, 1.0 - ind))
 
-    def stage_global(self, summary: Tensor, rng=None, training=False) -> Tensor:
-        n = summary.shape[0]
-        x = T.reshape(summary, (1, n, -1))
+    def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+        a = summary.shape[0]
+        mask = None if batch.size == 1 else batch.same_scene[None]
+        x = T.reshape(summary, (1, a, -1))
         for block in self.global_blocks:
-            x = block(x, rng=rng, training=training)
-        return T.reshape(x, (n, -1))
+            x = block(x, mask=mask, rng=rng, training=training)
+        return T.reshape(x, (a, -1))
 
-    def encode(self, s: Scenario, rng=None, training=False) -> EncodedScene:
-        tokens, lane_tokens = self.embed_inputs(s)
-        origins = frame_origins(s)
-        x = self.stage_agent_agent(tokens, s, rng, training)
-        x = self.stage_temporal(x, s, rng, training)
+    def encode(self, scenes, rng=None, training=False) -> EncodedBatch:
+        tokens, lane_tokens, batch = self.embed_inputs(scenes)
+        x = self.stage_agent_agent(tokens, batch, rng, training)
+        x = self.stage_temporal(x, batch, rng, training)
         summary = T.getitem(x, (slice(None), x.shape[1] - 1))    # last-step token
-        summary = self.stage_agent_lane(summary, s, lane_tokens, origins, rng, training)
-        summary = self.stage_global(summary, rng, training)
-        return EncodedScene(embeddings=summary, origins=origins)
+        summary = self.stage_agent_lane(summary, lane_tokens, batch, rng, training)
+        summary = self.stage_global(summary, batch, rng, training)
+        return EncodedBatch(embeddings=summary, origins=batch.origins)
 
     # ----- decoder -----
 
-    def decode(self, enc: EncodedScene, rng=None, training=False) -> list:
-        n = enc.embeddings.shape[0]
+    def decode(self, enc: EncodedBatch, rng=None, training=False) -> BatchPrediction:
+        a = enc.embeddings.shape[0]
         k, f = self.cfg.modes, self.cfg.pred_steps
-        h = gelu(self.head_hidden(self.head_norm(enc.embeddings)))
-        raw = T.reshape(self.head_out(h), (n, k, 4 * f + 1))
-        offsets = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(0, 2 * f))), (n, k, f, 2))
+        h = gelu(self.head_hidden(enc.embeddings))
+        raw = T.reshape(self.head_out(h), (a, k, 4 * f + 1))
+        offsets = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(0, 2 * f))), (a, k, f, 2))
         locations = T.add(offsets, enc.origins[:, None, None, :])
-        scale_raw = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(2 * f, 4 * f))), (n, k, f, 2))
+        scale_raw = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(2 * f, 4 * f))), (a, k, f, 2))
         scales = T.add(T.softplus(scale_raw), SCALE_FLOOR)
         probs = T.softmax(T.getitem(raw, (slice(None), slice(None), 4 * f)), axis=-1)
-        return [
-            PredictionSet(
-                locations=T.getitem(locations, i),
-                scales=T.getitem(scales, i),
-                mode_probs=T.getitem(probs, i),
-            )
-            for i in range(n)
-        ]
+        return BatchPrediction(locations=locations, scales=scales, mode_probs=probs)
 
-    def forward(self, s: Scenario, rng=None, training=False) -> list:
-        return self.decode(self.encode(s, rng, training), rng, training)
+    def forward(self, scenes, rng=None, training=False) -> BatchPrediction:
+        """Predictions for every agent of a list of scenarios, run as one batch."""
+        return self.decode(self.encode(scenes, rng, training), rng, training)
 
     def predict(self, s: Scenario) -> list:
-        """Inference without gradient tracking (no active tape)."""
-        return self.forward(s)
+        """One scenario, a batch of one, without gradient tracking: a PredictionSet per agent."""
+        return self.forward([s]).per_agent()

@@ -122,6 +122,7 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (output Tensor, backward fn taking output grad)
+        self._recorded = 0
         self._used = False
 
     def __enter__(self):
@@ -134,10 +135,12 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """Number of ops recorded, also after backward() has consumed them."""
+        return self._recorded
 
     def _record(self, out: Tensor, backward_fn):
         self._records.append((out, backward_fn))
+        self._recorded += 1
 
     def backward(self, loss: Tensor):
         if loss.data.size != 1:
@@ -147,7 +150,11 @@ class Tape:
         self._used = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        # records are dropped as they are replayed, so each intermediate and
+        # its gradient are freed once nothing upstream needs them
+        records = self._records
+        while records:
+            out, fn = records.pop()
             if out.grad is not None:
                 fn(out.grad)
 
@@ -366,10 +373,17 @@ def reshape(a, shape):
 def getitem(a, idx):
     a = _as_tensor(a)
     out_data = a.data[idx]
+    # only an integer-array index can pick one element twice and so needs the
+    # (slower) unbuffered scatter-add; slices, ints and boolean masks cannot
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    may_repeat = any(np.ndim(p) > 0 and np.asarray(p).dtype.kind in "iu" for p in parts)
 
     def da(g):
         z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
+        if may_repeat:
+            np.add.at(z, idx, g)
+        else:
+            z[idx] = g
         return z
 
     return _unary(a, np.array(out_data), da)

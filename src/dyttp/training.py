@@ -58,65 +58,76 @@ class LossBreakdown:
     cls: Tensor
     lam: float
 
-    def values(self) -> dict:
-        return {"total": self.total.item(), "reg": self.reg.item(),
-                "cls": self.cls.item(), "lambda": self.lam}
+
+def _one_hot(modes, k: int) -> np.ndarray:
+    return (np.arange(k) == np.asarray(modes)[:, None]).astype(np.float64)
 
 
-def select_best_mode(pred: PredictionSet, gt, valid_mask) -> int:
-    """Mode with the smallest displacement at the last valid step; ties pick
-    the lowest index. Runs outside any tape, so selection is detached."""
+def select_best_mode(locations, gt, valid_mask) -> np.ndarray:
+    """[A] mode per agent with the smallest displacement at the agent's last
+    valid step; ties pick the lowest index. locations [A, K, F, 2], gt
+    [A, F, 2], valid_mask [A, F]. Plain numpy outside any tape, so selection
+    is detached."""
+    locations = np.asarray(locations, dtype=np.float64)
     valid = np.asarray(valid_mask, dtype=bool)
-    if not valid.any():
+    if not valid.any(axis=1).all():
         raise ValueError("no valid future step to select against")
-    e = int(np.flatnonzero(valid)[-1])
-    gt = np.asarray(gt, dtype=np.float64)
-    d = np.linalg.norm(pred.locations.data[:, e] - gt[e], axis=-1)
-    return int(np.argmin(d))
+    agents = np.arange(valid.shape[0])
+    last = valid.shape[1] - 1 - np.argmax(valid[:, ::-1], axis=1)
+    gt_end = np.asarray(gt, dtype=np.float64)[agents, last]              # [A, 2]
+    d = np.linalg.norm(locations[agents, :, last] - gt_end[:, None], axis=-1)
+    return np.argmin(d, axis=1)
 
 
-def regression_nll(pred: PredictionSet, gt, valid_mask, mode_index: int) -> Tensor:
-    """Laplace NLL summed over valid steps and both coordinates, one mode.
+def regression_nll(locations: Tensor, scales: Tensor, gt, valid_mask, modes) -> Tensor:
+    """[A] Laplace NLL of each agent's mode `modes[a]`, summed over valid steps
+    and both coordinates.
 
-    Each term is log(2b) + |y - mu| / b.
+    Each term is log(2b) + |y - mu| / b; the chosen mode and the valid steps
+    enter as a 0/1 weight, so the other modes get exactly zero gradient.
     """
-    valid = np.asarray(valid_mask, dtype=np.float64)
-    mu = T.getitem(pred.locations, mode_index)
-    b = T.getitem(pred.scales, mode_index)
-    if np.any(b.data <= 0.0):
+    if np.any(scales.data <= 0.0):
         raise ValueError("regression NLL needs strictly positive scales")
     gt = np.asarray(gt, dtype=np.float64)
-    terms = T.add(T.log(T.mul(b, 2.0)), T.div(T.abs_(T.sub(mu, gt)), b))
-    return T.sum_(T.mul(terms, valid[:, None]))
+    valid = np.asarray(valid_mask, dtype=np.float64)
+    weight = _one_hot(modes, locations.shape[1])[:, :, None, None] * valid[:, None, :, None]
+    terms = T.add(T.log(T.mul(scales, 2.0)), T.div(T.abs_(T.sub(locations, gt[:, None])), scales))
+    return T.sum_(T.mul(terms, weight), axis=(1, 2, 3))
 
 
-def classification_ce(mode_probs: Tensor, best_mode_index: int) -> Tensor:
-    """-log p of the selected mode, clamped at 1e-12."""
-    p = T.clamp_min(T.getitem(mode_probs, best_mode_index), CE_PROB_FLOOR)
-    return T.neg(T.log(p))
+def classification_ce(mode_probs: Tensor, modes) -> Tensor:
+    """[A] -log p of each agent's mode `modes[a]`, p clamped at 1e-12."""
+    p = T.sum_(T.mul(mode_probs, _one_hot(modes, mode_probs.shape[1])), axis=1)
+    return T.neg(T.log(T.clamp_min(p, CE_PROB_FLOOR)))
+
+
+def eligible_agents(s: Scenario) -> np.ndarray:
+    """[N] agents the loss scores: two or more observed steps and a valid future step."""
+    return (s.agent_valid.sum(axis=1) >= 2) & s.future_valid.any(axis=1)
 
 
 def loss_eligible(s: Scenario, agent: int) -> bool:
-    return s.agent_valid[agent].sum() >= 2 and s.future_valid[agent].any()
+    return bool(eligible_agents(s)[agent])
 
 
 def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
                rng: Rng | None = None, training: bool = True) -> LossBreakdown:
-    """Regression + lam * classification, averaged over eligible agents."""
-    regs, ces = [], []
-    for s in scenarios:
-        preds = model.forward(s, rng=rng, training=training)
-        for n in range(s.num_agents):
-            if not loss_eligible(s, n):
-                continue
-            gt, valid = s.agent_futures[n], s.future_valid[n]
-            k = select_best_mode(preds[n], gt, valid)
-            regs.append(regression_nll(preds[n], gt, valid, k))
-            ces.append(classification_ce(preds[n].mode_probs, k))
-    if not regs:
+    """Regression + lam * classification, averaged over eligible agents.
+
+    The scenarios run through one batched forward pass.
+    """
+    scenarios = list(scenarios)
+    eligible = np.concatenate([eligible_agents(s) for s in scenarios]) if scenarios else []
+    if not np.any(eligible):
         raise ValueError("batch contains no agents eligible for the loss")
-    reg = T.mean(T.stack(regs))
-    cls = T.mean(T.stack(ces))
+    pred = model.forward(scenarios, rng=rng, training=training)
+    gt = np.concatenate([s.agent_futures for s in scenarios])
+    valid = np.concatenate([s.future_valid for s in scenarios]) & eligible[:, None]
+    modes = np.zeros(len(eligible), dtype=np.int64)
+    modes[eligible] = select_best_mode(pred.locations.data[eligible], gt[eligible],
+                                       valid[eligible])
+    reg = T.mean(T.getitem(regression_nll(pred.locations, pred.scales, gt, valid, modes), eligible))
+    cls = T.mean(T.getitem(classification_ce(pred.mode_probs, modes), eligible))
     total = T.add(reg, T.mul(cls, lam))
     return LossBreakdown(total=total, reg=reg, cls=cls, lam=lam)
 
@@ -199,8 +210,7 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
     loss, validation minADE/minFDE/MR). On a non-finite loss the run aborts
     with the completed snapshots retained on the raised DivergenceError.
     """
-    train_scenarios = [s for s in split.train
-                       if any(loss_eligible(s, n) for n in range(s.num_agents))]
+    train_scenarios = [s for s in split.train if eligible_agents(s).any()]
     if not train_scenarios:
         raise ValueError("training split has no loss-eligible agents")
     model = TrajectoryPredictor(model_cfg, rng.child(0))

@@ -93,6 +93,10 @@ def test_criterion_1_gradient_correctness():
           rng.uniform((2, 4), -2, 2))
     check("getitem", lambda t: T.sum_(T.getitem(t, (slice(None), 1))),
           rng.uniform((2, 4), -2, 2))
+    # a repeated integer index must add, not overwrite, the gradients it scatters
+    check("getitem_repeated", lambda t: T.sum_(T.mul(T.getitem(t, np.array([1, 0, 1, 1])),
+                                                     np.arange(1.0, 17.0).reshape(4, 4))),
+          rng.uniform((2, 4), -2, 2))
     check("concat", lambda t: T.sum_(T.mul(T.concat([t, Tensor(a)], axis=0),
                                            np.ones((4, 4)))),
           rng.uniform((2, 4), -2, 2))
@@ -248,18 +252,19 @@ def test_criterion_5_loss_identities():
         assert abs(lb.total.item() - (lb.reg.item() + lam * lb.cls.item())) <= 1e-12
 
     f = 30
-    gt = Rng(503).normal((f, 2))
-    perfect = make_pred(np.stack([gt, gt + 3.0]),
-                        scales=np.full((2, f, 2), 0.5),
-                        probs=np.array([1.0, 0.0]))
-    k = select_best_mode(perfect, gt, np.ones(f, dtype=bool))
-    reg = regression_nll(perfect, gt, np.ones(f, dtype=bool), k).item()
+    gt = Rng(503).normal((f, 2))[None]                 # one agent
+    loc = Tensor(np.stack([gt[0], gt[0] + 3.0])[None])  # [1, K=2, F, 2]
+    scales = Tensor(np.full((1, 2, f, 2), 0.5))
+    probs = Tensor(np.array([[1.0, 0.0]]))
+    valid = np.ones((1, f), dtype=bool)
+    k = select_best_mode(loc.data, gt, valid)
+    reg = regression_nll(loc, scales, gt, valid, k).item()
     # clamped cross entropy of probability 1 is -log(1) = 0
-    ce = classification_ce(perfect.mode_probs, k).item()
+    ce = classification_ce(probs, k).item()
     assert reg == 0.0 and ce == 0.0
 
-    uniform = Tensor(np.full(6, 1.0 / 6.0))
-    assert abs(classification_ce(uniform, 2).item() - math.log(6.0)) <= 1e-12
+    uniform = Tensor(np.full((1, 6), 1.0 / 6.0))
+    assert abs(classification_ce(uniform, [2]).item() - math.log(6.0)) <= 1e-12
     ok(5, "total == reg + lambda*cls to 1e-12; perfect prediction scores 0; "
           "uniform CE over 6 modes equals ln 6")
 

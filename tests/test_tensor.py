@@ -175,6 +175,14 @@ def test_getitem_backward_scatters():
     assert np.array_equal(x.grad, expected)
 
 
+def test_getitem_backward_repeated_rows_add_and_masks_assign():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with Tape() as tape:
+        loss = add(sum_(getitem(x, np.array([2, 0, 2]))), sum_(getitem(x, np.array([True, False, True]))))
+    backward(loss, tape)
+    assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [3.0, 3.0]])
+
+
 def test_concat_stack_roundtrip_gradients():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((3, 2)), requires_grad=True)

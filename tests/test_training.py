@@ -5,25 +5,40 @@ import numpy as np
 import pytest
 
 from dyttp import tensor as T
-from dyttp.backbone import ModelConfig, PredictionSet, TrajectoryPredictor
+from dyttp.backbone import ModelConfig, TrajectoryPredictor
 from dyttp.data import GenConfig, generate_synthetic
 from dyttp.tensor import Rng, Tape, Tensor
 from dyttp.training import (
     AdamW, DivergenceError, EnsembleConfig, SchedulerConfig,
-    Snapshot, classification_ce, ensemble_predict, lr_at, make_ensemble,
-    model_from_params, regression_nll, select_best_mode, total_loss, train,
+    Snapshot, classification_ce, eligible_agents, ensemble_predict, lr_at,
+    make_ensemble, model_from_params, regression_nll, select_best_mode,
+    total_loss, train,
 )
 
 SMALL = ModelConfig(width=16, heads=2, blocks_per_stage=1, modes=2, dropout=0.0)
 FAST_SCHED = SchedulerConfig(cycle_length=1, num_cycles=2)
 
 
-def make_pred(locations, scales=None, probs=None):
+def batch_of_one(locations, scales=None, probs=None):
+    """(locations [1, K, F, 2], scales, mode probs [1, K]) tensors for one agent."""
     locations = np.asarray(locations, dtype=np.float64)
     k = locations.shape[0]
     scales = np.ones_like(locations) if scales is None else np.asarray(scales, dtype=np.float64)
     probs = np.full(k, 1.0 / k) if probs is None else np.asarray(probs, dtype=np.float64)
-    return PredictionSet(Tensor(locations), Tensor(scales), Tensor(probs))
+    return Tensor(locations[None]), Tensor(scales[None]), Tensor(probs[None])
+
+
+def nll_of_one(locations, scales, gt, valid, mode):
+    loc, sc, _ = batch_of_one(locations, scales)
+    return regression_nll(loc, sc, gt[None], np.asarray(valid)[None], [mode]).item()
+
+
+def ce_of_one(probs, mode):
+    return classification_ce(Tensor(np.asarray(probs, dtype=np.float64)[None]), [mode]).item()
+
+
+def best_of_one(locations, gt, valid):
+    return int(select_best_mode(np.asarray(locations)[None], gt[None], np.asarray(valid)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +75,16 @@ def test_lr_out_of_range_errors():
 def test_regression_nll_unit_scale_closed_form():
     f = 30
     gt = Rng(1).normal((f, 2))
-    pred = make_pred(gt[None, :, :].copy())
-    nll = regression_nll(pred, gt, np.ones(f, dtype=bool), 0)
-    assert abs(nll.item() - 2 * f * math.log(2.0)) < 1e-9
-    assert abs(nll.item() - 41.58883083359672) < 1e-9
+    nll = nll_of_one(gt[None, :, :].copy(), None, gt, np.ones(f, dtype=bool), 0)
+    assert abs(nll - 2 * f * math.log(2.0)) < 1e-9
+    assert abs(nll - 41.58883083359672) < 1e-9
 
 
 def test_regression_nll_half_scale_is_zero():
     f = 30
     gt = Rng(2).normal((f, 2))
-    pred = make_pred(gt[None, :, :].copy(), scales=np.full((1, f, 2), 0.5))
-    assert abs(regression_nll(pred, gt, np.ones(f, dtype=bool), 0).item()) < 1e-12
+    assert abs(nll_of_one(gt[None, :, :].copy(), np.full((1, f, 2), 0.5), gt,
+                          np.ones(f, dtype=bool), 0)) < 1e-12
 
 
 def test_regression_nll_linear_in_residual():
@@ -78,10 +92,8 @@ def test_regression_nll_linear_in_residual():
     gt = np.zeros((f, 2))
     b = 0.7
     off = np.full((1, f, 2), 1.3)
-    base = regression_nll(make_pred(off, scales=np.full((1, f, 2), b)), gt,
-                          np.ones(f, dtype=bool), 0).item()
-    double = regression_nll(make_pred(2 * off, scales=np.full((1, f, 2), b)), gt,
-                            np.ones(f, dtype=bool), 0).item()
+    base = nll_of_one(off, np.full((1, f, 2), b), gt, np.ones(f, dtype=bool), 0)
+    double = nll_of_one(2 * off, np.full((1, f, 2), b), gt, np.ones(f, dtype=bool), 0)
     assert abs((double - base) - 1.3 / b * 2 * f) < 1e-9
 
 
@@ -91,8 +103,21 @@ def test_regression_nll_respects_mask():
     loc = np.zeros((1, f, 2))
     loc[0, -1] = [100.0, 100.0]
     mask = np.array([True, True, True, False])
-    nll = regression_nll(make_pred(loc, scales=np.full((1, f, 2), 0.5)), gt, mask, 0)
-    assert abs(nll.item()) < 1e-12
+    assert abs(nll_of_one(loc, np.full((1, f, 2), 0.5), gt, mask, 0)) < 1e-12
+
+
+def test_regression_nll_per_agent_and_other_modes_ignored():
+    # two agents in one call: each row is that agent's own mode, the other mode's
+    # (large) residual never enters
+    f = 3
+    gt = np.zeros((2, f, 2))
+    loc = np.zeros((2, 2, f, 2))
+    loc[0, 1] = 50.0
+    loc[1, 0] = 50.0
+    scales = np.full_like(loc, 0.5)
+    nll = regression_nll(Tensor(loc), Tensor(scales), gt, np.ones((2, f), dtype=bool), [0, 1])
+    assert nll.shape == (2,)
+    assert np.all(np.abs(nll.data) < 1e-12)
 
 
 def test_select_best_mode_rules():
@@ -100,33 +125,42 @@ def test_select_best_mode_rules():
     gt = np.zeros((f, 2))
     exact = np.zeros((2, f, 2))
     exact[1] += 1.0
-    assert select_best_mode(make_pred(exact), gt, np.ones(f, dtype=bool)) == 0
+    assert best_of_one(exact, gt, np.ones(f, dtype=bool)) == 0
 
     same = np.ones((3, f, 2))
-    assert select_best_mode(make_pred(same), gt, np.ones(f, dtype=bool)) == 0
+    assert best_of_one(same, gt, np.ones(f, dtype=bool)) == 0
 
     endpoints = np.zeros((3, f, 2))
     endpoints[0, -1] = [2.0, 0.0]
     endpoints[1, -1] = [0.5, 0.0]
     endpoints[2, -1] = [1.1, 0.0]
-    assert select_best_mode(make_pred(endpoints), gt, np.ones(f, dtype=bool)) == 1
+    assert best_of_one(endpoints, gt, np.ones(f, dtype=bool)) == 1
+
+    # batched: each agent is judged at its own last valid step
+    early = np.zeros((3, f, 2))
+    early[0, 1] = [0.1, 0.0]
+    early[1, 1] = [3.0, 0.0]
+    early[2, 1] = [0.2, 0.0]
+    early[0, 2] = [9.0, 0.0]
+    valid = np.array([[True, True, True], [True, True, True], [True, True, False]])
+    picked = select_best_mode(np.stack([same, endpoints, early]), np.zeros((3, f, 2)), valid)
+    assert list(picked) == [0, 1, 0]
+
+    with pytest.raises(ValueError):
+        select_best_mode(same[None], gt[None], np.zeros((1, f), dtype=bool))
 
 
 def test_classification_ce_values():
-    one_hot = make_pred(np.zeros((2, 3, 2)), probs=np.array([1.0 - 1e-15, 1e-15]))
-    assert classification_ce(one_hot.mode_probs, 0).item() < 1e-12
+    assert ce_of_one([1.0 - 1e-15, 1e-15], 0) < 1e-12
+    assert abs(ce_of_one(np.full(6, 1.0 / 6.0), 3) - math.log(6.0)) < 1e-12
+    assert abs(ce_of_one([0.5, 0.5], 0) - math.log(2.0)) < 1e-12
 
-    uniform6 = Tensor(np.full(6, 1.0 / 6.0))
-    assert abs(classification_ce(uniform6, 3).item() - math.log(6.0)) < 1e-12
-
-    half = Tensor(np.array([0.5, 0.5]))
-    assert abs(classification_ce(half, 0).item() - math.log(2.0)) < 1e-12
+    both = classification_ce(Tensor(np.array([[0.5, 0.5], [0.25, 0.75]])), [1, 0])
+    assert np.allclose(both.data, [math.log(2.0), math.log(4.0)], rtol=0, atol=1e-12)
 
 
 def test_classification_ce_clamps_zero():
-    probs = Tensor(np.array([0.0, 1.0]))
-    val = classification_ce(probs, 0).item()
-    assert val == pytest.approx(-math.log(1e-12))
+    assert ce_of_one([0.0, 1.0], 0) == pytest.approx(-math.log(1e-12))
 
 
 def _tiny_split(count=12, sigma=0.1, seed=5):
@@ -149,12 +183,44 @@ def test_total_loss_perfect_prediction_is_zero():
     # bypass the model: perfect locations, b = 0.5, probability 1 on the winner
     f = 4
     gt = Rng(4).normal((f, 2))
-    pred = make_pred(np.stack([gt, gt + 5.0]), scales=np.full((2, f, 2), 0.5),
-                     probs=np.array([1.0 - 1e-15, 1e-15]))
-    k = select_best_mode(pred, gt, np.ones(f, dtype=bool))
-    reg = regression_nll(pred, gt, np.ones(f, dtype=bool), k)
-    ce = classification_ce(pred.mode_probs, k)
+    loc, sc, probs = batch_of_one(np.stack([gt, gt + 5.0]), scales=np.full((2, f, 2), 0.5),
+                                  probs=np.array([1.0 - 1e-15, 1e-15]))
+    valid = np.ones((1, f), dtype=bool)
+    k = select_best_mode(loc.data, gt[None], valid)
+    reg = regression_nll(loc, sc, gt[None], valid, k)
+    ce = classification_ce(probs, k)
     assert abs(reg.item() + ce.item()) < 1e-9
+
+
+def test_batched_total_loss_and_gradients_match_single_scenarios():
+    # one batch averages over all its eligible agents, so it equals the
+    # per-scenario losses (and gradients) weighted by eligible-agent counts
+    split = _tiny_split(12)
+    model = TrajectoryPredictor(SMALL, Rng(20))
+    batch = split.train[:5]
+    named = dict(model.named_params())
+    picked = ["input_proj.weight", "social_blocks.0.attn.wq.weight", "lane_proj.weight",
+              "rel_proj.bias", "global_blocks.0.ffn.lin1.weight", "head_out.weight"]
+
+    def run(scenes):
+        with Tape() as tape:
+            lb = total_loss(model, scenes, lam=0.6, training=False)
+        T.backward(lb.total, tape)
+        grads = {n: named[n].grad.copy() for n in picked}
+        model.zero_grad()
+        return lb, grads
+
+    counts = np.array([eligible_agents(s).sum() for s in batch], dtype=np.float64)
+    weights = counts / counts.sum()
+    singles = [run([s]) for s in batch]
+    lb, grads = run(batch)
+    for part in ("total", "reg", "cls"):
+        want = sum(w * getattr(one, part).item() for w, (one, _) in zip(weights, singles))
+        assert abs(getattr(lb, part).item() - want) <= 1e-10 * max(1.0, abs(want)), part
+    for n in picked:
+        want = sum(w * g[n] for w, (_, g) in zip(weights, singles))
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(grads[n] - want).max() <= 1e-10 * scale, n
 
 
 def test_total_loss_empty_batch_errors():
@@ -176,11 +242,11 @@ def test_classification_gradient_detached_from_location_heads():
     grad = model.head_out.weight.grad
     assert grad is not None
     per_mode = grad.reshape(grad.shape[0], k, 4 * f + 1)
-    preds = model.predict(sc)
     eligible = [n for n in range(sc.num_agents)
                 if sc.agent_valid[n].sum() >= 2 and sc.future_valid[n].any()]
-    winners = {select_best_mode(preds[n], sc.agent_futures[n], sc.future_valid[n])
-               for n in eligible}
+    locations = model.forward([sc]).locations.data
+    winners = set(select_best_mode(locations[eligible], sc.agent_futures[eligible],
+                                   sc.future_valid[eligible]).tolist())
     losers = set(range(k)) - winners
     for mode in losers:
         assert np.all(per_mode[:, mode, :4 * f] == 0.0)
