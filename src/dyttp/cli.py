@@ -24,7 +24,9 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .backbone import ModelConfig
-from .data import FormatError, generate_synthetic, load_scenarios, save_scenarios
+from .data import (
+    BinaryReader, FormatError, generate_synthetic, load_scenarios, save_scenarios,
+)
 from .evaluation import (
     ablation_to_dict, bench_latency, evaluate_model, format_ablation_table,
     format_latency_table, format_metrics_table, run_ablation,
@@ -72,43 +74,21 @@ def save_checkpoint(path, params: dict, model_cfg: ModelConfig, cycle_index: int
 def load_checkpoint(path):
     """Returns (params as float64 arrays, header dict)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"truncated checkpoint {path}")
-        out = raw[pos:pos + n]
-        pos += n
-        return out
-
-    def unpack(fmt):
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    if take(4) != CKPT_MAGIC:
+        r = BinaryReader(fh.read(), f"checkpoint {path}")
+    if r.take(4) != CKPT_MAGIC:
         raise FormatError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = unpack("<I")
+    (version,) = r.unpack("<I")
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (dlen,) = unpack("<H")
-    digest = take(dlen).decode()
-    (alen,) = unpack("<H")
-    algorithm = take(alen).decode()
-    (cycle_index,) = unpack("<I")
-    (n_params,) = unpack("<I")
+    digest = r.string()
+    algorithm = r.string()
+    cycle_index, n_params = r.unpack("<II")
     params = {}
     for _ in range(n_params):
-        (nlen,) = unpack("<H")
-        name = take(nlen).decode()
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(count * 4), dtype="<f4").astype(np.float64)
-        params[name] = arr.reshape(shape)
-    if pos != len(raw):
-        raise FormatError(f"trailing bytes in checkpoint {path}")
+        name = r.string()
+        (ndim,) = r.unpack("<B")
+        params[name] = r.f32(r.unpack(f"<{ndim}I"))
+    r.finish()
     header = {"digest": digest, "rng_algorithm": algorithm,
               "cycle_index": cycle_index, "version": version}
     return params, header
@@ -126,8 +106,7 @@ def snapshots_from_checkpoints(paths, model_cfg: ModelConfig):
     for p in paths:
         params, header = load_checkpoint(p)
         verify_checkpoint_digest(header, model_cfg, p)
-        snaps.append(Snapshot(cycle_index=header["cycle_index"], params=params,
-                              scheduler_epoch=0, val_minade=None))
+        snaps.append(Snapshot(cycle_index=header["cycle_index"], params=params))
     return snaps
 
 
@@ -196,6 +175,16 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _emit_json(doc: dict, out_json):
+    """Write doc to out_json, or print it when no path is given."""
+    payload = _dump_json(doc)
+    if out_json:
+        with open(out_json, "w") as fh:
+            fh.write(payload)
+    else:
+        print(payload, end="")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -217,8 +206,8 @@ def _find_resume_state(out_dir, model_cfg):
     paths = sorted(glob.glob(os.path.join(out_dir, "snapshot_*.ckpt")))
     if not paths:
         return None, 0
-    latest = max(paths, key=lambda p: load_checkpoint(p)[1]["cycle_index"])
-    params, header = load_checkpoint(latest)
+    latest, params, header = max(((p, *load_checkpoint(p)) for p in paths),
+                                 key=lambda item: item[2]["cycle_index"])
     verify_checkpoint_digest(header, model_cfg, latest)
     return params, header["cycle_index"] + 1
 
@@ -301,19 +290,13 @@ def cmd_evaluate(args) -> int:
     header = (f"norm: {model_cfg.norm_kind} (all normalization sites), "
               f"inference: {desc}")
     print(format_metrics_table(report, header=header))
-    doc = {
+    _emit_json({
         "schema": "dyttp-metrics-v1",
         "config": asdict(model_cfg),
         "seed": extras["seed"],
         "inference": desc,
         "metrics": report.to_dict(),
-    }
-    payload = _dump_json(doc)
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(payload)
-    else:
-        print(payload, end="")
+    }, args.out_json)
     return 0
 
 
@@ -333,19 +316,13 @@ def cmd_bench(args) -> int:
     report = bench_latency(predict_fn, scenarios, iterations=args.iterations,
                            warmup=args.warmup)
     print(format_latency_table(report, header=f"latency: {desc}"))
-    doc = {
+    _emit_json({
         "schema": "dyttp-latency-v1",
         "config": asdict(model_cfg),
         "seed": extras["seed"],
         "inference": desc,
         "latency": report.to_dict(),
-    }
-    payload = _dump_json(doc)
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(payload)
-    else:
-        print(payload, end="")
+    }, args.out_json)
     return 0
 
 

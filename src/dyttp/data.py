@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -306,14 +307,19 @@ def save_scenarios(split: DatasetSplit, path):
         fh.write(buf.getvalue())
 
 
-class _Reader:
-    def __init__(self, raw: bytes):
+class BinaryReader:
+    """Bounds-checked reader over the bytes of one file, shared by the
+    scenario container and the checkpoint. Every malformed input raises
+    FormatError naming the file kind, never another exception."""
+
+    def __init__(self, raw: bytes, kind: str):
         self.raw = raw
+        self.kind = kind
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise FormatError("truncated scenario file")
+            raise FormatError(f"truncated {self.kind}")
         out = self.raw[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -321,29 +327,59 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def string(self) -> str:
+        """A u16 length prefix followed by that many UTF-8 bytes."""
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.kind}: string is not UTF-8") from None
 
-def _read_scenario(r: _Reader) -> Scenario:
+    def _array(self, shape, dtype) -> np.ndarray:
+        # Python ints, so a corrupt shape cannot wrap to a negative byte count
+        count = math.prod(int(d) for d in shape)
+        flat = np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype=dtype)
+        try:
+            return flat.reshape(shape)
+        except ValueError:
+            # more dimensions than numpy supports, or a zero-size shape whose
+            # other dimensions overflow numpy's size limit
+            raise FormatError(f"{self.kind}: unsupported array shape") from None
+
+    def f32(self, shape) -> np.ndarray:
+        """A little-endian float32 array of the given shape, widened to float64."""
+        return self._array(shape, "<f4").astype(np.float64)
+
+    def flags(self, shape) -> np.ndarray:
+        """A one-byte-per-element bool array of the given shape."""
+        return self._array(shape, np.uint8).astype(bool)
+
+    def finish(self):
+        if self.pos != len(self.raw):
+            raise FormatError(f"trailing bytes in {self.kind}")
+
+
+def _read_scenario(r: BinaryReader) -> Scenario:
     (rec_len,) = r.unpack("<I")
-    sub = _Reader(r.take(rec_len))
-    (sid_len,) = sub.unpack("<H")
-    sid = sub.take(sid_len).decode()
+    sub = BinaryReader(r.take(rec_len), r.kind)
+    sid = sub.string()
     n, t, f, focal = sub.unpack("<IHHI")
-    hist = np.frombuffer(sub.take(n * t * 2 * 4), dtype="<f4").astype(np.float64).reshape(n, t, 2)
-    valid = np.frombuffer(sub.take(n * t), dtype=np.uint8).astype(bool).reshape(n, t)
-    fut = np.frombuffer(sub.take(n * f * 2 * 4), dtype="<f4").astype(np.float64).reshape(n, f, 2)
-    fvalid = np.frombuffer(sub.take(n * f), dtype=np.uint8).astype(bool).reshape(n, f)
+    hist = sub.f32((n, t, 2))
+    valid = sub.flags((n, t))
+    fut = sub.f32((n, f, 2))
+    fvalid = sub.flags((n, f))
     (n_lanes,) = sub.unpack("<I")
     lanes = []
     for _ in range(n_lanes):
         (pts,) = sub.unpack("<I")
-        lanes.append(np.frombuffer(sub.take(pts * 2 * 4), dtype="<f4").astype(np.float64).reshape(pts, 2))
+        lanes.append(sub.f32((pts, 2)))
+    sub.finish()
     return Scenario(hist, valid, fut, fvalid, lanes, focal, sid)
 
 
 def load_scenarios(path) -> DatasetSplit:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    r = _Reader(raw)
+        r = BinaryReader(fh.read(), "scenario file")
     if r.take(4) != _MAGIC:
         raise FormatError("not a scenario container (bad magic)")
     version, t, f, n_train, n_val, seed = r.unpack("<IHHIIQ")
@@ -351,8 +387,7 @@ def load_scenarios(path) -> DatasetSplit:
         raise FormatError(f"unsupported container version {version}")
     train = [_read_scenario(r) for _ in range(n_train)]
     val = [_read_scenario(r) for _ in range(n_val)]
-    if r.pos != len(raw):
-        raise FormatError("trailing bytes after last scenario")
+    r.finish()
     return DatasetSplit(train=train, val=val, seed=seed)
 
 

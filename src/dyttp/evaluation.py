@@ -3,15 +3,12 @@
 Metrics follow the usual multimodal forecasting definitions: minADE is the
 minimum over modes of the mean per-step Euclidean error, minFDE the minimum
 over modes of the final-step error, and the miss rate the fraction of agents
-whose best endpoint misses by strictly more than 2.0 m. Evaluation fan-out
-across scenarios can be capped with the DYTTP_THREADS environment variable.
+whose best endpoint misses by strictly more than 2.0 m.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,39 +113,15 @@ def miss_rate(preds, gts, valid_masks=None) -> float:
     return misses / total
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("DYTTP_THREADS", "1")))
-    except ValueError:
-        return 1
+def evaluate_model(predict_fn, scenarios) -> MetricsReport:
+    """Aggregate minADE / minFDE / MR over the focal agent of each scenario.
 
-
-def _map_ordered(fn, items):
-    threads = _thread_cap()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def evaluate_model(predict_fn, scenarios, focal_only: bool = True) -> MetricsReport:
-    """Aggregate minADE / minFDE / MR over scenarios.
-
-    predict_fn maps a Scenario to one PredictionSet per agent; by default
-    only the focal agent of each scenario is scored.
+    predict_fn maps a Scenario to one PredictionSet per agent.
     """
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
-
-    def per_scenario(s: Scenario):
-        preds = predict_fn(s)
-        idx = [s.focal_agent] if focal_only else list(range(s.num_agents))
-        rows = []
-        for n in idx:
-            rows.append((preds[n], s.agent_futures[n], s.future_valid[n]))
-        return rows
-
-    rows = [r for chunk in _map_ordered(per_scenario, list(scenarios)) for r in chunk]
+    rows = [(predict_fn(s)[s.focal_agent], s.agent_futures[s.focal_agent],
+             s.future_valid[s.focal_agent]) for s in scenarios]
     ades = [a for a in (min_ade(p, g, v) for p, g, v in rows) if a is not None]
     fdes = [f for f in (min_fde(p, g, v) for p, g, v in rows) if f is not None]
     mr = miss_rate([p for p, _, _ in rows], [g for _, g, _ in rows],
@@ -221,6 +194,11 @@ def norm_layer_latency(norm_kind: str, shape=(32, 50, 64), iterations: int = 100
     x = Tensor(Rng(seed).normal(shape))
     for _ in range(warmup):
         layer(x)
+    # allocating the timed input after the warm-up leaves the allocator in the
+    # same state for every layer, whichever one a process times first: each
+    # timed iteration then maps fresh pages for its temporaries (without the
+    # copy only the first layer timed in a process does)
+    x = Tensor(x.data.copy())
     t0 = time.perf_counter()
     for _ in range(iterations):
         layer(x)

@@ -19,10 +19,10 @@ import threading
 import numpy as np
 
 __all__ = [
-    "Tensor", "Tape", "Rng", "backward", "grad_check", "elementwise", "reduce",
-    "add", "sub", "mul", "div", "neg", "tanh", "exp", "log", "abs_", "softplus",
+    "Tensor", "Tape", "Rng", "backward", "grad_check",
+    "add", "sub", "mul", "div", "neg", "tanh", "log", "abs_", "softplus",
     "sqrt", "clamp_min", "mask_fill", "matmul", "transpose", "reshape",
-    "getitem", "concat", "stack", "sum_", "mean", "max_", "argmax", "softmax",
+    "getitem", "sum_", "mean", "softmax",
 ]
 
 
@@ -257,15 +257,6 @@ def tanh(a):
     return _unary(a, out_data, lambda g: g * (1.0 - out_data * out_data))
 
 
-def exp(a):
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-    if not np.all(np.isfinite(out_data)):
-        raise ValueError("exp overflow to non-finite values")
-    return _unary(a, out_data, lambda g: g * out_data)
-
-
 def log(a):
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -313,27 +304,6 @@ def mask_fill(a, keep_mask, fill_value: float):
     keep = np.asarray(keep_mask, dtype=bool)
     out_data = np.where(keep, a.data, fill_value)
     return _unary(a, out_data, lambda g: g * keep)
-
-
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "tanh": tanh,
-    "exp": exp, "log": log, "neg": neg, "abs": abs_, "softplus": softplus,
-}
-
-
-def elementwise(op_kind: str, a, b=None):
-    """Dispatch an elementwise op by name (binary ops require b)."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op_kind!r}") from None
-    if op_kind in ("add", "sub", "mul", "div"):
-        if b is None:
-            raise ValueError(f"{op_kind} is binary")
-        return fn(a, b)
-    if b is not None:
-        raise ValueError(f"{op_kind} is unary")
-    return fn(a)
 
 
 # ---------------------------------------------------------------------------
@@ -389,44 +359,6 @@ def getitem(a, idx):
     return _unary(a, np.array(out_data), da)
 
 
-def concat(tensors, axis: int = 0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data)
-    tape = _current_tape()
-    if tape is not None and any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward_fn(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(lo, hi)
-                    _accumulate(t, g[tuple(sl)])
-
-        tape._record(out, backward_fn)
-    return out
-
-
-def stack(tensors, axis: int = 0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data)
-    tape = _current_tape()
-    if tape is not None and any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-
-        def backward_fn(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    _accumulate(t, np.take(g, i, axis=axis))
-
-        tape._record(out, backward_fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -469,46 +401,6 @@ def mean(a, axis=None, keepdims: bool = False):
         return np.broadcast_to(g, a.data.shape) / n
 
     return _unary(a, out_data, da)
-
-
-def max_(a, axis=None, keepdims: bool = False):
-    """Max reduction; ties route the gradient to the first maximal element."""
-    a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim)
-    if axis is not None and len(axis) != 1:
-        raise ValueError("max supports a single axis or None")
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def da(g):
-        if axis is None:
-            is_max = (a.data == out_data).reshape(-1)
-            first = is_max & (np.cumsum(is_max) == 1)
-            return (first.reshape(a.data.shape)) * g
-        ax = axis[0]
-        full = out_data if keepdims else np.expand_dims(out_data, ax)
-        is_max = a.data == full
-        first = is_max & (np.cumsum(is_max, axis=ax) == 1)
-        gg = g if keepdims else np.expand_dims(g, ax)
-        return first * gg
-
-    return _unary(a, out_data, da)
-
-
-def argmax(a, axis=None):
-    """Index of the first maximal element; plain integer array, not differentiable."""
-    a = _as_tensor(a)
-    return np.argmax(a.data, axis=axis)
-
-
-_REDUCE = {"sum": sum_, "mean": mean, "max": max_, "argmax": argmax}
-
-
-def reduce(op_kind: str, a, axis=None):
-    try:
-        fn = _REDUCE[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown reduction {op_kind!r}") from None
-    return fn(a, axis)
 
 
 def softmax(a, axis: int = -1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import ModelConfig, PredictionSet, TrajectoryPredictor
+from .backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
 from .data import DatasetSplit, Scenario
 from .evaluation import evaluate_model
 from .tensor import Rng, Tape, Tensor
@@ -34,7 +34,6 @@ class SchedulerConfig:
     eta_max: float = 3e-3
     cycle_length: int = 8     # epochs between warm restarts
     num_cycles: int = 4
-    reset_moments_on_restart: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta_min < self.eta_max:
@@ -56,7 +55,6 @@ class LossBreakdown:
     total: Tensor
     reg: Tensor
     cls: Tensor
-    lam: float
 
 
 def _one_hot(modes, k: int) -> np.ndarray:
@@ -129,7 +127,7 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
     reg = T.mean(T.getitem(regression_nll(pred.locations, pred.scales, gt, valid, modes), eligible))
     cls = T.mean(T.getitem(classification_ce(pred.mode_probs, modes), eligible))
     total = T.add(reg, T.mul(cls, lam))
-    return LossBreakdown(total=total, reg=reg, cls=cls, lam=lam)
+    return LossBreakdown(total=total, reg=reg, cls=cls)
 
 
 class AdamW:
@@ -140,11 +138,6 @@ class AdamW:
         self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
         self.m = {}
         self.v = {}
-        self.t = 0
-
-    def reset_moments(self):
-        self.m.clear()
-        self.v.clear()
         self.t = 0
 
     def step(self, named_params, lr: float):
@@ -174,8 +167,6 @@ class AdamW:
 class Snapshot:
     cycle_index: int
     params: dict                 # parameter name -> float64 ndarray
-    scheduler_epoch: int         # within-cycle epoch at capture (== cycle_length)
-    val_minade: float | None
 
 
 class DivergenceError(RuntimeError):
@@ -226,9 +217,6 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
 
     epoch_global = start_cycle * sched_cfg.cycle_length
     for cycle in range(start_cycle, sched_cfg.num_cycles):
-        if sched_cfg.reset_moments_on_restart and cycle > start_cycle:
-            opt.reset_moments()
-        val_metrics = None
         for e_cur in range(sched_cfg.cycle_length):
             lr = lr_at(sched_cfg, e_cur)
             order = shuffle_rng.permutation(len(train_scenarios))
@@ -251,8 +239,7 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
                         f"numerical blow-up at epoch {epoch_global} ({err}); "
                         f"last good snapshot: {last_good()}", snapshots) from err
                 batch_losses.append(loss_val)
-            if split.val:
-                val_metrics = evaluate_model(model.predict, split.val)
+            val_metrics = evaluate_model(model.predict, split.val) if split.val else None
             record = {
                 "epoch": epoch_global,
                 "cycle": cycle,
@@ -266,12 +253,7 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
             if log_sink is not None:
                 log_sink(record)
             epoch_global += 1
-        snapshots.append(Snapshot(
-            cycle_index=cycle,
-            params=model.state_dict(),
-            scheduler_epoch=sched_cfg.cycle_length,
-            val_minade=val_metrics.minade if val_metrics else None,
-        ))
+        snapshots.append(Snapshot(cycle_index=cycle, params=model.state_dict()))
     return TrainResult(model=model, snapshots=snapshots, records=records)
 
 
@@ -316,20 +298,6 @@ def _mean_arrays(arrays):
     return base + acc / len(arrays)
 
 
-def _average_predictions(per_model) -> list:
-    out = []
-    for agent_preds in zip(*per_model):
-        loc = _mean_arrays([p.locations.data for p in agent_preds])
-        sc = _mean_arrays([p.scales.data for p in agent_preds])
-        pr = _mean_arrays([p.mode_probs.data for p in agent_preds])
-        ssum = pr.sum()
-        if abs(ssum - 1.0) > 1e-12:  # renormalize only on real drift
-            pr = pr / ssum
-        out.append(PredictionSet(locations=Tensor(loc), scales=Tensor(sc),
-                                 mode_probs=Tensor(pr)))
-    return out
-
-
 def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
     """Build a predict(scenario) callable for a set of snapshots."""
     if not snapshots:
@@ -346,11 +314,14 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
         return models[0].predict
 
     def predict(scenario: Scenario) -> list:
-        return _average_predictions([m.predict(scenario) for m in models])
+        preds = [m.forward([scenario]) for m in models]
+        probs = _mean_arrays([p.mode_probs.data for p in preds])
+        sums = probs.sum(axis=1, keepdims=True)
+        drift = np.abs(sums - 1.0) > 1e-12  # renormalize only on real drift
+        probs = np.where(drift, probs / sums, probs)
+        return BatchPrediction(
+            locations=Tensor(_mean_arrays([p.locations.data for p in preds])),
+            scales=Tensor(_mean_arrays([p.scales.data for p in preds])),
+            mode_probs=Tensor(probs)).per_agent()
 
     return predict
-
-
-def ensemble_predict(snapshots, scenario: Scenario, cfg: EnsembleConfig,
-                     model_cfg: ModelConfig) -> list:
-    return make_ensemble(snapshots, model_cfg, cfg)(scenario)

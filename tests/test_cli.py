@@ -1,14 +1,17 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyttp.backbone import ModelConfig, TrajectoryPredictor
 from dyttp.cli import (
     CheckpointMismatchError, load_checkpoint, main, save_checkpoint,
     snapshots_from_checkpoints, verify_checkpoint_digest,
 )
-from dyttp.data import FormatError, load_scenarios
+from dyttp.data import FormatError, generate_synthetic, load_scenarios, save_scenarios
 from dyttp.tensor import Rng
 
 FAST = ["--width", "16", "--heads", "2", "--modes", "2", "--dropout", "0.05",
@@ -134,6 +137,50 @@ def test_checkpoint_truncation_and_magic_errors(tmp_path):
     junk.write_bytes(b"WHAT" + raw[4:])
     with pytest.raises(FormatError):
         load_checkpoint(junk)
+    # one parameter with more dimensions than numpy allows, and one whose
+    # shape product (2**64) wraps a 64-bit integer
+    head = raw[:raw.index(b"splitmix64") + len(b"splitmix64")] + struct.pack("<II", 0, 1)
+    for shape in ((1,) * 65, (2**31, 2**31, 4)):
+        bad = tmp_path / "shape.ckpt"
+        bad.write_bytes(head + struct.pack("<H", 1) + b"w" + struct.pack("<B", len(shape))
+                        + struct.pack(f"<{len(shape)}I", *shape) + b"\0" * 4)
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def format_files(tmp_path_factory):
+    """{kind: (bytes, loader, probe path)} for a small container and checkpoint."""
+    d = tmp_path_factory.mktemp("formats")
+    save_scenarios(generate_synthetic(2, Rng(5)), d / "data.bin")
+    cfg = ModelConfig(width=8, heads=2, modes=2)
+    save_checkpoint(d / "m.ckpt", TrajectoryPredictor(cfg, Rng(1)).state_dict(), cfg, 0)
+    return {"container": ((d / "data.bin").read_bytes(), load_scenarios, d / "probe.bin"),
+            "checkpoint": ((d / "m.ckpt").read_bytes(), load_checkpoint, d / "probe.ckpt")}
+
+
+@pytest.mark.parametrize("kind", ["container", "checkpoint"])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_bytes_raise_only_format_error(format_files, kind, data):
+    raw, load, probe = format_files[kind]
+    if data.draw(st.booleans(), label="truncate"):
+        probe.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(FormatError):
+            load(probe)
+        return
+    # draw some flips from the first 256 bytes, where the headers, names and
+    # shapes are, and the rest from anywhere in the file
+    bit = data.draw(st.one_of(st.integers(0, 256 * 8 - 1), st.integers(0, len(raw) * 8 - 1)),
+                    label="bit")
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    probe.write_bytes(bytes(flipped))
+    try:
+        with np.errstate(invalid="ignore"):  # a flip can make a signalling NaN
+            load(probe)
+    except FormatError:
+        pass
 
 
 def test_digest_mismatch_detected(tmp_path):
@@ -261,7 +308,7 @@ def test_three_snapshot_ensemble_costs_about_three_singles(tmp_path):
     scens = load_scenarios(data).all_scenarios()[:2]
     cfg = ModelConfig(width=32, heads=4, modes=3, dropout=0.0)
     model = TrajectoryPredictor(cfg, Rng(20))
-    snap = Snapshot(0, model.state_dict(), 1, None)
+    snap = Snapshot(0, model.state_dict())
 
     single = bench_latency(model.predict, scens, iterations=200, warmup=20)
     trio = make_ensemble([snap] * 3, cfg, EnsembleConfig())

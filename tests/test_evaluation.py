@@ -215,15 +215,6 @@ def test_evaluate_model_perfect_oracle_stub():
     assert report.count == 12
 
 
-def test_evaluate_model_thread_cap_consistent(monkeypatch):
-    split = generate_synthetic(10, Rng(81))
-    model = TrajectoryPredictor(ModelConfig(width=16, heads=2, modes=2, dropout=0.0), Rng(82))
-    serial = evaluate_model(model.predict, split.all_scenarios())
-    monkeypatch.setenv("DYTTP_THREADS", "4")
-    threaded = evaluate_model(model.predict, split.all_scenarios())
-    assert serial == threaded
-
-
 def test_constant_velocity_baseline_on_straight():
     split = generate_synthetic(10, Rng(83), GenConfig(noise_sigma=0.0,
                                                       maneuver_mix=(1.0, 0, 0, 0)))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dyttp import tensor as T
 from dyttp.tensor import (
-    Rng, Tape, Tensor, abs_, add, argmax, backward, clamp_min, concat, div,
-    elementwise, exp, getitem, grad_check, log, mask_fill, matmul, max_, mean,
-    mul, neg, reduce, reshape, softmax, softplus, sqrt, stack, sub, sum_,
-    tanh, transpose,
+    Rng, Tape, Tensor, abs_, add, backward, clamp_min, div, getitem,
+    grad_check, log, mask_fill, matmul, mean, mul, neg, reshape, softmax,
+    softplus, sqrt, sub, sum_, tanh, transpose,
 )
 
 
@@ -52,8 +52,6 @@ def test_matmul_dimension_mismatch():
 def test_reduce_examples():
     assert mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
     assert sum_(Tensor(np.zeros(5))).item() == 0.0
-    assert argmax(Tensor([0.1, 0.7, 0.2])) == 1
-    assert reduce("mean", Tensor([2.0, 4.0, 6.0])).item() == 4.0
 
 
 def test_softmax_uniform_and_stability():
@@ -85,19 +83,6 @@ def test_domain_errors():
         log(Tensor([1.0, 0.0]))
     with pytest.raises(ValueError):
         div(Tensor([1.0]), Tensor([0.0]))
-    with pytest.raises(ValueError):
-        exp(Tensor([1e4]))
-
-
-def test_elementwise_dispatch():
-    out = elementwise("add", Tensor([1.0]), Tensor([2.0]))
-    assert out.item() == 3.0
-    out = elementwise("tanh", Tensor([0.0]))
-    assert out.item() == 0.0
-    with pytest.raises(ValueError):
-        elementwise("add", Tensor([1.0]))
-    with pytest.raises(ValueError):
-        elementwise("nope", Tensor([1.0]))
 
 
 def test_backward_sum_gives_ones():
@@ -157,14 +142,6 @@ def test_broadcast_backward_unbroadcasts():
     assert w.grad[0] == x.data.sum()
 
 
-def test_max_tie_routes_to_first():
-    x = Tensor(np.array([3.0, 5.0, 5.0, 1.0]), requires_grad=True)
-    with Tape() as tape:
-        loss = max_(x)
-    backward(loss, tape)
-    assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
-
-
 def test_getitem_backward_scatters():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with Tape() as tape:
@@ -181,24 +158,6 @@ def test_getitem_backward_repeated_rows_add_and_masks_assign():
         loss = add(sum_(getitem(x, np.array([2, 0, 2]))), sum_(getitem(x, np.array([True, False, True]))))
     backward(loss, tape)
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [3.0, 3.0]])
-
-
-def test_concat_stack_roundtrip_gradients():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.ones((3, 2)), requires_grad=True)
-    with Tape() as tape:
-        loss = sum_(mul(concat([a, b], axis=0), 2.0))
-    backward(loss, tape)
-    assert np.array_equal(a.grad, 2.0 * np.ones((2, 2)))
-    assert np.array_equal(b.grad, 2.0 * np.ones((3, 2)))
-
-    c = Tensor(np.ones(3), requires_grad=True)
-    d = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        loss = sum_(getitem(stack([c, d], axis=0), 1))
-    backward(loss, tape)
-    assert np.array_equal(c.grad, np.zeros(3))
-    assert np.array_equal(d.grad, np.ones(3))
 
 
 def test_grad_check_exact_for_linear():
@@ -218,14 +177,15 @@ def test_grad_check_tanh_sum():
     assert err < 1e-6
 
 
+# explicit ids, so a case's test name does not change when another case is
+# added or removed
 UNARY_CASES = [
-    ("tanh", tanh, (-2.0, 2.0)),
-    ("exp", exp, (-2.0, 2.0)),
-    ("log", log, (0.2, 2.0)),
-    ("abs", abs_, (0.3, 2.0)),
-    ("softplus", softplus, (-2.0, 2.0)),
-    ("sqrt", sqrt, (0.2, 2.0)),
-    ("neg", neg, (-2.0, 2.0)),
+    pytest.param("tanh", tanh, (-2.0, 2.0), id="tanh-tanh-rng_range0"),
+    pytest.param("log", log, (0.2, 2.0), id="log-log-rng_range2"),
+    pytest.param("abs", abs_, (0.3, 2.0), id="abs-abs_-rng_range3"),
+    pytest.param("softplus", softplus, (-2.0, 2.0), id="softplus-softplus-rng_range4"),
+    pytest.param("sqrt", sqrt, (0.2, 2.0), id="sqrt-sqrt-rng_range5"),
+    pytest.param("neg", neg, (-2.0, 2.0), id="neg-neg-rng_range6"),
 ]
 
 
@@ -249,7 +209,6 @@ def test_grad_check_binary_and_reductions():
         "div": lambda t: sum_(div(a_fixed, t)),
         "matmul": lambda t: sum_(matmul(t, a_fixed.T)),
         "mean": lambda t: mean(mul(t, t)),
-        "max": lambda t: max_(mul(t, t)),
         "softmax": lambda t: sum_(mul(softmax(t, axis=-1), a_fixed)),
         "clamp_min": lambda t: sum_(clamp_min(t, 1.0)),
         "mask_fill": lambda t: sum_(mask_fill(t, a_fixed > 1.0, -3.0)),
@@ -343,3 +302,9 @@ def test_tapes_are_thread_local():
         work(work_tag, 100 + tag)
         assert np.array_equal(results[tag][0], results[work_tag][0])
         assert results[tag][1] == results[work_tag][1]
+
+
+def test_all_names_resolve():
+    # perfbench wraps every op listed in __all__, so a stale entry would break it
+    for name in T.__all__:
+        assert callable(getattr(T, name)), name

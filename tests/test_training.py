@@ -10,8 +10,7 @@ from dyttp.data import GenConfig, generate_synthetic
 from dyttp.tensor import Rng, Tape, Tensor
 from dyttp.training import (
     AdamW, DivergenceError, EnsembleConfig, SchedulerConfig,
-    Snapshot, classification_ce, eligible_agents, ensemble_predict, lr_at,
-    make_ensemble, model_from_params, regression_nll, select_best_mode,
+    Snapshot, classification_ce, eligible_agents, lr_at, make_ensemble, model_from_params, regression_nll, select_best_mode,
     total_loss, train,
 )
 
@@ -306,7 +305,6 @@ def test_train_produces_snapshots_and_logs():
     result = train(split, SMALL, sched, Rng(7), batch_size=4,
                    log_sink=lambda r: lines.append(json.dumps(r, sort_keys=True)))
     assert [s.cycle_index for s in result.snapshots] == [0, 1, 2]
-    assert all(s.scheduler_epoch == 2 for s in result.snapshots)
     assert len(result.records) == 6
     for rec in result.records:
         assert set(rec) == {"epoch", "cycle", "lr", "train_loss",
@@ -373,8 +371,7 @@ def test_train_resume_from_params():
 # ensembling
 
 def _snapshot_of(model, cycle=0):
-    return Snapshot(cycle_index=cycle, params=model.state_dict(),
-                    scheduler_epoch=1, val_minade=None)
+    return Snapshot(cycle_index=cycle, params=model.state_dict())
 
 
 def test_duplicated_snapshots_match_single_model():
@@ -385,7 +382,7 @@ def test_duplicated_snapshots_match_single_model():
     single = model.predict(sc)
     for strategy in ("prediction_average", "parameter_average"):
         cfg = EnsembleConfig(strategy=strategy)
-        preds = ensemble_predict([snap, snap, snap], sc, cfg, SMALL)
+        preds = make_ensemble([snap, snap, snap], SMALL, cfg)(sc)
         for p, q in zip(preds, single):
             assert np.array_equal(p.locations.data, q.locations.data), strategy
             assert np.array_equal(p.scales.data, q.scales.data), strategy
@@ -399,7 +396,7 @@ def test_single_snapshot_equals_plain_predict():
     snap = _snapshot_of(model)
     plain = model.predict(sc)
     for strategy in ("prediction_average", "parameter_average"):
-        preds = ensemble_predict([snap], sc, EnsembleConfig(strategy=strategy), SMALL)
+        preds = make_ensemble([snap], SMALL, EnsembleConfig(strategy=strategy))(sc)
         for p, q in zip(preds, plain):
             assert np.array_equal(p.locations.data, q.locations.data)
             assert np.array_equal(p.mode_probs.data, q.mode_probs.data)
@@ -415,9 +412,9 @@ def test_symmetric_offsets_average_to_midpoint():
     minus = {k: v.copy() for k, v in base.params.items()}
     plus["head_out.bias"] = plus["head_out.bias"] + 0.25
     minus["head_out.bias"] = minus["head_out.bias"] - 0.25
-    snaps = [Snapshot(0, plus, 1, None), Snapshot(1, minus, 1, None)]
+    snaps = [Snapshot(0, plus), Snapshot(1, minus)]
 
-    mid_pred = ensemble_predict(snaps, sc, EnsembleConfig("parameter_average"), SMALL)
+    mid_pred = make_ensemble(snaps, SMALL, EnsembleConfig("parameter_average"))(sc)
     base_pred = model_from_params(base.params, SMALL).predict(sc)
     for p, q in zip(mid_pred, base_pred):
         assert np.allclose(p.locations.data, q.locations.data, atol=1e-12)
@@ -437,7 +434,7 @@ def test_snapshots_used_takes_most_recent():
     m1 = TrajectoryPredictor(SMALL, Rng(14))
     m2 = TrajectoryPredictor(SMALL, Rng(15))
     snaps = [_snapshot_of(m1, 0), _snapshot_of(m2, 1)]
-    last_only = ensemble_predict(snaps, sc, EnsembleConfig(snapshots_used=1), SMALL)
+    last_only = make_ensemble(snaps, SMALL, EnsembleConfig(snapshots_used=1))(sc)
     direct = m2.predict(sc)
     for p, q in zip(last_only, direct):
         assert np.array_equal(p.locations.data, q.locations.data)
