@@ -23,6 +23,11 @@ agent-agent and global attention AND a same-scene block-diagonal term into
 their masks, and agent-lane keys are padded to the batch's largest segment
 count with the padding masked out, so a scene's outputs do not depend on the
 other scenes in its batch. `predict` is the batch of one.
+
+A model whose parameters are S snapshots stacked on a leading axis ([S, *P],
+built by `training.make_ensemble`) runs the same code: the raw input arrays
+get a unit leading axis, every activation and output carries S in front, and
+each slice equals what that snapshot alone computes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Scenario
-from .layers import Linear, Module, TransformerBlock, BlockConfig, gelu
+from .layers import Linear, Module, TransformerBlock, BlockConfig, gelu, stacked, swap_axes
 from .tensor import Rng, Tensor
 
 SCALE_FLOOR = 1e-6  # keeps softplus output strictly positive after underflow
@@ -77,7 +82,7 @@ class ModelConfig:
 
 @dataclass
 class EncodedBatch:
-    embeddings: Tensor      # [A, D]
+    embeddings: Tensor      # [..., A, D]
     origins: np.ndarray     # [A, 2] frame origin per agent (last observed position)
 
 
@@ -100,10 +105,13 @@ class PredictionSet:
 
 @dataclass
 class BatchPrediction:
-    """Predictions for every agent of a batch, in scene order then agent order."""
-    locations: Tensor   # [A, K, F, 2] world frame, meters
-    scales: Tensor      # [A, K, F, 2] strictly positive
-    mode_probs: Tensor  # [A, K] simplex per agent
+    """Predictions for every agent of a batch, in scene order then agent order.
+
+    A stacked model puts its snapshot axis S in front of every field.
+    """
+    locations: Tensor   # [..., A, K, F, 2] world frame, meters
+    scales: Tensor      # [..., A, K, F, 2] strictly positive
+    mode_probs: Tensor  # [..., A, K] simplex per agent
 
     def per_agent(self) -> list:
         """One PredictionSet per agent (views of the batch arrays, off the tape)."""
@@ -205,30 +213,35 @@ class TrajectoryPredictor(Module):
 
     # ----- embedding -----
 
+    def _input(self, arr: np.ndarray) -> Tensor:
+        """A raw input array, with a unit leading axis when the parameters are stacked."""
+        return Tensor(arr[(None,) * (self.pos_embed.ndim - 2)])
+
     def embed_inputs(self, scenes):
-        """(agent tokens [A, T, D], lane segment tokens [B, S_max, D], the SceneBatch)."""
+        """(agent tokens [..., A, T, D], lane segment tokens [..., B, S_max, D], the SceneBatch)."""
         batch = SceneBatch(scenes)
-        tokens = T.add(self.input_proj(Tensor(agent_step_features(batch))), self.pos_embed)
-        lane_tokens = self.lane_proj(Tensor(batch.seg_feats))
+        tokens = self.input_proj(self._input(agent_step_features(batch)))
+        tokens = T.add(tokens, stacked(self.pos_embed, 2, tokens.ndim))
+        lane_tokens = self.lane_proj(self._input(batch.seg_feats))
         return tokens, lane_tokens, batch
 
     # ----- encoder stages -----
 
     def stage_agent_agent(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
-        a = tokens.shape[0]
+        a = tokens.shape[-3]
         pos_t = np.transpose(batch.agent_histories, (1, 0, 2))  # [T, A, 2]
         vt = batch.agent_valid.T                                 # [T, A]
         diff = pos_t[:, :, None, :] - pos_t[:, None, :, :]
         near = (diff ** 2).sum(-1) <= self.cfg.radius ** 2
         mask = vt[:, :, None] & vt[:, None, :] & near & batch.same_scene
         mask |= np.eye(a, dtype=bool)[None]
-        x = T.transpose(tokens, (1, 0, 2))
+        x = swap_axes(tokens, -3, -2)
         for block in self.social_blocks:
             x = block(x, mask=mask, rng=rng, training=training)
-        return T.transpose(x, (1, 0, 2))
+        return swap_axes(x, -3, -2)
 
     def stage_temporal(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
-        t = tokens.shape[1]
+        t = tokens.shape[-2]
         causal = np.tril(np.ones((t, t), dtype=bool))
         keys_ok = batch.agent_valid[:, None, :] | np.eye(t, dtype=bool)[None]
         mask = causal[None] & keys_ok
@@ -241,7 +254,6 @@ class TrajectoryPredictor(Module):
                          rng=None, training=False) -> Tensor:
         if batch.seg_valid.shape[1] == 0:
             return summary
-        a = summary.shape[0]
         rel = batch.seg_mids[batch.scene_of] - batch.origins[:, None, :]      # [A, S_max, 2]
         near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.seg_valid[batch.scene_of]
         has_key = near.any(axis=1)
@@ -250,28 +262,28 @@ class TrajectoryPredictor(Module):
         mask = near[:, None, :].copy()
         mask[~has_key, 0, 0] = True  # placeholder key; its update is discarded below
         # a batch of one broadcasts its [1, S, D] lane tokens over the agents
-        lanes = lane_tokens if batch.size == 1 else T.getitem(lane_tokens, batch.scene_of)
-        keys = T.add(lanes, self.rel_proj(Tensor(rel)))
-        x = T.reshape(summary, (a, 1, -1))
+        lanes = (lane_tokens if batch.size == 1 else
+                 T.getitem(lane_tokens, (Ellipsis, batch.scene_of, slice(None), slice(None))))
+        keys = T.add(lanes, self.rel_proj(self._input(rel)))
+        x = T.reshape(summary, summary.shape[:-1] + (1, -1))
         for block in self.lane_blocks:
             x = block(x, kv=keys, mask=mask, rng=rng, training=training)
-        updated = T.reshape(x, (a, -1))
+        updated = T.reshape(x, summary.shape)
         ind = has_key.astype(np.float64)[:, None]
         return T.add(T.mul(updated, ind), T.mul(summary, 1.0 - ind))
 
     def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
-        a = summary.shape[0]
         mask = None if batch.size == 1 else batch.same_scene[None]
-        x = T.reshape(summary, (1, a, -1))
+        x = T.reshape(summary, summary.shape[:-2] + (1,) + summary.shape[-2:])
         for block in self.global_blocks:
             x = block(x, mask=mask, rng=rng, training=training)
-        return T.reshape(x, (a, -1))
+        return T.reshape(x, summary.shape)
 
     def encode(self, scenes, rng=None, training=False) -> EncodedBatch:
         tokens, lane_tokens, batch = self.embed_inputs(scenes)
         x = self.stage_agent_agent(tokens, batch, rng, training)
         x = self.stage_temporal(x, batch, rng, training)
-        summary = T.getitem(x, (slice(None), x.shape[1] - 1))    # last-step token
+        summary = T.getitem(x, (Ellipsis, x.shape[-2] - 1, slice(None)))    # last-step token
         summary = self.stage_agent_lane(summary, lane_tokens, batch, rng, training)
         summary = self.stage_global(summary, batch, rng, training)
         return EncodedBatch(embeddings=summary, origins=batch.origins)
@@ -279,15 +291,15 @@ class TrajectoryPredictor(Module):
     # ----- decoder -----
 
     def decode(self, enc: EncodedBatch, rng=None, training=False) -> BatchPrediction:
-        a = enc.embeddings.shape[0]
         k, f = self.cfg.modes, self.cfg.pred_steps
+        lead = enc.embeddings.shape[:-1]    # [..., A]
         h = gelu(self.head_hidden(enc.embeddings))
-        raw = T.reshape(self.head_out(h), (a, k, 4 * f + 1))
-        offsets = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(0, 2 * f))), (a, k, f, 2))
+        raw = T.reshape(self.head_out(h), lead + (k, 4 * f + 1))
+        offsets = T.reshape(T.getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
         locations = T.add(offsets, enc.origins[:, None, None, :])
-        scale_raw = T.reshape(T.getitem(raw, (slice(None), slice(None), slice(2 * f, 4 * f))), (a, k, f, 2))
+        scale_raw = T.reshape(T.getitem(raw, (Ellipsis, slice(2 * f, 4 * f))), lead + (k, f, 2))
         scales = T.add(T.softplus(scale_raw), SCALE_FLOOR)
-        probs = T.softmax(T.getitem(raw, (slice(None), slice(None), 4 * f)), axis=-1)
+        probs = T.softmax(T.getitem(raw, (Ellipsis, 4 * f)), axis=-1)
         return BatchPrediction(locations=locations, scales=scales, mode_probs=probs)
 
     def forward(self, scenes, rng=None, training=False) -> BatchPrediction:

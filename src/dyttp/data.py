@@ -347,8 +347,14 @@ class BinaryReader:
             raise FormatError(f"{self.kind}: unsupported array shape") from None
 
     def f32(self, shape) -> np.ndarray:
-        """A little-endian float32 array of the given shape, widened to float64."""
-        return self._array(shape, "<f4").astype(np.float64)
+        """A little-endian float32 array of the given shape, widened to float64.
+
+        NaN and inf are rejected: no valid coordinate or parameter is non-finite.
+        """
+        arr = self._array(shape, "<f4")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{self.kind}: non-finite value")
+        return arr.astype(np.float64)
 
     def flags(self, shape) -> np.ndarray:
         """A one-byte-per-element bool array of the given shape."""

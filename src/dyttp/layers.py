@@ -4,6 +4,11 @@ DynamicTanh and LayerNorm are interchangeable behind make_norm(); every
 other layer is norm-agnostic. Blocks are pre-norm residual: the input is
 normalized before attention and before the feed-forward, and added back.
 Dropout draws from an explicit Rng and is a no-op unless training=True.
+
+Every layer indexes shapes from the right, so activations may carry leading
+axes. A layer whose parameters are stacked snapshots ([S, *P], see
+`stacked`) runs all S of them in one call, with S as the leading axis of its
+output.
 """
 
 from __future__ import annotations
@@ -66,15 +71,35 @@ def _xavier(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform((fan_in, fan_out), -bound, bound)
 
 
+def stacked(p: Tensor, rank: int, ndim: int) -> Tensor:
+    """Parameter p lined up against an activation with ndim axes.
+
+    A plain parameter (rank axes) is returned as is and broadcasts from the
+    right. A stacked one, [S, *P] with one axis more, gets unit axes after S
+    so that each snapshot meets its own slice of an activation whose leading
+    axis is S (or 1).
+    """
+    if p.ndim in (rank, ndim):
+        return p
+    return T.reshape(p, p.shape[:1] + (1,) * (ndim - p.ndim) + p.shape[1:])
+
+
+def swap_axes(x: Tensor, i: int, j: int) -> Tensor:
+    """x with axes i and j exchanged."""
+    axes = list(range(x.ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return T.transpose(x, tuple(axes))
+
+
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
         self.weight = Tensor(_xavier(rng, d_in, d_out), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
+        out = T.matmul(x, stacked(self.weight, 2, x.ndim))
         if self.bias is not None:
-            out = T.add(out, self.bias)
+            out = T.add(out, stacked(self.bias, 1, out.ndim))
         return out
 
 
@@ -93,12 +118,14 @@ class DynamicTanh(Module):
 
     @property
     def channels(self) -> int:
-        return self.gamma.data.shape[0]
+        return self.gamma.data.shape[-1]
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        return T.add(T.mul(T.tanh(T.mul(x, self.alpha)), self.gamma), self.beta)
+        n = x.ndim
+        return T.add(T.mul(T.tanh(T.mul(x, stacked(self.alpha, 0, n))), stacked(self.gamma, 1, n)),
+                     stacked(self.beta, 1, n))
 
 
 class LayerNorm(Module):
@@ -111,7 +138,7 @@ class LayerNorm(Module):
 
     @property
     def channels(self) -> int:
-        return self.gamma.data.shape[0]
+        return self.gamma.data.shape[-1]
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
@@ -120,7 +147,8 @@ class LayerNorm(Module):
         centered = T.sub(x, mu)
         var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
         std = T.sqrt(T.add(var, self.eps))
-        return T.add(T.mul(T.div(centered, std), self.gamma), self.beta)
+        n = x.ndim
+        return T.add(T.mul(T.div(centered, std), stacked(self.gamma, 1, n)), stacked(self.beta, 1, n))
 
 
 def make_norm(kind: str, channels: int):
@@ -158,7 +186,11 @@ _MASK_FILL = -1e30  # finite stand-in for blocked logits; exp underflows to 0
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention with optional boolean mask (true = attend)."""
+    """Scaled dot-product attention with optional boolean mask (true = attend).
+
+    Queries [..., Tq, D] read keys and values [..., Tk, D]; the mask is
+    [B, Tq, Tk] and broadcasts over any axes in front of B.
+    """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
         if width % heads != 0:
@@ -174,28 +206,25 @@ class MultiHeadAttention(Module):
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
                  rng: Rng | None = None, training: bool = False) -> Tensor:
         kv_in = q_in if kv_in is None else kv_in
-        b, tq, d = q_in.shape
-        tk = kv_in.shape[1]
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if not mask.any(axis=-1).all():
                 raise ValueError("attention mask leaves a query row with no keys")
 
-        def split(x, t):
-            return T.transpose(T.reshape(x, (b, t, self.heads, self.head_dim)), (0, 2, 1, 3))
+        def split(x):  # [..., T, D] -> [..., H, T, D / H]
+            return swap_axes(T.reshape(x, x.shape[:-1] + (self.heads, self.head_dim)), -3, -2)
 
-        q = split(self.wq(q_in), tq)
-        k = split(self.wk(kv_in), tk)
-        v = split(self.wv(kv_in), tk)
+        q = split(self.wq(q_in))
+        k = split(self.wk(kv_in))
+        v = split(self.wv(kv_in))
 
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.head_dim))
+        scores = T.mul(T.matmul(q, swap_axes(k, -2, -1)), 1.0 / np.sqrt(self.head_dim))
         if mask is not None:
-            scores = T.mask_fill(scores, mask[:, None, :, :], _MASK_FILL)
+            scores = T.mask_fill(scores, mask[..., None, :, :], _MASK_FILL)
         weights = T.softmax(scores, axis=-1)
         weights = self.drop(weights, rng, training)
-        ctx = T.matmul(weights, v)
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-        return self.wo(merged)
+        ctx = swap_axes(T.matmul(weights, v), -3, -2)
+        return self.wo(T.reshape(ctx, ctx.shape[:-2] + (q_in.shape[-1],)))
 
 
 class FeedForward(Module):

@@ -330,7 +330,8 @@ def matmul(a, b):
 def transpose(a, axes):
     a = _as_tensor(a)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    # plain Python: for a handful of axes, np.argsort costs more than the transpose
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _unary(a, np.transpose(a.data, axes), lambda g: np.transpose(g, inverse))
 
 

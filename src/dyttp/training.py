@@ -9,6 +9,8 @@ scale heads through the selection.
 One snapshot of the full parameter state is captured at the end of every
 learning-rate cycle; at inference the snapshots are combined either by
 averaging their predictions or by averaging their parameters into one model.
+Prediction averaging stacks the snapshots' parameters on a leading axis, so
+one forward pass computes every snapshot's predictions.
 """
 
 from __future__ import annotations
@@ -309,19 +311,22 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
         params = {k: _mean_arrays([s.params[k] for s in used]) for k in used[0].params}
         return model_from_params(params, model_cfg).predict
 
-    models = [model_from_params(s.params, model_cfg) for s in used]
-    if len(models) == 1:
-        return models[0].predict
+    model = model_from_params(used[0].params, model_cfg)
+    if len(used) == 1:
+        return model.predict
+    # every parameter becomes [S, *P]; forward's outputs then lead with S
+    for name, p in model.named_params():
+        p.data = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in used])
 
     def predict(scenario: Scenario) -> list:
-        preds = [m.forward([scenario]) for m in models]
-        probs = _mean_arrays([p.mode_probs.data for p in preds])
+        pred = model.forward([scenario])
+        probs = _mean_arrays(pred.mode_probs.data)
         sums = probs.sum(axis=1, keepdims=True)
         drift = np.abs(sums - 1.0) > 1e-12  # renormalize only on real drift
         probs = np.where(drift, probs / sums, probs)
         return BatchPrediction(
-            locations=Tensor(_mean_arrays([p.locations.data for p in preds])),
-            scales=Tensor(_mean_arrays([p.scales.data for p in preds])),
+            locations=Tensor(_mean_arrays(pred.locations.data)),
+            scales=Tensor(_mean_arrays(pred.scales.data)),
             mode_probs=Tensor(probs)).per_agent()
 
     return predict

@@ -148,22 +148,61 @@ def test_checkpoint_truncation_and_magic_errors(tmp_path):
             load_checkpoint(bad)
 
 
+def test_non_finite_values_raise_format_error_and_exit_2(tmp_path):
+    split = generate_synthetic(4, Rng(5))
+    good_data = tmp_path / "good.bin"
+    save_scenarios(split, good_data)
+    split.all_scenarios()[0].agent_histories[0, 3, 0] = np.nan
+    nan_data = tmp_path / "nan.bin"
+    save_scenarios(split, nan_data)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_scenarios(nan_data)
+
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    params = TrajectoryPredictor(cfg, Rng(9)).state_dict()
+    good_ckpt = tmp_path / "good.ckpt"
+    save_checkpoint(good_ckpt, params, cfg, 0)
+    params["head_out.bias"][1] = np.inf
+    inf_ckpt = tmp_path / "inf.ckpt"
+    save_checkpoint(inf_ckpt, params, cfg, 0)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_checkpoint(inf_ckpt)
+
+    flags = ["--width", "16", "--heads", "2", "--modes", "2"]
+    for data, ckpt in ((nan_data, good_ckpt), (good_data, inf_ckpt)):
+        assert main(["evaluate", "--data", str(data), "--checkpoints", str(ckpt), *flags]) == 2
+    assert main(["evaluate", "--data", str(good_data), "--checkpoints", str(good_ckpt), *flags]) == 0
+
+
+def _container_arrays(split):
+    for s in split.all_scenarios():
+        yield from (s.agent_histories, s.agent_futures, *s.lanes)
+
+
+def _checkpoint_arrays(loaded):
+    params, _ = loaded
+    yield from params.values()
+
+
 @pytest.fixture(scope="module")
 def format_files(tmp_path_factory):
-    """{kind: (bytes, loader, probe path)} for a small container and checkpoint."""
+    """{kind: (bytes, loader, probe path, the loaded float arrays)} for a small
+    container and checkpoint."""
     d = tmp_path_factory.mktemp("formats")
     save_scenarios(generate_synthetic(2, Rng(5)), d / "data.bin")
     cfg = ModelConfig(width=8, heads=2, modes=2)
     save_checkpoint(d / "m.ckpt", TrajectoryPredictor(cfg, Rng(1)).state_dict(), cfg, 0)
-    return {"container": ((d / "data.bin").read_bytes(), load_scenarios, d / "probe.bin"),
-            "checkpoint": ((d / "m.ckpt").read_bytes(), load_checkpoint, d / "probe.ckpt")}
+    return {"container": ((d / "data.bin").read_bytes(), load_scenarios, d / "probe.bin",
+                          _container_arrays),
+            "checkpoint": ((d / "m.ckpt").read_bytes(), load_checkpoint, d / "probe.ckpt",
+                           _checkpoint_arrays)}
 
 
 @pytest.mark.parametrize("kind", ["container", "checkpoint"])
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_malformed_bytes_raise_only_format_error(format_files, kind, data):
-    raw, load, probe = format_files[kind]
+    raw, load, probe, arrays = format_files[kind]
     if data.draw(st.booleans(), label="truncate"):
         probe.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
         with pytest.raises(FormatError):
@@ -177,10 +216,10 @@ def test_malformed_bytes_raise_only_format_error(format_files, kind, data):
     flipped[bit // 8] ^= 1 << (bit % 8)
     probe.write_bytes(bytes(flipped))
     try:
-        with np.errstate(invalid="ignore"):  # a flip can make a signalling NaN
-            load(probe)
+        loaded = load(probe)
     except FormatError:
-        pass
+        return
+    assert all(np.isfinite(a).all() for a in arrays(loaded))
 
 
 def test_digest_mismatch_detected(tmp_path):
@@ -299,7 +338,7 @@ def test_commands_do_not_mutate_inputs(tmp_path):
     assert (run / "snapshot_1.ckpt").read_bytes() == ckpt_before
 
 
-def test_three_snapshot_ensemble_costs_about_three_singles(tmp_path):
+def test_three_snapshot_ensemble_costs_at_most_2_4_singles(tmp_path):
     from dyttp.backbone import ModelConfig, TrajectoryPredictor
     from dyttp.evaluation import bench_latency
     from dyttp.training import EnsembleConfig, Snapshot, make_ensemble
@@ -313,5 +352,7 @@ def test_three_snapshot_ensemble_costs_about_three_singles(tmp_path):
     single = bench_latency(model.predict, scens, iterations=200, warmup=20)
     trio = make_ensemble([snap] * 3, cfg, EnsembleConfig())
     triple = bench_latency(trio, scens, iterations=200, warmup=20)
+    # the snapshots share one forward pass: the scene preprocessing and the
+    # per-op overhead are paid once, and only the array work grows threefold
     ratio = triple.ave_ms / single.ave_ms
-    assert 3.0 * 0.7 <= ratio <= 3.0 * 1.3, ratio
+    assert ratio <= 2.4, ratio

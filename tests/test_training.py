@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from dyttp import tensor as T
-from dyttp.backbone import ModelConfig, TrajectoryPredictor
-from dyttp.data import GenConfig, generate_synthetic
+from dyttp.backbone import ModelConfig, TrajectoryPredictor, frame_origins, lane_segments
+from dyttp.data import GenConfig, Scenario, generate_synthetic
 from dyttp.tensor import Rng, Tape, Tensor
 from dyttp.training import (
     AdamW, DivergenceError, EnsembleConfig, SchedulerConfig,
-    Snapshot, classification_ce, eligible_agents, lr_at, make_ensemble, model_from_params, regression_nll, select_best_mode,
-    total_loss, train,
+    Snapshot, _mean_arrays, classification_ce, eligible_agents, lr_at, make_ensemble, model_from_params,
+    regression_nll, select_best_mode, total_loss, train,
 )
 
 SMALL = ModelConfig(width=16, heads=2, blocks_per_stage=1, modes=2, dropout=0.0)
@@ -387,6 +387,53 @@ def test_duplicated_snapshots_match_single_model():
             assert np.array_equal(p.locations.data, q.locations.data), strategy
             assert np.array_equal(p.scales.data, q.scales.data), strategy
             assert np.array_equal(p.mode_probs.data, q.mode_probs.data), strategy
+
+
+def _edge_scenes():
+    """A 1-agent scene, a scene with no lane segments, a scene in which one
+    agent has no lane segment within the radius while the others have some,
+    and the generated scene they were cut from."""
+    sc = next(s for s in _tiny_split(12).all_scenarios() if s.num_agents >= 3)
+    f = sc.focal_agent
+    one = Scenario(sc.agent_histories[[f]], sc.agent_valid[[f]], sc.agent_futures[[f]],
+                   sc.future_valid[[f]], sc.lanes, 0, "one-agent")
+    no_lanes = Scenario(sc.agent_histories, sc.agent_valid, sc.agent_futures,
+                        sc.future_valid, [], sc.focal_agent, "no-lanes")
+    far = 0 if f != 0 else 1
+    hist, fut = sc.agent_histories.copy(), sc.agent_futures.copy()
+    hist[far] += 1e4
+    fut[far] += 1e4
+    lonely = Scenario(hist, sc.agent_valid, fut, sc.future_valid, sc.lanes, sc.focal_agent, "lonely")
+    _, mids = lane_segments(lonely.lanes)
+    dist = np.linalg.norm(mids[None] - frame_origins(lonely)[:, None], axis=-1)
+    has_key = (dist <= SMALL.radius).any(axis=1)
+    assert not has_key[far] and has_key.any()
+    assert lane_segments(no_lanes.lanes)[0].shape[0] == 0 and one.num_agents == 1
+    return [one, no_lanes, lonely, sc]
+
+
+@pytest.mark.parametrize("norm_kind", ["dyt", "layernorm"])
+def test_stacked_ensemble_equals_mean_of_separate_forwards(norm_kind):
+    cfg = ModelConfig(width=16, heads=2, modes=2, dropout=0.0, norm_kind=norm_kind)
+    params = [TrajectoryPredictor(cfg, Rng(40 + k)).state_dict() for k in range(4)]
+    scenes = _edge_scenes()
+    for size in (2, 3, 4):
+        used = params[:size]
+        ensemble = make_ensemble([Snapshot(k, p) for k, p in enumerate(used)], cfg, EnsembleConfig())
+        members = [model_from_params(p, cfg) for p in used]
+        for sc in scenes:
+            outs = [m.forward([sc]) for m in members]
+            probs = _mean_arrays([o.mode_probs.data for o in outs])
+            sums = probs.sum(axis=1, keepdims=True)
+            probs = np.where(np.abs(sums - 1.0) > 1e-12, probs / sums, probs)
+            locations = _mean_arrays([o.locations.data for o in outs])
+            scales = _mean_arrays([o.scales.data for o in outs])
+            got = ensemble(sc)
+            assert len(got) == sc.num_agents
+            for a, p in enumerate(got):
+                assert np.array_equal(p.locations.data, locations[a]), (size, sc.scenario_id)
+                assert np.array_equal(p.scales.data, scales[a]), (size, sc.scenario_id)
+                assert np.array_equal(p.mode_probs.data, probs[a]), (size, sc.scenario_id)
 
 
 def test_single_snapshot_equals_plain_predict():
