@@ -4,8 +4,9 @@ The package is a small, numpy-backed library: a float64 autodiff engine
 (`tensor`), neural building blocks with DynamicTanh as a drop-in replacement
 for LayerNorm (`layers`), the interaction-stage backbone (`backbone`),
 cyclical-learning-rate training with snapshot ensembling (`training`),
-forecasting metrics and latency benchmarking (`evaluation`), synthetic and
-CSV scenario data (`data`), and a reproducible command line (`cli`).
+forecasting metrics and latency benchmarking (`evaluation`), synthetic
+scenario data and its binary container (`data`), and a reproducible command
+line (`cli`).
 """
 
 from .backbone import ModelConfig, PredictionSet, TrajectoryPredictor

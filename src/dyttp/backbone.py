@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Scenario
-from .layers import Linear, Module, TransformerBlock, BlockConfig, gelu, stacked, swap_axes
+from .layers import Linear, Module, TransformerBlock, gelu, stacked, swap_axes
 from .tensor import Rng, Tensor
 
 SCALE_FLOOR = 1e-6  # keeps softplus output strictly positive after underflow
@@ -74,11 +74,6 @@ class ModelConfig:
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
 
-    def block_config(self) -> BlockConfig:
-        return BlockConfig(norm_kind=self.norm_kind, width=self.width,
-                           heads=self.heads, ff_ratio=self.ff_ratio,
-                           dropout=self.dropout)
-
 
 @dataclass
 class EncodedBatch:
@@ -97,10 +92,6 @@ class PredictionSet:
             raise ValueError("scales must be strictly positive")
         if abs(float(self.mode_probs.data.sum()) - 1.0) > 1e-9:
             raise ValueError("mode probabilities must sum to 1")
-
-    @property
-    def num_modes(self) -> int:
-        return self.locations.data.shape[0]
 
 
 @dataclass
@@ -202,11 +193,10 @@ class TrajectoryPredictor(Module):
         self.pos_embed = Tensor(rng.normal((cfg.obs_steps, d), std=0.02), requires_grad=True)
         self.lane_proj = Linear(3, d, rng)
         self.rel_proj = Linear(2, d, rng)
-        bc = cfg.block_config()
-        self.social_blocks = [TransformerBlock(bc, rng) for _ in range(cfg.blocks_per_stage)]
-        self.temporal_blocks = [TransformerBlock(bc, rng) for _ in range(cfg.blocks_per_stage)]
-        self.lane_blocks = [TransformerBlock(bc, rng, cross=True) for _ in range(cfg.blocks_per_stage)]
-        self.global_blocks = [TransformerBlock(bc, rng) for _ in range(cfg.blocks_per_stage)]
+        self.social_blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.blocks_per_stage)]
+        self.temporal_blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.blocks_per_stage)]
+        self.lane_blocks = [TransformerBlock(cfg, rng, cross=True) for _ in range(cfg.blocks_per_stage)]
+        self.global_blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.blocks_per_stage)]
         self.head_hidden = Linear(d, 2 * d, rng)
         k, f = cfg.modes, cfg.pred_steps
         self.head_out = Linear(2 * d, k * (4 * f + 1), rng)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import io
 import json
 import os
 import struct
@@ -26,6 +27,7 @@ import numpy as np
 from .backbone import ModelConfig
 from .data import (
     BinaryReader, FormatError, generate_synthetic, load_scenarios, save_scenarios,
+    write_atomic,
 )
 from .evaluation import (
     ablation_to_dict, bench_latency, evaluate_model, format_ablation_table,
@@ -55,20 +57,21 @@ class CheckpointMismatchError(ValueError):
 def save_checkpoint(path, params: dict, model_cfg: ModelConfig, cycle_index: int):
     digest = model_cfg.digest().encode()
     alg = Rng.algorithm.encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<H", len(digest)) + digest)
-        fh.write(struct.pack("<H", len(alg)) + alg)
-        fh.write(struct.pack("<I", cycle_index))
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.asarray(params[name], dtype="<f4")  # keeps 0-d scalars 0-d
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)) + encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    buf = io.BytesIO()
+    buf.write(CKPT_MAGIC)
+    buf.write(struct.pack("<I", CKPT_VERSION))
+    buf.write(struct.pack("<H", len(digest)) + digest)
+    buf.write(struct.pack("<H", len(alg)) + alg)
+    buf.write(struct.pack("<I", cycle_index))
+    buf.write(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        arr = np.asarray(params[name], dtype="<f4")  # keeps 0-d scalars 0-d
+        encoded = name.encode()
+        buf.write(struct.pack("<H", len(encoded)) + encoded)
+        buf.write(struct.pack("<B", arr.ndim))
+        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        buf.write(arr.tobytes())
+    write_atomic(path, buf.getvalue())
 
 
 def load_checkpoint(path):
@@ -113,8 +116,10 @@ def snapshots_from_checkpoints(paths, model_cfg: ModelConfig):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_MODEL_FLAGS = {f.name for f in fields(ModelConfig)}
-_SCHED_FLAGS = {f.name for f in fields(SchedulerConfig)}
+# config fields a command line may override; a field its command has no flag
+# for reads None and keeps the file or default value
+_MODEL_FLAGS = tuple(f.name for f in fields(ModelConfig))
+_SCHED_FLAGS = tuple(f.name for f in fields(SchedulerConfig))
 
 
 def _merge_section(cls, file_section: dict, overrides: dict):
@@ -135,11 +140,8 @@ def resolve_configs(args) -> tuple[ModelConfig, SchedulerConfig, dict]:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_doc = json.load(fh)
-    model_overrides = {k: getattr(args, k, None) for k in
-                       ("width", "heads", "blocks_per_stage", "modes", "radius",
-                        "norm_kind", "dropout")}
-    sched_overrides = {k: getattr(args, k, None) for k in
-                       ("eta_min", "eta_max", "cycle_length", "num_cycles")}
+    model_overrides = {k: getattr(args, k, None) for k in _MODEL_FLAGS}
+    sched_overrides = {k: getattr(args, k, None) for k in _SCHED_FLAGS}
     model_cfg = _merge_section(ModelConfig, file_doc.get("model"), model_overrides)
     sched_cfg = _merge_section(SchedulerConfig, file_doc.get("scheduler"), sched_overrides)
     extras = {

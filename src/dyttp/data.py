@@ -1,4 +1,4 @@
-"""Scenario data: synthetic generation, CSV ingestion, binary serialization.
+"""Scenario data: synthetic generation and binary serialization.
 
 A scenario holds N agent tracks sampled at 10 Hz (0.1 s steps), split into
 20 observed steps and a 30-step future, plus lane centerline polylines.
@@ -10,10 +10,11 @@ maneuver of the focal agent is embedded in the scenario_id suffix
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
-import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ _FORMAT_VERSION = 1
 
 
 class FormatError(ValueError):
-    """Malformed input file (CSV layout, container magic/version, truncation)."""
+    """Malformed input file (container magic/version, truncation, bad values)."""
 
 
 @dataclass
@@ -291,20 +292,38 @@ def _write_scenario(buf, sc: Scenario):
     buf.write(payload)
 
 
+def write_atomic(path, payload: bytes):
+    """Write payload to path whole or not at all.
+
+    The bytes go to a new file in path's directory, which is then renamed onto
+    path; if anything fails, the new file is removed and whatever was at path
+    before is left untouched.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_scenarios(split: DatasetSplit, path):
-    with open(path, "wb") as fh:
-        buf = io.BytesIO()
-        t = split.train[0].obs_steps if split.train else (split.val[0].obs_steps if split.val else OBS_STEPS)
-        f = split.train[0].pred_steps if split.train else (split.val[0].pred_steps if split.val else PRED_STEPS)
-        buf.write(_MAGIC)
-        buf.write(struct.pack("<IHHIIQ", _FORMAT_VERSION, t, f,
-                              len(split.train), len(split.val),
-                              split.seed & 0xFFFFFFFFFFFFFFFF))
-        for sc in split.train:
-            _write_scenario(buf, sc)
-        for sc in split.val:
-            _write_scenario(buf, sc)
-        fh.write(buf.getvalue())
+    buf = io.BytesIO()
+    t = split.train[0].obs_steps if split.train else (split.val[0].obs_steps if split.val else OBS_STEPS)
+    f = split.train[0].pred_steps if split.train else (split.val[0].pred_steps if split.val else PRED_STEPS)
+    buf.write(_MAGIC)
+    buf.write(struct.pack("<IHHIIQ", _FORMAT_VERSION, t, f,
+                          len(split.train), len(split.val),
+                          split.seed & 0xFFFFFFFFFFFFFFFF))
+    for sc in split.train:
+        _write_scenario(buf, sc)
+    for sc in split.val:
+        _write_scenario(buf, sc)
+    write_atomic(path, buf.getvalue())
 
 
 class BinaryReader:
@@ -395,79 +414,3 @@ def load_scenarios(path) -> DatasetSplit:
     val = [_read_scenario(r) for _ in range(n_val)]
     r.finish()
     return DatasetSplit(train=train, val=val, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion (Argoverse-style motion forecasting files)
-
-_REQUIRED_COLUMNS = {"TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME"}
-
-
-def load_lane_map(map_path) -> list:
-    with open(map_path) as fh:
-        doc = json.load(fh)
-    try:
-        return [np.asarray(lane["points"], dtype=np.float64) for lane in doc["lanes"]]
-    except (KeyError, TypeError) as e:
-        raise FormatError(f"bad lane map JSON: {e}") from None
-
-
-def load_trajectory_csv(path, map_path=None, obs_steps: int = OBS_STEPS,
-                        pred_steps: int = PRED_STEPS) -> Scenario:
-    """Load one tracked scenario from a forecasting CSV.
-
-    Rows are snapped to a 10 Hz grid of obs_steps + pred_steps slots starting
-    at the earliest timestamp; the track with OBJECT_TYPE == "AGENT" becomes
-    the focal agent. Missing steps are masked invalid.
-    """
-    import csv
-
-    total = obs_steps + pred_steps
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not _REQUIRED_COLUMNS.issubset(reader.fieldnames):
-            missing = _REQUIRED_COLUMNS - set(reader.fieldnames or [])
-            raise FormatError(f"CSV missing required columns: {sorted(missing)}")
-        rows = list(reader)
-    if not rows:
-        raise FormatError("CSV has no data rows")
-
-    stamps = np.array(sorted({float(r["TIMESTAMP"]) for r in rows}))
-    t0 = stamps[0]
-    slots = np.rint((stamps - t0) / DT).astype(int)
-    covered = {s for s in slots if 0 <= s < total}
-    if len(covered) < total:
-        raise FormatError(
-            f"fewer than {total} aligned timestamps ({len(covered)} covered)")
-
-    # deterministic track order: focal AGENT first, then by track id
-    by_track = {}
-    for r in rows:
-        by_track.setdefault(r["TRACK_ID"], []).append(r)
-    agents = [tid for tid in by_track if any(r["OBJECT_TYPE"] == "AGENT" for r in by_track[tid])]
-    if len(agents) != 1:
-        raise FormatError(f"expected exactly one AGENT track, found {len(agents)}")
-    order = agents + sorted(tid for tid in by_track if tid not in agents)
-
-    n = len(order)
-    pos = np.zeros((n, total, 2))
-    valid = np.zeros((n, total), dtype=bool)
-    for i, tid in enumerate(order):
-        for r in sorted(by_track[tid], key=lambda r: float(r["TIMESTAMP"])):
-            slot = int(round((float(r["TIMESTAMP"]) - t0) / DT))
-            if 0 <= slot < total and not valid[i, slot]:
-                pos[i, slot] = (float(r["X"]), float(r["Y"]))
-                valid[i, slot] = True
-
-    if not valid[0, :obs_steps].all():
-        raise FormatError("AGENT track does not cover the full observation window")
-
-    lanes = load_lane_map(map_path) if map_path else []
-    sc = Scenario(
-        pos[:, :obs_steps], valid[:, :obs_steps],
-        pos[:, obs_steps:], valid[:, obs_steps:],
-        lanes, focal_agent=0,
-        scenario_id=str(path),
-    )
-    sc.validate()
-    return sc

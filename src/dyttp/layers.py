@@ -13,8 +13,6 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -35,9 +33,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_params(f"{name}.{i}")
-
-    def params(self):
-        return [p for _, p in self.named_params()]
 
     def zero_grad(self):
         for _, p in self.named_params():
@@ -92,15 +87,13 @@ def swap_axes(x: Tensor, i: int, j: int) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: Rng):
         self.weight = Tensor(_xavier(rng, d_in, d_out), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         out = T.matmul(x, stacked(self.weight, 2, x.ndim))
-        if self.bias is not None:
-            out = T.add(out, stacked(self.bias, 1, out.ndim))
-        return out
+        return T.add(out, stacked(self.bias, 1, out.ndim))
 
 
 class DynamicTanh(Module):
@@ -238,19 +231,6 @@ class FeedForward(Module):
         return self.lin2(self.drop(gelu(self.lin1(x)), rng, training))
 
 
-@dataclass
-class BlockConfig:
-    norm_kind: str = "dyt"
-    width: int = 32
-    heads: int = 4
-    ff_ratio: int = 4
-    dropout: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-
-
 def grad_check_params(model: Module, loss_fn, names=None, h: float = 1e-5):
     """Finite-difference check of loss_fn gradients w.r.t. named parameters.
 
@@ -281,10 +261,11 @@ class TransformerBlock(Module):
     """Pre-norm residual block: x + MHA(norm(x)); then x + FFN(norm(x)).
 
     With cross=True the attention reads keys/values from a separate memory
-    tensor, normalized by its own norm instance.
+    tensor, normalized by its own norm instance. cfg is a backbone.ModelConfig;
+    the block reads its norm_kind, width, heads, ff_ratio and dropout.
     """
 
-    def __init__(self, cfg: BlockConfig, rng: Rng, cross: bool = False):
+    def __init__(self, cfg, rng: Rng, cross: bool = False):
         self.norm_attn = make_norm(cfg.norm_kind, cfg.width)
         self.norm_kv = make_norm(cfg.norm_kind, cfg.width) if cross else None
         self.attn = MultiHeadAttention(cfg.width, cfg.heads, rng, cfg.dropout)

@@ -347,7 +347,8 @@ def getitem(a, idx):
     # only an integer-array index can pick one element twice and so needs the
     # (slower) unbuffered scatter-add; slices, ints and boolean masks cannot
     parts = idx if isinstance(idx, tuple) else (idx,)
-    may_repeat = any(np.ndim(p) > 0 and np.asarray(p).dtype.kind in "iu" for p in parts)
+    may_repeat = any(isinstance(p, (np.ndarray, list)) and np.asarray(p).dtype.kind in "iu"
+                     for p in parts)
 
     def da(g):
         z = np.zeros_like(a.data)

@@ -11,7 +11,9 @@ from dyttp.cli import (
     CheckpointMismatchError, load_checkpoint, main, save_checkpoint,
     snapshots_from_checkpoints, verify_checkpoint_digest,
 )
-from dyttp.data import FormatError, generate_synthetic, load_scenarios, save_scenarios
+from dyttp.data import (
+    FormatError, generate_synthetic, load_scenarios, save_scenarios, write_atomic,
+)
 from dyttp.tensor import Rng
 
 FAST = ["--width", "16", "--heads", "2", "--modes", "2", "--dropout", "0.05",
@@ -146,6 +148,22 @@ def test_checkpoint_truncation_and_magic_errors(tmp_path):
                         + struct.pack(f"<{len(shape)}I", *shape) + b"\0" * 4)
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+def test_failed_save_leaves_earlier_checkpoint_intact(tmp_path):
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    params = TrajectoryPredictor(cfg, Rng(10)).state_dict()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, cfg, 0)
+    good = path.read_bytes()
+    # a name longer than its u16 length prefix fails after the header is built
+    with pytest.raises(struct.error):
+        save_checkpoint(path, {**params, "w" * 70_000: np.zeros(1)}, cfg, 1)
+    # a write that fails once the new file exists
+    with pytest.raises(TypeError):
+        write_atomic(path, "not bytes")
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_non_finite_values_raise_format_error_and_exit_2(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from dyttp.data import (
     DT, FormatError, GenConfig, arc_path, generate_scenario,
-    generate_synthetic, lane_change_path, load_scenarios, load_trajectory_csv,
-    save_scenarios, split_of, straight_path,
+    generate_synthetic, lane_change_path, load_scenarios, save_scenarios,
+    split_of, straight_path,
 )
 from dyttp.tensor import Rng
 
@@ -147,83 +147,6 @@ def test_bad_magic_and_version(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(FormatError):
         load_scenarios(p)
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion
-
-def _write_csv(path, rows, header=("TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME")):
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _agent_rows(track_id="a1", n=50, object_type="AGENT"):
-    return [(f"{i * DT:.1f}", track_id, object_type, 5.0 + i, 2.0, "PIT") for i in range(n)]
-
-
-def test_minimal_csv_single_agent(tmp_path):
-    p = tmp_path / "one.csv"
-    _write_csv(p, _agent_rows())
-    sc = load_trajectory_csv(p)
-    assert sc.num_agents == 1
-    assert sc.agent_valid.all() and sc.future_valid.all()
-    assert sc.focal_agent == 0
-    assert np.allclose(sc.agent_histories[0, :, 0], 5.0 + np.arange(20))
-
-
-def test_future_only_track_masked(tmp_path):
-    rows = _agent_rows()
-    rows += [(f"{(30 + i) * DT:.1f}", "zz", "OTHERS", 1.0, 1.0, "PIT") for i in range(20)]
-    p = tmp_path / "two.csv"
-    _write_csv(p, rows)
-    sc = load_trajectory_csv(p)
-    assert sc.num_agents == 2
-    assert not sc.agent_valid[1].any()
-    assert sc.future_valid[1].sum() == 20
-
-
-def test_out_of_order_timestamps_canonicalized(tmp_path):
-    rows = _agent_rows()
-    shuffled = rows[::-1]
-    p1, p2 = tmp_path / "fwd.csv", tmp_path / "rev.csv"
-    _write_csv(p1, rows)
-    _write_csv(p2, shuffled)
-    a, b = load_trajectory_csv(p1), load_trajectory_csv(p2)
-    assert np.array_equal(a.agent_histories, b.agent_histories)
-    assert np.array_equal(a.agent_futures, b.agent_futures)
-
-
-def test_csv_missing_columns(tmp_path):
-    p = tmp_path / "bad.csv"
-    _write_csv(p, [("0.0", "a", "AGENT", 1.0)], header=("TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X"))
-    with pytest.raises(FormatError):
-        load_trajectory_csv(p)
-
-
-def test_csv_no_agent_track(tmp_path):
-    p = tmp_path / "noagent.csv"
-    _write_csv(p, _agent_rows(object_type="OTHERS"))
-    with pytest.raises(FormatError):
-        load_trajectory_csv(p)
-
-
-def test_csv_too_few_timestamps(tmp_path):
-    p = tmp_path / "short.csv"
-    _write_csv(p, _agent_rows(n=49))
-    with pytest.raises(FormatError):
-        load_trajectory_csv(p)
-
-
-def test_lane_map_json(tmp_path):
-    import json
-    p = tmp_path / "full.csv"
-    _write_csv(p, _agent_rows())
-    m = tmp_path / "map.json"
-    m.write_text(json.dumps({"lanes": [{"id": "l0", "points": [[0, 0], [5, 0], [10, 0]]}]}))
-    sc = load_trajectory_csv(p, map_path=m)
-    assert len(sc.lanes) == 1
-    assert sc.lanes[0].shape == (3, 2)
 
 
 def test_scenario_translate_and_permute():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dyttp import tensor as T
+from dyttp.backbone import ModelConfig
 from dyttp.layers import (
-    BlockConfig, Dropout, DynamicTanh, LayerNorm, MultiHeadAttention,
+    Dropout, DynamicTanh, LayerNorm, MultiHeadAttention,
     TransformerBlock, gelu, make_norm,
 )
 from dyttp.tensor import Rng, Tensor, grad_check
@@ -143,7 +144,7 @@ def test_mha_mask_blocks_and_fully_masked_errors():
 
 def test_block_residual_identity_with_zero_projections():
     rng = Rng(9)
-    cfg = BlockConfig(norm_kind="dyt", width=8, heads=2)
+    cfg = ModelConfig(norm_kind="dyt", width=8, heads=2, dropout=0.0)
     block = TransformerBlock(cfg, rng)
     block.attn.wo.weight.data = np.zeros_like(block.attn.wo.weight.data)
     block.attn.wo.bias.data = np.zeros_like(block.attn.wo.bias.data)
@@ -158,14 +159,14 @@ def test_block_shape_contract_both_norms():
     rng = Rng(10)
     x = rng.normal((2, 4, 8))
     for kind in ("dyt", "layernorm"):
-        block = TransformerBlock(BlockConfig(norm_kind=kind, width=8, heads=2), Rng(10))
+        block = TransformerBlock(ModelConfig(norm_kind=kind, width=8, heads=2, dropout=0.0), Rng(10))
         assert block(Tensor(x)).shape == (2, 4, 8)
 
 
 @pytest.mark.parametrize("kind", ["dyt", "layernorm"])
 def test_block_grad_check(kind):
     rng = Rng(13)
-    cfg = BlockConfig(norm_kind=kind, width=8, heads=2, dropout=0.0)
+    cfg = ModelConfig(norm_kind=kind, width=8, heads=2, dropout=0.0)
     block = TransformerBlock(cfg, rng)
     x0 = rng.uniform((1, 3, 8), -1.0, 1.0)
     w = rng.uniform((1, 3, 8), -1.0, 1.0)
@@ -214,14 +215,14 @@ def test_gelu_values_and_gradient():
 
 def test_named_params_and_state_dict_roundtrip():
     rng = Rng(16)
-    block = TransformerBlock(BlockConfig(width=8, heads=2), rng, cross=True)
+    block = TransformerBlock(ModelConfig(width=8, heads=2, dropout=0.0), rng, cross=True)
     names = [n for n, _ in block.named_params()]
     assert len(names) == len(set(names))
     assert any("attn.wq.weight" in n for n in names)
     assert any("norm_kv" in n for n in names)
 
     state = block.state_dict()
-    other = TransformerBlock(BlockConfig(width=8, heads=2), Rng(99), cross=True)
+    other = TransformerBlock(ModelConfig(width=8, heads=2, dropout=0.0), Rng(99), cross=True)
     other.load_state_dict(state)
     x = Rng(1).normal((1, 3, 8))
     assert np.array_equal(block(Tensor(x)).data, other(Tensor(x)).data)
