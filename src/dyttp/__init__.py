@@ -9,7 +9,7 @@ scenario data and its binary container (`data`), and a reproducible command
 line (`cli`).
 """
 
-from .backbone import ModelConfig, PredictionSet, TrajectoryPredictor
+from .backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
 from .data import DatasetSplit, GenConfig, Scenario, generate_synthetic
 from .evaluation import MetricsReport, evaluate_model, min_ade, min_fde, miss_rate
 from .tensor import Rng, Tape, Tensor, backward, grad_check
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "Tape", "Rng", "backward", "grad_check",
-    "ModelConfig", "TrajectoryPredictor", "PredictionSet",
+    "ModelConfig", "TrajectoryPredictor", "BatchPrediction",
     "Scenario", "DatasetSplit", "GenConfig", "generate_synthetic",
     "MetricsReport", "evaluate_model", "min_ade", "min_fde", "miss_rate",
     "SchedulerConfig", "EnsembleConfig", "Snapshot", "lr_at", "train",

@@ -82,32 +82,23 @@ class EncodedBatch:
 
 
 @dataclass
-class PredictionSet:
-    locations: Tensor   # [K, F, 2] world frame, meters
-    scales: Tensor      # [K, F, 2] strictly positive
-    mode_probs: Tensor  # [K] simplex
-
-    def __post_init__(self):
-        if np.any(self.scales.data <= 0.0):
-            raise ValueError("scales must be strictly positive")
-        if abs(float(self.mode_probs.data.sum()) - 1.0) > 1e-9:
-            raise ValueError("mode probabilities must sum to 1")
-
-
-@dataclass
 class BatchPrediction:
     """Predictions for every agent of a batch, in scene order then agent order.
 
-    A stacked model puts its snapshot axis S in front of every field.
+    A stacked model puts its snapshot axis S in front of every field. `len`
+    and indexing run over the first axis: row `a` holds agent `a`'s fields as
+    views, off the tape, and an index past the end raises IndexError.
     """
     locations: Tensor   # [..., A, K, F, 2] world frame, meters
     scales: Tensor      # [..., A, K, F, 2] strictly positive
     mode_probs: Tensor  # [..., A, K] simplex per agent
 
-    def per_agent(self) -> list:
-        """One PredictionSet per agent (views of the batch arrays, off the tape)."""
-        return [PredictionSet(Tensor(loc), Tensor(sc), Tensor(pr)) for loc, sc, pr in
-                zip(self.locations.data, self.scales.data, self.mode_probs.data)]
+    def __len__(self) -> int:
+        return self.locations.shape[0]
+
+    def __getitem__(self, a) -> "BatchPrediction":
+        return BatchPrediction(Tensor(self.locations.data[a]), Tensor(self.scales.data[a]),
+                               Tensor(self.mode_probs.data[a]))
 
 
 def frame_origins(scenario) -> np.ndarray:
@@ -296,6 +287,6 @@ class TrajectoryPredictor(Module):
         """Predictions for every agent of a list of scenarios, run as one batch."""
         return self.decode(self.encode(scenes, rng, training), rng, training)
 
-    def predict(self, s: Scenario) -> list:
-        """One scenario, a batch of one, without gradient tracking: a PredictionSet per agent."""
-        return self.forward([s]).per_agent()
+    def predict(self, s: Scenario) -> BatchPrediction:
+        """One scenario, a batch of one, without gradient tracking."""
+        return self.forward([s])

@@ -24,10 +24,10 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .backbone import ModelConfig
+from .backbone import ModelConfig, TrajectoryPredictor
 from .data import (
-    BinaryReader, FormatError, generate_synthetic, load_scenarios, save_scenarios,
-    write_atomic,
+    BinaryReader, FormatError, GenConfig, generate_synthetic, load_scenarios,
+    save_scenarios, write_atomic,
 )
 from .evaluation import (
     ablation_to_dict, bench_latency, evaluate_model, format_ablation_table,
@@ -105,12 +105,14 @@ def verify_checkpoint_digest(header: dict, model_cfg: ModelConfig, path=""):
 
 
 def snapshots_from_checkpoints(paths, model_cfg: ModelConfig):
+    """Snapshots in cycle order (stable), whatever the order of paths, so the
+    last one is the most recent: `snapshot_10` sorts after `snapshot_2`."""
     snaps = []
     for p in paths:
         params, header = load_checkpoint(p)
         verify_checkpoint_digest(header, model_cfg, p)
         snaps.append(Snapshot(cycle_index=header["cycle_index"], params=params))
-    return snaps
+    return sorted(snaps, key=lambda snap: snap.cycle_index)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,6 @@ def _emit_json(doc: dict, out_json):
 
 def cmd_gen_data(args) -> int:
     rng = Rng(args.seed)
-    from .data import GenConfig
-
     split = generate_synthetic(args.count, rng, GenConfig(noise_sigma=args.noise_sigma))
     try:
         save_scenarios(split, args.out)
@@ -206,12 +206,8 @@ def cmd_gen_data(args) -> int:
 
 def _find_resume_state(out_dir, model_cfg):
     paths = sorted(glob.glob(os.path.join(out_dir, "snapshot_*.ckpt")))
-    if not paths:
-        return None, 0
-    latest, params, header = max(((p, *load_checkpoint(p)) for p in paths),
-                                 key=lambda item: item[2]["cycle_index"])
-    verify_checkpoint_digest(header, model_cfg, latest)
-    return params, header["cycle_index"] + 1
+    snaps = snapshots_from_checkpoints(paths, model_cfg)
+    return (snaps[-1].params, snaps[-1].cycle_index + 1) if snaps else (None, 0)
 
 
 def cmd_train(args) -> int:
@@ -311,8 +307,6 @@ def cmd_bench(args) -> int:
         predict_fn, desc = _predict_fn_from_args(args, model_cfg)
     else:
         # fresh parameters on a checkpoint-shaped config
-        from .backbone import TrajectoryPredictor
-
         model = TrajectoryPredictor(model_cfg, Rng(extras["seed"]))
         predict_fn, desc = model.predict, f"fresh {model_cfg.norm_kind} parameters"
     report = bench_latency(predict_fn, scenarios, iterations=args.iterations,

@@ -9,12 +9,13 @@ whose best endpoint misses by strictly more than 2.0 m.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .backbone import ModelConfig, PredictionSet
+from .backbone import BatchPrediction, ModelConfig
 from .data import DatasetSplit, Scenario
+from .layers import make_norm
 from .tensor import Rng, Tensor
 
 MISS_THRESHOLD_M = 2.0
@@ -62,12 +63,7 @@ class AblationCell:
         return self.error is None
 
 
-def _locations(pred) -> np.ndarray:
-    loc = pred.locations
-    return loc.data if isinstance(loc, Tensor) else np.asarray(loc)
-
-
-def min_ade(pred: PredictionSet, gt, valid_mask) -> float | None:
+def min_ade(pred: BatchPrediction, gt, valid_mask) -> float | None:
     """Min over modes of the mean Euclidean error at valid future steps.
 
     Returns None when no future step is valid (the agent is excluded, not
@@ -76,18 +72,18 @@ def min_ade(pred: PredictionSet, gt, valid_mask) -> float | None:
     valid = np.asarray(valid_mask, dtype=bool)
     if not valid.any():
         return None
-    loc = _locations(pred)
+    loc = pred.locations.data
     gt = np.asarray(gt, dtype=np.float64)
     dist = np.linalg.norm(loc[:, valid] - gt[valid], axis=-1)
     return float(dist.mean(axis=1).min())
 
 
-def min_fde(pred: PredictionSet, gt, valid_mask) -> float | None:
+def min_fde(pred: BatchPrediction, gt, valid_mask) -> float | None:
     """Min over modes of the final-step error; None if the final step is invalid."""
     valid = np.asarray(valid_mask, dtype=bool)
     if not valid[-1]:
         return None
-    loc = _locations(pred)
+    loc = pred.locations.data
     gt = np.asarray(gt, dtype=np.float64)
     return float(np.linalg.norm(loc[:, -1] - gt[-1], axis=-1).min())
 
@@ -113,47 +109,49 @@ def miss_rate(preds, gts, valid_masks=None) -> float:
     return misses / total
 
 
-def evaluate_model(predict_fn, scenarios) -> MetricsReport:
-    """Aggregate minADE / minFDE / MR over the focal agent of each scenario.
-
-    predict_fn maps a Scenario to one PredictionSet per agent.
-    """
+def score_focal(rows, scenarios) -> MetricsReport:
+    """minADE / minFDE / MR over focal agents; rows[i] is the focal row of scenarios[i]."""
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
-    rows = [(predict_fn(s)[s.focal_agent], s.agent_futures[s.focal_agent],
-             s.future_valid[s.focal_agent]) for s in scenarios]
-    ades = [a for a in (min_ade(p, g, v) for p, g, v in rows) if a is not None]
-    fdes = [f for f in (min_fde(p, g, v) for p, g, v in rows) if f is not None]
-    mr = miss_rate([p for p, _, _ in rows], [g for _, g, _ in rows],
-                   [v for _, _, v in rows])
+    gts = [s.agent_futures[s.focal_agent] for s in scenarios]
+    valids = [s.future_valid[s.focal_agent] for s in scenarios]
+    ades = [a for a in map(min_ade, rows, gts, valids) if a is not None]
+    fdes = [f for f in map(min_fde, rows, gts, valids) if f is not None]
     return MetricsReport(
         minade=float(np.mean(ades)) if ades else float("nan"),
         minfde=float(np.mean(fdes)) if fdes else float("nan"),
-        mr=mr,
+        mr=miss_rate(rows, gts, valids),
         count=len(scenarios),
     )
 
 
-def constant_velocity_predict(s: Scenario) -> list:
-    """Single-mode baseline: extrapolate each agent's last observed velocity."""
-    n, t = s.agent_valid.shape
-    f = s.future_valid.shape[1]
-    out = []
-    for i in range(n):
-        valid_idx = np.flatnonzero(s.agent_valid[i])
-        if len(valid_idx) >= 2:
-            a, b = valid_idx[-2], valid_idx[-1]
-            v = (s.agent_histories[i, b] - s.agent_histories[i, a]) / ((b - a) * 0.1)
-            start = s.agent_histories[i, b]
-        else:
-            v = np.zeros(2)
-            start = s.agent_histories[i, valid_idx[-1]] if len(valid_idx) else np.zeros(2)
-        steps = np.arange(1, f + 1)[:, None] * 0.1
-        loc = (start + steps * v)[None, :, :]
-        out.append(PredictionSet(locations=Tensor(loc),
-                                 scales=Tensor(np.ones_like(loc)),
-                                 mode_probs=Tensor(np.array([1.0]))))
-    return out
+def evaluate_model(predict_fn, scenarios) -> MetricsReport:
+    """Aggregate minADE / minFDE / MR over the focal agent of each scenario.
+
+    predict_fn maps one Scenario to a prediction indexed by agent, such as
+    the BatchPrediction of `TrajectoryPredictor.predict`; it runs once per
+    scenario, in order.
+    """
+    return score_focal([predict_fn(s)[s.focal_agent] for s in scenarios], scenarios)
+
+
+def constant_velocity_predict(s: Scenario) -> BatchPrediction:
+    """Single-mode baseline: extrapolate each agent's last observed velocity.
+
+    The velocity comes from the last two valid observed steps; an agent with
+    one valid step stands still there, one with none stays at the origin.
+    """
+    hist, agents = s.agent_histories, np.arange(s.num_agents)
+    idx = np.where(s.agent_valid, np.arange(s.obs_steps), -1)
+    last = idx.max(axis=1)                                      # -1: no valid step
+    prev = np.where(idx < last[:, None], idx, -1).max(axis=1)   # -1: fewer than two
+    start = np.where((last >= 0)[:, None], hist[agents, last], 0.0)
+    dt = np.where(prev >= 0, last - prev, 1)[:, None] * 0.1
+    v = np.where((prev >= 0)[:, None], (hist[agents, last] - hist[agents, prev]) / dt, 0.0)
+    steps = np.arange(1, s.pred_steps + 1)[:, None] * 0.1
+    loc = (start[:, None] + steps * v[:, None])[:, None]
+    return BatchPrediction(locations=Tensor(loc), scales=Tensor(np.ones_like(loc)),
+                           mode_probs=Tensor(np.ones((len(agents), 1))))
 
 
 def bench_latency(predict_fn, scenarios, iterations: int = 1000,
@@ -188,8 +186,6 @@ def bench_latency(predict_fn, scenarios, iterations: int = 1000,
 def norm_layer_latency(norm_kind: str, shape=(32, 50, 64), iterations: int = 1000,
                        warmup: int = 100, seed: int = 0) -> float:
     """Mean forward latency (ms) of one normalization layer on a fixed shape."""
-    from .layers import make_norm
-
     layer = make_norm(norm_kind, shape[-1])
     x = Tensor(Rng(seed).normal(shape))
     for _ in range(warmup):
@@ -217,28 +213,34 @@ def run_ablation(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg, seed: i
                  bench_scenarios: int = 4) -> list:
     """Train and evaluate the 2x2 grid {DynamicTanh on/off} x {snapshots on/off}.
 
-    Every cell starts from the same seed; snapshot-disabled cells run
-    inference with only the final snapshot. A diverging cell is reported as
-    failed without stopping the others.
+    Each norm kind trains once, from the seed; its snapshot-enabled cell runs
+    inference with every snapshot and its snapshot-disabled cell with only
+    the final one. A diverging norm kind fails both of its cells without
+    stopping the others.
     """
     from .training import DivergenceError, EnsembleConfig, make_ensemble, train
 
-    cells = []
+    runs, cells = {}, []
     for dyt_on, snap_on in _CELLS:
         cfg = replace(model_cfg, norm_kind="dyt" if dyt_on else "layernorm")
-        try:
-            result = train(split, cfg, sched_cfg, Rng(seed), lam=lam,
-                           batch_size=batch_size)
-            snaps = result.snapshots if snap_on else result.snapshots[-1:]
-            predict_fn = make_ensemble(snaps, cfg, EnsembleConfig())
-            metrics = evaluate_model(predict_fn, split.val)
-            latency = bench_latency(predict_fn, split.val[:bench_scenarios],
-                                    iterations=bench_iterations, warmup=bench_warmup)
-            cells.append(AblationCell(dyt_on, snap_on, metrics, latency,
-                                      log_lines=result.log_lines()))
-        except DivergenceError as e:
+        if dyt_on not in runs:
+            try:
+                runs[dyt_on] = train(split, cfg, sched_cfg, Rng(seed), lam=lam,
+                                     batch_size=batch_size)
+            except DivergenceError as e:
+                runs[dyt_on] = e
+        result = runs[dyt_on]
+        if isinstance(result, DivergenceError):
             cells.append(AblationCell(dyt_on, snap_on, None, None,
-                                      log_lines=[], error=str(e)))
+                                      log_lines=[], error=str(result)))
+            continue
+        snaps = result.snapshots if snap_on else result.snapshots[-1:]
+        predict_fn = make_ensemble(snaps, cfg, EnsembleConfig())
+        metrics = evaluate_model(predict_fn, split.val)
+        latency = bench_latency(predict_fn, split.val[:bench_scenarios],
+                                iterations=bench_iterations, warmup=bench_warmup)
+        cells.append(AblationCell(dyt_on, snap_on, metrics, latency,
+                                  log_lines=result.log_lines()))
     return cells
 
 
@@ -285,8 +287,6 @@ def format_ablation_table(cells) -> str:
 
 
 def ablation_to_dict(cells, seed: int, model_cfg: ModelConfig) -> dict:
-    from dataclasses import asdict
-
     return {
         "schema": "dyttp-ablation-v1",
         "seed": seed,

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
 from .data import DatasetSplit, Scenario
-from .evaluation import evaluate_model
+from .evaluation import score_focal
 from .tensor import Rng, Tape, Tensor
 
 CE_PROB_FLOOR = 1e-12  # clamp for -log(p) when a mode collapses to zero
@@ -194,6 +194,16 @@ def _chunks(seq, size):
         yield seq[i:i + size]
 
 
+def _validate(model: TrajectoryPredictor, scenarios, batch_size: int):
+    """Focal-agent metrics of `scenarios`, run through the model in batches of batch_size."""
+    rows = []
+    for chunk in _chunks(scenarios, batch_size):
+        pred = model.forward(chunk)
+        offsets = np.cumsum([0] + [s.num_agents for s in chunk[:-1]])
+        rows += [pred[o + s.focal_agent] for o, s in zip(offsets, chunk)]
+    return score_focal(rows, scenarios)
+
+
 def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfig,
           rng: Rng, lam: float = 1.0, batch_size: int = 8, log_sink=None,
           initial_params: dict | None = None, start_cycle: int = 0) -> TrainResult:
@@ -241,7 +251,7 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
                         f"numerical blow-up at epoch {epoch_global} ({err}); "
                         f"last good snapshot: {last_good()}", snapshots) from err
                 batch_losses.append(loss_val)
-            val_metrics = evaluate_model(model.predict, split.val) if split.val else None
+            val_metrics = _validate(model, split.val, batch_size) if split.val else None
             record = {
                 "epoch": epoch_global,
                 "cycle": cycle,
@@ -301,7 +311,7 @@ def _mean_arrays(arrays):
 
 
 def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
-    """Build a predict(scenario) callable for a set of snapshots."""
+    """Build a predict(scenario) -> BatchPrediction callable for a set of snapshots."""
     if not snapshots:
         raise ValueError("ensemble needs at least one snapshot")
     used = snapshots if cfg.snapshots_used is None else snapshots[-cfg.snapshots_used:]
@@ -318,7 +328,7 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
     for name, p in model.named_params():
         p.data = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in used])
 
-    def predict(scenario: Scenario) -> list:
+    def predict(scenario: Scenario) -> BatchPrediction:
         pred = model.forward([scenario])
         probs = _mean_arrays(pred.mode_probs.data)
         sums = probs.sum(axis=1, keepdims=True)
@@ -327,6 +337,6 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
         return BatchPrediction(
             locations=Tensor(_mean_arrays(pred.locations.data)),
             scales=Tensor(_mean_arrays(pred.scales.data)),
-            mode_probs=Tensor(probs)).per_agent()
+            mode_probs=Tensor(probs))
 
     return predict

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dyttp import tensor as T
-from dyttp.backbone import ModelConfig, PredictionSet, TrajectoryPredictor
+from dyttp.backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
 from dyttp.cli import load_checkpoint, main, save_checkpoint
 from dyttp.data import (
     FormatError, GenConfig, Scenario, generate_synthetic, load_scenarios,
@@ -40,7 +40,8 @@ def make_pred(locations, scales=None, probs=None):
     k = locations.shape[0]
     scales = np.ones_like(locations) if scales is None else np.asarray(scales, dtype=np.float64)
     probs = np.full(k, 1.0 / k) if probs is None else np.asarray(probs, dtype=np.float64)
-    return PredictionSet(Tensor(locations), Tensor(scales), Tensor(probs))
+    # row 0 of a one-agent batch, the shape evaluate_model scores
+    return BatchPrediction(Tensor(locations[None]), Tensor(scales[None]), Tensor(probs[None]))[0]
 
 
 def tiny_scenario(seed, cfg, n_agents=2, n_lanes=2):

@@ -268,3 +268,23 @@ def test_other_scene_in_batch_does_not_leak():
     for name in ("locations", "scales", "mode_probs"):
         assert np.array_equal(getattr(a, name).data[:2], getattr(b, name).data[:2]), name
         assert not np.array_equal(getattr(a, name).data[2:], getattr(b, name).data[2:]), name
+
+
+def test_batch_prediction_rows_are_views_of_the_batch():
+    model = TrajectoryPredictor(TINY, Rng(26))
+    pred = model.forward(mixed_batch())
+    a = pred.locations.shape[0]
+    assert len(pred) == a == 10
+    rows = list(pred)
+    assert len(rows) == a
+    for i, row in enumerate(rows):
+        for name in ("locations", "scales", "mode_probs"):
+            field, batch = getattr(row, name).data, getattr(pred, name).data
+            assert np.array_equal(field, batch[i])
+            assert np.shares_memory(field, batch)
+    assert rows[0].locations.shape == rows[0].scales.shape == (TINY.modes, TINY.pred_steps, 2)
+    assert rows[0].mode_probs.shape == (TINY.modes,)
+    pred.locations.data[3, 0, 0, 0] = 1234.5
+    assert pred[3].locations.data[0, 0, 0] == 1234.5
+    with pytest.raises(IndexError):
+        pred[a]

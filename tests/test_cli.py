@@ -266,6 +266,30 @@ def test_evaluate_single_vs_one_snapshot_ensemble_identical(tmp_path):
     assert a["config"]["width"] == 16  # config auto-discovered next to checkpoint
 
 
+def test_ensemble_off_and_snapshots_used_pick_the_highest_cycle(tmp_path):
+    data = gen(tmp_path)
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    for cycle, seed in ((2, 21), (10, 22)):
+        save_checkpoint(tmp_path / f"snapshot_{cycle}.ckpt",
+                        TrajectoryPredictor(cfg, Rng(seed)).state_dict(), cfg, cycle)
+    # the order a shell glob gives: snapshot_10 before snapshot_2
+    lexicographic = sorted(str(p) for p in tmp_path.glob("snapshot_*.ckpt"))
+    assert lexicographic[0].endswith("snapshot_10.ckpt")
+
+    def metrics(checkpoints, *flags):
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--data", str(data), "--checkpoints", *checkpoints,
+                     "--width", "16", "--heads", "2", "--modes", "2", *flags,
+                     "--out-json", str(out)]) == 0
+        return json.loads(out.read_text())["metrics"]
+
+    newest = metrics([str(tmp_path / "snapshot_10.ckpt")])
+    assert newest != metrics([str(tmp_path / "snapshot_2.ckpt")])
+    assert metrics(lexicographic, "--ensemble", "off") == newest
+    assert metrics(lexicographic, "--ensemble", "prediction_average",
+                   "--snapshots-used", "1") == newest
+
+
 def test_evaluate_digest_mismatch_exit_code(tmp_path):
     data = gen(tmp_path)
     run = train(tmp_path, data)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dyttp.backbone import ModelConfig, PredictionSet, TrajectoryPredictor
-from dyttp.data import GenConfig, generate_synthetic
+from dyttp.backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
+from dyttp.data import GenConfig, Scenario, generate_synthetic
 from dyttp.evaluation import (
     LatencyReport, MetricsReport, bench_latency,
     constant_velocity_predict, evaluate_model, format_ablation_table,
@@ -18,8 +18,9 @@ from dyttp.training import SchedulerConfig
 def make_pred(locations):
     locations = np.asarray(locations, dtype=np.float64)
     k = locations.shape[0]
-    return PredictionSet(Tensor(locations), Tensor(np.ones_like(locations)),
-                         Tensor(np.full(k, 1.0 / k)))
+    # row 0 of a one-agent batch, the shape evaluate_model scores
+    return BatchPrediction(Tensor(locations[None]), Tensor(np.ones_like(locations)[None]),
+                           Tensor(np.full((1, k), 1.0 / k)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +278,54 @@ def test_report_formatting():
                       iterations=100, warmup_iterations=10)
     ltext = format_latency_table(l)
     assert "ave" in ltext and "1.500" in ltext
+
+
+def test_constant_velocity_predict_all_agents_at_once():
+    t, f = 4, 3
+    hist = np.full((4, t, 2), 99.0)  # values at invalid steps must not be read
+    valid = np.zeros((4, t), dtype=bool)
+    hist[0] = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0]]   # every step valid
+    valid[0] = True
+    hist[1, [1, 3]] = [[0.0, 0.0], [1.0, 2.0]]                   # late entry, gap at step 2
+    valid[1, [1, 3]] = True
+    hist[2, 2] = [7.0, -3.0]                                     # exactly one valid step
+    valid[2, 2] = True
+    sc = Scenario(hist, valid, np.zeros((4, f, 2)), np.ones((4, f), dtype=bool), [], 0, "cv")
+
+    pred = constant_velocity_predict(sc)
+    want = np.array([
+        [[4.0, 2.0], [5.0, 3.0], [6.0, 4.0]],     # v = (10, 10) m/s from steps 2-3
+        [[1.5, 3.0], [2.0, 4.0], [2.5, 5.0]],     # v = (5, 10) m/s over two steps
+        [[7.0, -3.0], [7.0, -3.0], [7.0, -3.0]],  # zero velocity, starts at its step
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],     # never observed: zeros
+    ])[:, None]
+    assert pred.locations.shape == (4, 1, f, 2)
+    np.testing.assert_allclose(pred.locations.data, want, rtol=0, atol=1e-12)
+    assert np.array_equal(pred.scales.data, np.ones((4, 1, f, 2)))
+    assert np.array_equal(pred.mode_probs.data, np.ones((4, 1)))
+    assert len(pred) == 4 and pred[2].locations.shape == (1, f, 2)
+
+
+def test_run_ablation_trains_each_norm_once(monkeypatch):
+    import dyttp.training as training
+
+    calls = []
+
+    def counted(split, cfg, *args, **kwargs):
+        calls.append(cfg.norm_kind)
+        if cfg.norm_kind == "layernorm":
+            raise training.DivergenceError("non-finite loss at epoch 0", [])
+        return real(split, cfg, *args, **kwargs)
+
+    real = training.train
+    monkeypatch.setattr(training, "train", counted)
+    split = generate_synthetic(12, Rng(88))
+    cfg = ModelConfig(width=8, heads=2, modes=2, dropout=0.0)
+    cells = run_ablation(split, cfg, SchedulerConfig(cycle_length=1, num_cycles=2), seed=3,
+                         bench_iterations=100, bench_warmup=10, bench_scenarios=1)
+    assert sorted(calls) == ["dyt", "layernorm"]
+    # a diverging norm fails both of its cells with the same error
+    assert cells[0].error == cells[2].error == "non-finite loss at epoch 0"
+    assert cells[1].ok and cells[3].ok
+    assert cells[1].log_lines == cells[3].log_lines
+    assert cells[1].metrics != cells[3].metrics  # final snapshot alone vs both

@@ -105,7 +105,7 @@ def test_regression_nll_respects_mask():
     assert abs(nll_of_one(loc, np.full((1, f, 2), 0.5), gt, mask, 0)) < 1e-12
 
 
-def test_regression_nll_per_agent_and_other_modes_ignored():
+def test_regression_nll_each_agent_and_other_modes_ignored():
     # two agents in one call: each row is that agent's own mode, the other mode's
     # (large) residual never enters
     f = 3
@@ -328,6 +328,25 @@ def test_train_deterministic():
     assert a.log_lines() == b.log_lines()
     for k in a.snapshots[-1].params:
         assert np.array_equal(a.snapshots[-1].params[k], b.snapshots[-1].params[k])
+
+
+def test_batched_validation_equals_per_scene_evaluation():
+    from dyttp.data import DatasetSplit
+    from dyttp.evaluation import evaluate_model
+
+    pool = generate_synthetic(60, Rng(89)).all_scenarios()
+    ones = [s for s in pool if s.num_agents == 1]
+    sixes = [s for s in pool if s.num_agents == 6]
+    val = [s for pair in zip(ones[:5], sixes[:5]) for s in pair] + ones[5:7]
+    assert len(val) == 12 and {s.num_agents for s in val} == {1, 6}
+    train_scenes = [s for s in pool if 1 < s.num_agents < 6][:8]
+    result = train(DatasetSplit(train_scenes, val, seed=0), SMALL,
+                   SchedulerConfig(cycle_length=1, num_cycles=1), Rng(10), batch_size=5)
+    record = result.records[-1]
+    want = evaluate_model(result.model.predict, val)
+    for key, value in (("val_minADE", want.minade), ("val_minFDE", want.minfde),
+                       ("val_MR", want.mr)):
+        assert record[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 def test_train_divergence_aborts_cleanly(monkeypatch):
