@@ -208,7 +208,7 @@ class TrajectoryPredictor(Module):
 
     # ----- encoder stages -----
 
-    def stage_agent_agent(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+    def stage_agent_agent(self, tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         a = tokens.shape[-3]
         pos_t = np.transpose(batch.agent_histories, (1, 0, 2))  # [T, A, 2]
         vt = batch.agent_valid.T                                 # [T, A]
@@ -218,21 +218,20 @@ class TrajectoryPredictor(Module):
         mask |= np.eye(a, dtype=bool)[None]
         x = swap_axes(tokens, -3, -2)
         for block in self.social_blocks:
-            x = block(x, mask=mask, rng=rng, training=training)
+            x = block(x, mask=mask, rng=rng)
         return swap_axes(x, -3, -2)
 
-    def stage_temporal(self, tokens: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+    def stage_temporal(self, tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         t = tokens.shape[-2]
         causal = np.tril(np.ones((t, t), dtype=bool))
         keys_ok = batch.agent_valid[:, None, :] | np.eye(t, dtype=bool)[None]
         mask = causal[None] & keys_ok
         x = tokens
         for block in self.temporal_blocks:
-            x = block(x, mask=mask, rng=rng, training=training)
+            x = block(x, mask=mask, rng=rng)
         return x
 
-    def stage_agent_lane(self, summary: Tensor, lane_tokens: Tensor, batch: SceneBatch,
-                         rng=None, training=False) -> Tensor:
+    def stage_agent_lane(self, summary: Tensor, lane_tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         if batch.seg_valid.shape[1] == 0:
             return summary
         rel = batch.seg_mids[batch.scene_of] - batch.origins[:, None, :]      # [A, S_max, 2]
@@ -248,30 +247,30 @@ class TrajectoryPredictor(Module):
         keys = T.add(lanes, self.rel_proj(self._input(rel)))
         x = T.reshape(summary, summary.shape[:-1] + (1, -1))
         for block in self.lane_blocks:
-            x = block(x, kv=keys, mask=mask, rng=rng, training=training)
+            x = block(x, kv=keys, mask=mask, rng=rng)
         updated = T.reshape(x, summary.shape)
         ind = has_key.astype(np.float64)[:, None]
         return T.add(T.mul(updated, ind), T.mul(summary, 1.0 - ind))
 
-    def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None, training=False) -> Tensor:
+    def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         mask = None if batch.size == 1 else batch.same_scene[None]
         x = T.reshape(summary, summary.shape[:-2] + (1,) + summary.shape[-2:])
         for block in self.global_blocks:
-            x = block(x, mask=mask, rng=rng, training=training)
+            x = block(x, mask=mask, rng=rng)
         return T.reshape(x, summary.shape)
 
-    def encode(self, scenes, rng=None, training=False) -> EncodedBatch:
+    def encode(self, scenes, rng=None) -> EncodedBatch:
         tokens, lane_tokens, batch = self.embed_inputs(scenes)
-        x = self.stage_agent_agent(tokens, batch, rng, training)
-        x = self.stage_temporal(x, batch, rng, training)
+        x = self.stage_agent_agent(tokens, batch, rng)
+        x = self.stage_temporal(x, batch, rng)
         summary = T.getitem(x, (Ellipsis, x.shape[-2] - 1, slice(None)))    # last-step token
-        summary = self.stage_agent_lane(summary, lane_tokens, batch, rng, training)
-        summary = self.stage_global(summary, batch, rng, training)
+        summary = self.stage_agent_lane(summary, lane_tokens, batch, rng)
+        summary = self.stage_global(summary, batch, rng)
         return EncodedBatch(embeddings=summary, origins=batch.origins)
 
     # ----- decoder -----
 
-    def decode(self, enc: EncodedBatch, rng=None, training=False) -> BatchPrediction:
+    def decode(self, enc: EncodedBatch) -> BatchPrediction:
         k, f = self.cfg.modes, self.cfg.pred_steps
         lead = enc.embeddings.shape[:-1]    # [..., A]
         h = gelu(self.head_hidden(enc.embeddings))
@@ -283,9 +282,12 @@ class TrajectoryPredictor(Module):
         probs = T.softmax(T.getitem(raw, (Ellipsis, 4 * f)), axis=-1)
         return BatchPrediction(locations=locations, scales=scales, mode_probs=probs)
 
-    def forward(self, scenes, rng=None, training=False) -> BatchPrediction:
-        """Predictions for every agent of a list of scenarios, run as one batch."""
-        return self.decode(self.encode(scenes, rng, training), rng, training)
+    def forward(self, scenes, rng=None) -> BatchPrediction:
+        """Predictions for every agent of a list of scenarios, run as one batch.
+
+        Dropout runs exactly when an rng is given, drawing its masks from it.
+        """
+        return self.decode(self.encode(scenes, rng))
 
     def predict(self, s: Scenario) -> BatchPrediction:
         """One scenario, a batch of one, without gradient tracking."""

@@ -25,6 +25,10 @@ from .tensor import Rng
 DT = 0.1
 OBS_STEPS = 20
 PRED_STEPS = 30
+SPEED_RANGE = (2.0, 15.0)    # m/s
+RADIUS_RANGE = (15.0, 40.0)  # arc radius, m
+LANE_POINT_SPACING = 5.0     # m between centerline points
+TRAIN_FRACTION = 0.8
 
 _MAGIC = b"DYTS"
 _FORMAT_VERSION = 1
@@ -156,16 +160,13 @@ _MANEUVERS = ("straight", "arc_left", "arc_right", "lane_change")
 
 @dataclass
 class GenConfig:
-    noise_sigma: float = 0.1
-    obs_steps: int = OBS_STEPS
-    pred_steps: int = PRED_STEPS
-    dt: float = DT
-    speed_range: tuple = (2.0, 15.0)
-    radius_range: tuple = (15.0, 40.0)
+    noise_sigma: float = 0.1  # std of the Gaussian noise on observed positions, m
     maneuver_mix: tuple = (0.40, 0.25, 0.25, 0.10)  # straight, left, right, lane change
     max_agents: int = 6
-    lane_point_spacing: float = 5.0
-    train_fraction: float = 0.8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _pick_maneuver(u: float, mix) -> str:
@@ -177,23 +178,22 @@ def _pick_maneuver(u: float, mix) -> str:
     return _MANEUVERS[-1]
 
 
-def _agent_track(rng: Rng, cfg: GenConfig, p0, heading, maneuver):
-    t = cfg.obs_steps
-    f = cfg.pred_steps
+def _agent_track(rng: Rng, p0, heading, maneuver):
+    """(history [OBS_STEPS, 2], future [PRED_STEPS, 2]) of one agent."""
     # time 0 is the last observed step
-    times = (np.arange(-(t - 1), f + 1)) * cfg.dt
-    speed = rng.uniform((), *cfg.speed_range)
+    times = (np.arange(-(OBS_STEPS - 1), PRED_STEPS + 1)) * DT
+    speed = rng.uniform((), *SPEED_RANGE)
     if maneuver == "straight":
         path = straight_path(p0, heading, speed, times)
     elif maneuver in ("arc_left", "arc_right"):
-        radius = rng.uniform((), *cfg.radius_range)
+        radius = rng.uniform((), *RADIUS_RANGE)
         sign = 1.0 if maneuver == "arc_left" else -1.0
         path = arc_path(p0, heading, speed, radius, sign, times)
     else:
         offset = 3.5 if rng.uniform(()) < 0.5 else -3.5
         duration = rng.uniform((), 2.0, 3.0)
         path = lane_change_path(p0, heading, speed, offset, duration, times)
-    return path[:t], path[t:], speed
+    return path[:OBS_STEPS], path[OBS_STEPS:]
 
 
 def _centerline(path: np.ndarray, spacing: float) -> np.ndarray:
@@ -207,7 +207,7 @@ def _centerline(path: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def generate_scenario(index: int, rng: Rng, cfg: GenConfig) -> Scenario:
-    t, f = cfg.obs_steps, cfg.pred_steps
+    t, f = OBS_STEPS, PRED_STEPS
     n_agents = 1 + rng.integers(cfg.max_agents)
     focal_maneuver = _pick_maneuver(rng.uniform(()), cfg.maneuver_mix)
 
@@ -225,9 +225,9 @@ def generate_scenario(index: int, rng: Rng, cfg: GenConfig) -> Scenario:
             p0 = base + rng.uniform((2,), -30.0, 30.0)
             heading = rng.uniform((), 0.0, 2.0 * np.pi)
             maneuver = _pick_maneuver(rng.uniform(()), cfg.maneuver_mix)
-        hist, fut, _ = _agent_track(rng, cfg, p0, heading, maneuver)
+        hist, fut = _agent_track(rng, p0, heading, maneuver)
         histories[i], futures[i] = hist, fut
-        lanes.append(_centerline(np.concatenate([hist, fut]), cfg.lane_point_spacing))
+        lanes.append(_centerline(np.concatenate([hist, fut]), LANE_POINT_SPACING))
         if i > 0 and rng.uniform(()) < 0.3:
             # late-entry neighbor: first steps unobserved, at least 2 remain valid
             missing = 1 + rng.integers(t - 2)
@@ -245,11 +245,11 @@ def generate_scenario(index: int, rng: Rng, cfg: GenConfig) -> Scenario:
     return sc
 
 
-def split_of(scenario_id: str, seed: int, train_fraction: float = 0.8) -> str:
+def split_of(scenario_id: str, seed: int) -> str:
     """Train/val assignment as a pure function of (scenario_id, seed)."""
     digest = hashlib.sha256(f"{scenario_id}|{seed}".encode()).digest()
     u = int.from_bytes(digest[:8], "big") / 2.0**64
-    return "train" if u < train_fraction else "val"
+    return "train" if u < TRAIN_FRACTION else "val"
 
 
 def generate_synthetic(count: int, rng: Rng, cfg: GenConfig | None = None) -> DatasetSplit:
@@ -260,7 +260,7 @@ def generate_synthetic(count: int, rng: Rng, cfg: GenConfig | None = None) -> Da
     train, val = [], []
     for i in range(count):
         sc = generate_scenario(i, rng.child(i), cfg)
-        (train if split_of(sc.scenario_id, seed, cfg.train_fraction) == "train" else val).append(sc)
+        (train if split_of(sc.scenario_id, seed) == "train" else val).append(sc)
     return DatasetSplit(train=train, val=val, seed=seed)
 
 

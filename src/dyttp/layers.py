@@ -3,7 +3,7 @@
 DynamicTanh and LayerNorm are interchangeable behind make_norm(); every
 other layer is norm-agnostic. Blocks are pre-norm residual: the input is
 normalized before attention and before the feed-forward, and added back.
-Dropout draws from an explicit Rng and is a no-op unless training=True.
+Dropout draws from an explicit Rng and runs only when one is passed.
 
 Every layer indexes shapes from the right, so activations may carry leading
 axes. A layer whose parameters are stacked snapshots ([S, *P], see
@@ -166,11 +166,10 @@ class Dropout:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
 
-    def __call__(self, x: Tensor, rng: Rng | None, training: bool) -> Tensor:
-        if not training or self.p == 0.0:
+    def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
+        """x with inverted dropout applied, drawn from rng; x itself when rng is None."""
+        if rng is None or self.p == 0.0:
             return x
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
         keep = (rng.uniform(x.shape) >= self.p) / (1.0 - self.p)
         return T.mul(x, keep)
 
@@ -197,7 +196,7 @@ class MultiHeadAttention(Module):
         self.drop = Dropout(dropout)
 
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
-                 rng: Rng | None = None, training: bool = False) -> Tensor:
+                 rng: Rng | None = None) -> Tensor:
         kv_in = q_in if kv_in is None else kv_in
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
@@ -215,7 +214,7 @@ class MultiHeadAttention(Module):
         if mask is not None:
             scores = T.mask_fill(scores, mask[..., None, :, :], _MASK_FILL)
         weights = T.softmax(scores, axis=-1)
-        weights = self.drop(weights, rng, training)
+        weights = self.drop(weights, rng)
         ctx = swap_axes(T.matmul(weights, v), -3, -2)
         return self.wo(T.reshape(ctx, ctx.shape[:-2] + (q_in.shape[-1],)))
 
@@ -227,8 +226,8 @@ class FeedForward(Module):
         self.lin2 = Linear(hidden, width, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, x: Tensor, rng: Rng | None = None, training: bool = False) -> Tensor:
-        return self.lin2(self.drop(gelu(self.lin1(x)), rng, training))
+    def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
+        return self.lin2(self.drop(gelu(self.lin1(x)), rng))
 
 
 def grad_check_params(model: Module, loss_fn, names=None, h: float = 1e-5):
@@ -274,9 +273,9 @@ class TransformerBlock(Module):
         self.drop = Dropout(cfg.dropout)
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, mask=None,
-                 rng: Rng | None = None, training: bool = False) -> Tensor:
+                 rng: Rng | None = None) -> Tensor:
         h = self.norm_attn(x)
         memory = self.norm_kv(kv) if kv is not None else h
-        x = T.add(x, self.drop(self.attn(h, memory, mask, rng, training), rng, training))
-        x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng, training), rng, training))
+        x = T.add(x, self.drop(self.attn(h, memory, mask, rng), rng))
+        x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng), rng))
         return x

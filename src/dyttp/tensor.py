@@ -53,45 +53,8 @@ class Tensor:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the module-level functions are the actual ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +105,23 @@ class Tape:
         self._records.append((out, backward_fn))
         self._recorded += 1
 
-    def backward(self, loss: Tensor):
-        if loss.data.size != 1:
-            raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
-        if self._used:
-            raise RuntimeError("tape already consumed by a previous backward()")
-        self._used = True
-        if loss.grad is None:
-            loss.grad = np.ones_like(loss.data)
-        # records are dropped as they are replayed, so each intermediate and
-        # its gradient are freed once nothing upstream needs them
-        records = self._records
-        while records:
-            out, fn = records.pop()
-            if out.grad is not None:
-                fn(out.grad)
-
 
 def backward(loss: Tensor, tape: Tape):
     """Populate .grad on every requires_grad tensor reachable from loss."""
-    tape.backward(loss)
+    if loss.data.size != 1:
+        raise ValueError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
+    if tape._used:
+        raise RuntimeError("tape already consumed by a previous backward()")
+    tape._used = True
+    if loss.grad is None:
+        loss.grad = np.ones_like(loss.data)
+    # records are dropped as they are replayed, so each intermediate and
+    # its gradient are freed once nothing upstream needs them
+    records = tape._records
+    while records:
+        out, fn = records.pop()
+        if out.grad is not None:
+            fn(out.grad)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -437,7 +397,7 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
         y = f(probe)
     if y.data.size != 1:
         raise ValueError("grad_check needs a scalar-valued function")
-    tape.backward(y)
+    backward(y, tape)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
     analytic = analytic.reshape(-1)
 

@@ -114,13 +114,14 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
                rng: Rng | None = None, training: bool = True) -> LossBreakdown:
     """Regression + lam * classification, averaged over eligible agents.
 
-    The scenarios run through one batched forward pass.
+    The scenarios run through one batched forward pass, with dropout drawn
+    from rng when training is true and no dropout otherwise.
     """
     scenarios = list(scenarios)
     eligible = np.concatenate([eligible_agents(s) for s in scenarios]) if scenarios else []
     if not np.any(eligible):
         raise ValueError("batch contains no agents eligible for the loss")
-    pred = model.forward(scenarios, rng=rng, training=training)
+    pred = model.forward(scenarios, rng if training else None)
     gt = np.concatenate([s.agent_futures for s in scenarios])
     valid = np.concatenate([s.future_valid for s in scenarios]) & eligible[:, None]
     modes = np.zeros(len(eligible), dtype=np.int64)
@@ -135,9 +136,12 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
 class AdamW:
     """Adaptive moments with decoupled weight decay; moments keyed by name."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
-        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, weight_decay: float = 1e-4):
+        self.weight_decay = weight_decay
         self.m = {}
         self.v = {}
         self.t = 0
@@ -150,8 +154,8 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if np.isnan(g).any():
-                raise ValueError(f"NaN gradient for parameter {name}")
+            if not np.isfinite(g).all():
+                raise ValueError(f"non-finite gradient for parameter {name}")
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)

@@ -288,3 +288,19 @@ def test_batch_prediction_rows_are_views_of_the_batch():
     assert pred[3].locations.data[0, 0, 0] == 1234.5
     with pytest.raises(IndexError):
         pred[a]
+
+
+def test_rng_alone_switches_dropout_on():
+    scenes = mixed_batch()
+    fields = ("locations", "scales", "mode_probs")
+    for dropout in (0.2, 0.0):
+        cfg = ModelConfig(width=8, heads=2, modes=2, obs_steps=4, pred_steps=3, dropout=dropout)
+        model = TrajectoryPredictor(cfg, Rng(27))
+        plain = model.forward(scenes)
+        a = model.forward(scenes, rng=Rng(3))
+        b = model.forward(scenes, rng=Rng(3))
+        for name in fields:
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data), (dropout, name)
+        dropped = [not np.array_equal(getattr(a, name).data, getattr(plain, name).data)
+                   for name in fields]
+        assert all(dropped) if dropout else not any(dropped), dropout

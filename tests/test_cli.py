@@ -57,6 +57,15 @@ def test_gen_data_unwritable_path(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_gen_data_bad_noise_sigma_usage_error(tmp_path, capsys, sigma):
+    out = tmp_path / "x.bin"
+    assert main(["gen-data", "--count", "5", "--seed", "1", "--out", str(out),
+                 "--noise-sigma", sigma]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_snapshots_log_and_config(tmp_path):
     data = gen(tmp_path)
     run = train(tmp_path, data)
@@ -221,18 +230,28 @@ def format_files(tmp_path_factory):
 @given(data=st.data())
 def test_malformed_bytes_raise_only_format_error(format_files, kind, data):
     raw, load, probe, arrays = format_files[kind]
-    if data.draw(st.booleans(), label="truncate"):
+    damage = data.draw(st.sampled_from(["truncate", "flip", "non-finite"]), label="damage")
+    if damage == "truncate":
         probe.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
         with pytest.raises(FormatError):
             load(probe)
         return
-    # draw some flips from the first 256 bytes, where the headers, names and
-    # shapes are, and the rest from anywhere in the file
-    bit = data.draw(st.one_of(st.integers(0, 256 * 8 - 1), st.integers(0, len(raw) * 8 - 1)),
-                    label="bit")
-    flipped = bytearray(raw)
-    flipped[bit // 8] ^= 1 << (bit % 8)
-    probe.write_bytes(bytes(flipped))
+    damaged = bytearray(raw)
+    if damage == "flip":
+        # draw some flips from the first 256 bytes, where the headers, names
+        # and shapes are, and the rest from anywhere in the file
+        bit = data.draw(st.one_of(st.integers(0, 256 * 8 - 1), st.integers(0, len(raw) * 8 - 1)),
+                        label="bit")
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    else:
+        # one float32 word overwritten with NaN or +inf. A single bit flip
+        # seldom makes a finite coordinate non-finite, so this is what shows
+        # a missing finite check. Any offset: the container's arrays start
+        # after variable-length ids, so they are not 4-aligned in the file.
+        pos = data.draw(st.integers(0, len(raw) - 4), label="offset")
+        damaged[pos:pos + 4] = data.draw(st.sampled_from([np.float32(np.nan), np.float32(np.inf)]),
+                                         label="value").astype("<f4").tobytes()
+    probe.write_bytes(bytes(damaged))
     try:
         loaded = load(probe)
     except FormatError:

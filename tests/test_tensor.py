@@ -236,7 +236,7 @@ def test_gradient_accumulation_split_batch():
     backward(whole, tape)
     whole_grad = w.grad.copy()
 
-    w.zero_grad()
+    w.grad = None
     with Tape() as tape:
         backward(loss_of(xa), tape)
     with Tape() as tape:

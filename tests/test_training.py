@@ -283,6 +283,16 @@ def test_adamw_nan_grad_names_parameter():
         opt.step([("head.weight", p)], lr=0.1)
 
 
+def test_adamw_inf_grad_names_parameter():
+    # an inf gradient would turn the parameter into NaN through m / sqrt(v)
+    opt = AdamW()
+    p = Tensor(np.ones(2), requires_grad=True)
+    p.grad = np.array([np.inf, 0.0])
+    with pytest.raises(ValueError, match="non-finite gradient for parameter head.bias"):
+        opt.step([("head.bias", p)], lr=0.1)
+    assert np.array_equal(p.data, np.ones(2))
+
+
 def test_adamw_deterministic():
     def run():
         opt = AdamW()
