@@ -183,8 +183,7 @@ def _emit_json(doc: dict, out_json):
     """Write doc to out_json, or print it when no path is given."""
     payload = _dump_json(doc)
     if out_json:
-        with open(out_json, "w") as fh:
-            fh.write(payload)
+        write_atomic(out_json, payload.encode())
     else:
         print(payload, end="")
 
@@ -224,9 +223,9 @@ def cmd_train(args) -> int:
             print("nothing to resume: all cycles complete")
             return 0
 
-    with open(os.path.join(args.out, "config.json"), "w") as fh:
-        fh.write(_dump_json(_archived_config(model_cfg, sched_cfg, extras,
-                                             args.data, args.out)))
+    write_atomic(os.path.join(args.out, "config.json"),
+                 _dump_json(_archived_config(model_cfg, sched_cfg, extras,
+                                             args.data, args.out)).encode())
 
     log_path = os.path.join(args.out, "training_log.jsonl")
     log_fh = open(log_path, "a" if start_cycle else "w")
@@ -334,13 +333,11 @@ def cmd_ablate(args) -> int:
     doc = ablation_to_dict(cells, extras["seed"], model_cfg)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "ablation.json"), "w") as fh:
-            fh.write(_dump_json(doc))
-        with open(os.path.join(args.out_dir, "ablation.txt"), "w") as fh:
-            fh.write(table + "\n")
+        write_atomic(os.path.join(args.out_dir, "ablation.json"), _dump_json(doc).encode())
+        write_atomic(os.path.join(args.out_dir, "ablation.txt"), (table + "\n").encode())
         for i, cell in enumerate(cells):
-            with open(os.path.join(args.out_dir, f"cell_{i}_train_log.jsonl"), "w") as fh:
-                fh.write("\n".join(cell.log_lines) + ("\n" if cell.log_lines else ""))
+            write_atomic(os.path.join(args.out_dir, f"cell_{i}_train_log.jsonl"),
+                         "".join(line + "\n" for line in cell.log_lines).encode())
     else:
         print(_dump_json(doc), end="")
     return 0 if any(c.ok for c in cells) else 1

@@ -167,6 +167,13 @@ class GenConfig:
     def __post_init__(self):
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.max_agents < 1:
+            raise ValueError(f"max_agents must be >= 1, got {self.max_agents}")
+        mix = np.asarray(self.maneuver_mix, dtype=np.float64)
+        if (mix.shape != (len(_MANEUVERS),) or not np.isfinite(mix).all()
+                or (mix < 0.0).any() or abs(mix.sum() - 1.0) > 1e-9):
+            raise ValueError("maneuver_mix must be four finite weights >= 0 that sum to 1, "
+                             f"got {self.maneuver_mix}")
 
 
 def _pick_maneuver(u: float, mix) -> str:

@@ -63,66 +63,31 @@ class AblationCell:
         return self.error is None
 
 
-def min_ade(pred: BatchPrediction, gt, valid_mask) -> float | None:
-    """Min over modes of the mean Euclidean error at valid future steps.
+def score_focal(locations, scenarios) -> MetricsReport:
+    """minADE / minFDE / MR over focal agents; locations [N, K, F, 2] holds the
+    focal agent of scenarios[i] at row i.
 
-    Returns None when no future step is valid (the agent is excluded, not
-    scored as zero).
+    A scene with no valid future step is left out of minADE, and one whose
+    final step is invalid is left out of minFDE and MR. An endpoint error of
+    exactly 2.0 m is a hit.
     """
-    valid = np.asarray(valid_mask, dtype=bool)
-    if not valid.any():
-        return None
-    loc = pred.locations.data
-    gt = np.asarray(gt, dtype=np.float64)
-    dist = np.linalg.norm(loc[:, valid] - gt[valid], axis=-1)
-    return float(dist.mean(axis=1).min())
-
-
-def min_fde(pred: BatchPrediction, gt, valid_mask) -> float | None:
-    """Min over modes of the final-step error; None if the final step is invalid."""
-    valid = np.asarray(valid_mask, dtype=bool)
-    if not valid[-1]:
-        return None
-    loc = pred.locations.data
-    gt = np.asarray(gt, dtype=np.float64)
-    return float(np.linalg.norm(loc[:, -1] - gt[-1], axis=-1).min())
-
-
-def miss_rate(preds, gts, valid_masks=None) -> float:
-    """Fraction of agents whose best endpoint deviates by more than 2.0 m.
-
-    Ties at exactly 2.0 m count as hits (strict inequality). Agents with an
-    invalid final step are excluded from the denominator.
-    """
-    if valid_masks is None:
-        valid_masks = [np.ones(np.asarray(g).shape[0], dtype=bool) for g in gts]
-    misses, total = 0, 0
-    for pred, gt, valid in zip(preds, gts, valid_masks):
-        err = min_fde(pred, gt, valid)
-        if err is None:
-            continue
-        total += 1
-        if err > MISS_THRESHOLD_M:
-            misses += 1
-    if total == 0:
-        raise ValueError("miss_rate over an empty set of evaluated agents")
-    return misses / total
-
-
-def score_focal(rows, scenarios) -> MetricsReport:
-    """minADE / minFDE / MR over focal agents; rows[i] is the focal row of scenarios[i]."""
     if not scenarios:
         raise ValueError("no scenarios to evaluate")
-    gts = [s.agent_futures[s.focal_agent] for s in scenarios]
-    valids = [s.future_valid[s.focal_agent] for s in scenarios]
-    ades = [a for a in map(min_ade, rows, gts, valids) if a is not None]
-    fdes = [f for f in map(min_fde, rows, gts, valids) if f is not None]
-    return MetricsReport(
-        minade=float(np.mean(ades)) if ades else float("nan"),
-        minfde=float(np.mean(fdes)) if fdes else float("nan"),
-        mr=miss_rate(rows, gts, valids),
-        count=len(scenarios),
-    )
+    gt = np.stack([s.agent_futures[s.focal_agent] for s in scenarios])     # [N, F, 2]
+    valid = np.stack([s.future_valid[s.focal_agent] for s in scenarios])   # [N, F]
+    ends = valid[:, -1]
+    if not ends.any():
+        raise ValueError("no scenario has a valid final step to score")
+    dist = np.linalg.norm(locations - gt[:, None], axis=-1)                 # [N, K, F]
+    steps = valid.sum(axis=1)
+    scored = steps > 0
+    # cumsum adds the steps one by one, in order; sum would add them pairwise
+    # and differ from a step-by-step total in the last ulp
+    per_step = np.where(valid[:, None], dist, 0.0)[scored]
+    ade = per_step.cumsum(axis=2)[..., -1] / steps[scored, None]
+    fde = dist[ends, :, -1].min(axis=1)
+    return MetricsReport(minade=float(ade.min(axis=1).mean()), minfde=float(fde.mean()),
+                         mr=float((fde > MISS_THRESHOLD_M).mean()), count=len(scenarios))
 
 
 def evaluate_model(predict_fn, scenarios) -> MetricsReport:
@@ -132,7 +97,8 @@ def evaluate_model(predict_fn, scenarios) -> MetricsReport:
     the BatchPrediction of `TrajectoryPredictor.predict`; it runs once per
     scenario, in order.
     """
-    return score_focal([predict_fn(s)[s.focal_agent] for s in scenarios], scenarios)
+    return score_focal(np.array([predict_fn(s)[s.focal_agent].locations.data
+                                 for s in scenarios]), scenarios)
 
 
 def constant_velocity_predict(s: Scenario) -> BatchPrediction:

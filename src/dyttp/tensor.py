@@ -19,11 +19,17 @@ import threading
 import numpy as np
 
 __all__ = [
-    "Tensor", "Tape", "Rng", "backward", "grad_check",
+    "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
     "add", "sub", "mul", "div", "neg", "tanh", "log", "abs_", "softplus",
     "sqrt", "clamp_min", "mask_fill", "matmul", "transpose", "reshape",
     "getitem", "sum_", "mean", "softmax",
 ]
+
+
+class NumericalError(ValueError):
+    """A value outside the domain of an op or update: a zero divisor, a
+    non-positive log or sqrt argument, a non-finite softmax input or gradient.
+    Training reports it as a divergence; other ValueErrors are not."""
 
 
 class Tensor:
@@ -201,7 +207,7 @@ def mul(a, b):
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if np.any(b.data == 0.0):
-        raise ValueError("division by zero")
+        raise NumericalError("division by zero")
     ad, bd = a.data, b.data
     return _binary(a, b, ad / bd, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
@@ -220,7 +226,7 @@ def tanh(a):
 def log(a):
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
-        raise ValueError("log of non-positive value")
+        raise NumericalError("log of non-positive value")
     return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
@@ -246,7 +252,7 @@ def softplus(a):
 def sqrt(a):
     a = _as_tensor(a)
     if np.any(a.data < 0.0):
-        raise ValueError("sqrt of negative value")
+        raise NumericalError("sqrt of negative value")
     out_data = np.sqrt(a.data)
     return _unary(a, out_data, lambda g: g * 0.5 / out_data)
 
@@ -369,7 +375,7 @@ def softmax(a, axis: int = -1):
     """Numerically stable softmax along an axis (max-subtraction)."""
     a = _as_tensor(a)
     if not np.all(np.isfinite(a.data)):
-        raise ValueError("softmax requires finite inputs")
+        raise NumericalError("softmax requires finite inputs")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
@@ -463,6 +469,8 @@ class Rng:
         return out.reshape(shape) if shape else float(out[0])
 
     def integers(self, below: int, shape=()) -> np.ndarray:
+        if below < 1:
+            raise ValueError(f"integers needs below >= 1, got {below}")
         # modulo bias is negligible for below << 2**64
         n = int(np.prod(shape)) if shape else 1
         vals = (self.u64(n) % np.uint64(below)).astype(np.int64)

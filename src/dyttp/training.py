@@ -87,7 +87,7 @@ def regression_nll(locations: Tensor, scales: Tensor, gt, valid_mask, modes) -> 
     enter as a 0/1 weight, so the other modes get exactly zero gradient.
     """
     if np.any(scales.data <= 0.0):
-        raise ValueError("regression NLL needs strictly positive scales")
+        raise T.NumericalError("regression NLL needs strictly positive scales")
     gt = np.asarray(gt, dtype=np.float64)
     valid = np.asarray(valid_mask, dtype=np.float64)
     weight = _one_hot(modes, locations.shape[1])[:, :, None, None] * valid[:, None, :, None]
@@ -155,7 +155,7 @@ class AdamW:
             if g is None:
                 continue
             if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for parameter {name}")
+                raise T.NumericalError(f"non-finite gradient for parameter {name}")
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)
@@ -200,12 +200,12 @@ def _chunks(seq, size):
 
 def _validate(model: TrajectoryPredictor, scenarios, batch_size: int):
     """Focal-agent metrics of `scenarios`, run through the model in batches of batch_size."""
-    rows = []
+    locations = []
     for chunk in _chunks(scenarios, batch_size):
-        pred = model.forward(chunk)
         offsets = np.cumsum([0] + [s.num_agents for s in chunk[:-1]])
-        rows += [pred[o + s.focal_agent] for o, s in zip(offsets, chunk)]
-    return score_focal(rows, scenarios)
+        focal = offsets + [s.focal_agent for s in chunk]
+        locations.append(model.forward(chunk).locations.data[focal])
+    return score_focal(np.concatenate(locations), scenarios)
 
 
 def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfig,
@@ -214,8 +214,9 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
     """Run num_cycles x cycle_length epochs, snapshotting at each cycle end.
 
     Emits one machine-readable record per epoch (epoch, cycle, lr, train
-    loss, validation minADE/minFDE/MR). On a non-finite loss the run aborts
-    with the completed snapshots retained on the raised DivergenceError.
+    loss, validation minADE/minFDE/MR). On a non-finite loss or a
+    NumericalError inside a step the run aborts with the completed snapshots
+    retained on the raised DivergenceError; any other error propagates as is.
     """
     train_scenarios = [s for s in split.train if eligible_agents(s).any()]
     if not train_scenarios:
@@ -250,7 +251,7 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
                     T.backward(breakdown.total, tape)
                     opt.step(model.named_params(), lr)
                     model.zero_grad()
-                except ValueError as err:
+                except T.NumericalError as err:
                     raise DivergenceError(
                         f"numerical blow-up at epoch {epoch_global} ({err}); "
                         f"last good snapshot: {last_good()}", snapshots) from err

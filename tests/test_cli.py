@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -173,6 +174,26 @@ def test_failed_save_leaves_earlier_checkpoint_intact(tmp_path):
         write_atomic(path, "not bytes")
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_failed_out_json_leaves_earlier_file_intact(tmp_path, monkeypatch):
+    data = gen(tmp_path, count=6)
+    out = tmp_path / "out"
+    out.mkdir()
+    j = out / "latency.json"
+    args = ["bench", "--data", str(data), "--width", "16", "--heads", "2", "--modes", "2",
+            "--iterations", "100", "--warmup", "10", "--scenarios", "2", "--out-json", str(j)]
+    assert main(args) == 0
+    good = j.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        main(args)
+    assert j.read_bytes() == good
+    assert [p.name for p in out.iterdir()] == ["latency.json"]
 
 
 def test_non_finite_values_raise_format_error_and_exit_2(tmp_path):

@@ -158,3 +158,21 @@ def test_scenario_translate_and_permute():
         perm = sc.permuted(order)
         assert perm.focal_agent == sc.num_agents - 1
         assert np.array_equal(perm.agent_histories[-1], sc.agent_histories[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Rng(1).integers(0),
+    lambda: Rng(1).integers(-3),
+    lambda: GenConfig(max_agents=0),
+    lambda: GenConfig(max_agents=-2),
+    lambda: GenConfig(maneuver_mix=(-1, 0, 0, 0)),
+    lambda: GenConfig(maneuver_mix=(-1.0, 1.0, 0.0, 1.0)),
+    lambda: GenConfig(maneuver_mix=(0.5, 0.5, 0.5, 0.0)),
+    lambda: GenConfig(maneuver_mix=(float("nan"), 0.5, 0.5, 0.0)),
+    lambda: GenConfig(maneuver_mix=(float("inf"), 0.0, 0.0, 0.0)),
+    lambda: GenConfig(maneuver_mix=(0.5, 0.5, 0.0)),
+], ids=["integers-0", "integers-neg", "max-agents-0", "max-agents-neg", "mix-neg-sum",
+        "mix-neg", "mix-sum", "mix-nan", "mix-inf", "mix-three"])
+def test_invalid_draw_bounds_and_gen_config_raise(make):
+    with pytest.raises(ValueError):
+        make()

@@ -8,8 +8,7 @@ from dyttp.data import GenConfig, Scenario, generate_synthetic
 from dyttp.evaluation import (
     LatencyReport, MetricsReport, bench_latency,
     constant_velocity_predict, evaluate_model, format_ablation_table,
-    format_latency_table, format_metrics_table, min_ade, min_fde, miss_rate,
-    run_ablation,
+    format_latency_table, format_metrics_table, run_ablation, score_focal,
 )
 from dyttp.tensor import Rng, Tensor
 from dyttp.training import SchedulerConfig
@@ -21,6 +20,29 @@ def make_pred(locations):
     # row 0 of a one-agent batch, the shape evaluate_model scores
     return BatchPrediction(Tensor(locations[None]), Tensor(np.ones_like(locations)[None]),
                            Tensor(np.full((1, k), 1.0 / k)))[0]
+
+
+def focal_scene(gt, valid=None):
+    """A one-agent scene whose focal future is gt [F, 2] with validity valid [F]."""
+    gt = np.asarray(gt, dtype=np.float64)
+    valid = np.ones(gt.shape[0], dtype=bool) if valid is None else valid
+    return Scenario(np.zeros((1, 2, 2)), np.ones((1, 2), dtype=bool), gt[None],
+                    np.asarray(valid, dtype=bool)[None], [], 0, "focal")
+
+
+def score(locations, gt, valid=None) -> MetricsReport:
+    """score_focal on one scene: locations [K, F, 2], gt [F, 2], valid [F]."""
+    return score_focal(np.asarray(locations)[None], [focal_scene(gt, valid)])
+
+
+def score_with_pad(locations, gt, valid):
+    """(2 * minADE, 2 * minFDE, MR) of one instance scored beside a pad scene
+    that every mode predicts exactly, so the pad adds 0 to each sum and the
+    doubled means are the instance's own errors, exactly. An instance whose
+    final step is invalid leaves minFDE and MR to the pad: 0 and 0."""
+    pad = np.broadcast_to(gt, locations.shape)
+    report = score_focal(np.stack([locations, pad]), [focal_scene(gt, valid), focal_scene(gt)])
+    return 2 * report.minade, 2 * report.minfde, report.mr
 
 
 # ---------------------------------------------------------------------------
@@ -70,68 +92,78 @@ def oracle_mr(all_locations, all_gts, all_valids):
     return misses / total
 
 
+def test_package_names_resolve():
+    import dyttp
+
+    for name in dyttp.__all__:
+        assert getattr(dyttp, name) is not None, name
+
+
 def test_min_ade_examples():
     f = 4
     gt = np.arange(f * 2, dtype=np.float64).reshape(f, 2)
-    exact = make_pred(np.stack([gt, gt + 10.0]))
-    assert min_ade(exact, gt, np.ones(f, dtype=bool)) == 0.0
+    assert score(np.stack([gt, gt + 10.0]), gt).minade == 0.0
 
-    offset = make_pred((gt + np.array([3.0, 4.0]))[None])
-    assert min_ade(offset, gt, np.ones(f, dtype=bool)) == pytest.approx(5.0, abs=1e-12)
+    offset = (gt + np.array([3.0, 4.0]))[None]
+    assert score(offset, gt).minade == pytest.approx(5.0, abs=1e-12)
 
-    two = make_pred(np.stack([gt + np.array([2.0, 0.0]), gt + np.array([0.8, 0.0])]))
-    assert min_ade(two, gt, np.ones(f, dtype=bool)) == pytest.approx(0.8, abs=1e-12)
+    two = np.stack([gt + np.array([2.0, 0.0]), gt + np.array([0.8, 0.0])])
+    assert score(two, gt).minade == pytest.approx(0.8, abs=1e-12)
 
 
 def test_min_fde_examples():
     f = 4
     gt = np.zeros((f, 2))
-    exact = make_pred(np.zeros((1, f, 2)))
-    assert min_fde(exact, gt, np.ones(f, dtype=bool)) == 0.0
+    assert score(np.zeros((1, f, 2)), gt).minfde == 0.0
 
     loc = np.zeros((1, f, 2))
     loc[0, -1] = [0.0, 2.5]
-    assert min_fde(make_pred(loc), gt, np.ones(f, dtype=bool)) == pytest.approx(2.5)
+    assert score(loc, gt).minfde == pytest.approx(2.5)
 
     # a mode with the worst ADE can still win FDE
     crossing = np.zeros((2, f, 2))
     crossing[0, :, 0] = [0.1, 0.1, 0.1, 5.0]   # good early, bad endpoint
     crossing[1, :, 0] = [4.0, 4.0, 4.0, 0.2]   # bad early, good endpoint
-    pred = make_pred(crossing)
     valid = np.ones(f, dtype=bool)
-    assert oracle_ade(crossing, gt, valid) == pytest.approx(min_ade(pred, gt, valid))
-    assert min_fde(pred, gt, valid) == pytest.approx(0.2)
+    report = score(crossing, gt, valid)
+    assert oracle_ade(crossing, gt, valid) == pytest.approx(report.minade)
+    assert report.minfde == pytest.approx(0.2)
     ades = [oracle_ade(crossing[k:k + 1], gt, valid) for k in range(2)]
     assert np.argmin(ades) == 0  # ade winner is mode 0, fde winner is mode 1
 
 
 def test_min_metrics_exclusions():
     f = 3
-    pred = make_pred(np.zeros((2, f, 2)))
-    assert min_ade(pred, np.zeros((f, 2)), np.zeros(f, dtype=bool)) is None
-    assert min_fde(pred, np.zeros((f, 2)), np.array([True, True, False])) is None
+    gt = np.zeros((f, 2))
+    loc = np.zeros((2, f, 2))
+    loc[:, :, 0] = 1.5
+    hit = np.zeros((2, f, 2))
+    scenes = [focal_scene(gt), focal_scene(gt, np.zeros(f, dtype=bool)),
+              focal_scene(gt, np.array([True, True, False]))]
+    # scene 1 has no valid step: out of minADE; scene 2's final step is
+    # invalid: in minADE, out of minFDE and MR
+    report = score_focal(np.stack([hit, loc, loc]), scenes)
+    assert report.minade == pytest.approx(0.75)
+    assert report.minfde == 0.0 and report.mr == 0.0 and report.count == 3
+    with pytest.raises(ValueError):
+        score_focal(np.stack([loc, loc]), scenes[1:])
 
 
 def test_miss_rate_examples():
     f = 2
     gt = np.zeros((f, 2))
 
-    def pred_with_endpoint_error(e):
-        loc = np.zeros((1, f, 2))
-        loc[0, -1, 0] = e
-        return make_pred(loc)
+    def mr(endpoint_errors):
+        loc = np.zeros((len(endpoint_errors), 1, f, 2))
+        loc[:, 0, -1, 0] = endpoint_errors
+        return score_focal(loc, [focal_scene(gt)] * len(endpoint_errors)).mr
 
-    perfect = [pred_with_endpoint_error(0.0)] * 3
-    assert miss_rate(perfect, [gt] * 3) == 0.0
-
-    two = [pred_with_endpoint_error(1.9), pred_with_endpoint_error(2.1)]
-    assert miss_rate(two, [gt, gt]) == 0.5
-
-    boundary = [pred_with_endpoint_error(2.0)]
-    assert miss_rate(boundary, [gt]) == 0.0  # exactly 2.0 counts as a hit
+    assert mr([0.0, 0.0, 0.0]) == 0.0
+    assert mr([1.9, 2.1]) == 0.5
+    assert mr([2.0]) == 0.0  # exactly 2.0 counts as a hit
 
     with pytest.raises(ValueError):
-        miss_rate([], [])
+        score_focal(np.zeros((0, 1, f, 2)), [])
 
 
 def test_metric_oracle_equivalence_random_instances():
@@ -146,20 +178,51 @@ def test_metric_oracle_equivalence_random_instances():
         valid = np.asarray(valid, dtype=bool)
         if not valid.any():
             valid[0] = True
-        pred = make_pred(loc)
-        assert min_ade(pred, gt, valid) == oracle_ade(loc.tolist(), gt.tolist(), valid.tolist())
-        got_fde = min_fde(pred, gt, valid)
+        ade, fde, _ = score_with_pad(loc, gt, valid)
+        assert ade == oracle_ade(loc.tolist(), gt.tolist(), valid.tolist())
         want_fde = oracle_fde(loc.tolist(), gt.tolist(), valid.tolist())
-        assert got_fde == want_fde
+        assert fde == (0.0 if want_fde is None else want_fde)
         all_locs.append(loc)
         all_gts.append(gt)
         all_valids.append(valid)
     keep = [i for i, v in enumerate(all_valids) if v[-1]]
-    preds = [make_pred(all_locs[i]) for i in keep]
-    assert miss_rate(preds, [all_gts[i] for i in keep], [all_valids[i] for i in keep]) == \
+    # each kept instance scores an MR of 0 or 1 on its own; instances differ
+    # in K and F, so they cannot share one array
+    misses = sum(score(all_locs[i], all_gts[i], all_valids[i]).mr for i in keep)
+    assert misses / len(keep) == \
         oracle_mr([all_locs[i].tolist() for i in keep],
                   [all_gts[i].tolist() for i in keep],
                   [all_valids[i].tolist() for i in keep])
+
+
+@pytest.mark.parametrize("f", [1, 2, 9, 30])
+def test_score_focal_many_scenes_matches_oracle(f):
+    rng = Rng(90 + f)
+    n, k = 60, 6
+    locs = rng.uniform((n, k, f, 2), -6.0, 6.0)
+    gts = rng.uniform((n, f, 2), -6.0, 6.0)
+    valids = np.asarray(rng.uniform((n, f)) < 0.75, dtype=bool)
+    valids[0] = True
+    valids[1] = False                          # no valid step
+    valids[2, :] = True
+    valids[2, -1] = False                      # invalid final step only
+    report = score_focal(locs, [focal_scene(g, v) for g, v in zip(gts, valids)])
+
+    args = [(l.tolist(), g.tolist(), v.tolist()) for l, g, v in zip(locs, gts, valids)]
+    ades = [a for a in (oracle_ade(*x) for x in args) if a is not None]
+    fdes = [d for d in (oracle_fde(*x) for x in args) if d is not None]
+    assert len(ades) < n and len(fdes) < n  # both exclusions are exercised
+    assert report.minade == pytest.approx(sum(ades) / len(ades), rel=1e-12, abs=0)
+    assert report.minfde == pytest.approx(sum(fdes) / len(fdes), rel=1e-12, abs=0)
+    assert report.mr == oracle_mr(*zip(*args))
+    assert report.count == n
+
+    # scene by scene, the errors equal the step-by-step oracle exactly, at any F
+    for i, x in enumerate(args):
+        want_ade, want_fde = oracle_ade(*x), oracle_fde(*x)
+        ade, fde, _ = score_with_pad(locs[i], gts[i], valids[i])
+        assert ade == (0.0 if want_ade is None else want_ade)
+        assert fde == (0.0 if want_fde is None else want_fde)
 
 
 def test_metrics_translation_invariant():
@@ -167,12 +230,8 @@ def test_metrics_translation_invariant():
     # snap coordinates to a 2^-10 grid so adding the shift is exact in f64
     loc = np.round(rng.uniform((3, 5, 2), -4.0, 4.0) * 1024) / 1024
     gt = np.round(rng.uniform((5, 2), -4.0, 4.0) * 1024) / 1024
-    valid = np.ones(5, dtype=bool)
     shift = np.array([128.0, -64.0])
-    assert min_ade(make_pred(loc + shift), gt + shift, valid) == \
-        min_ade(make_pred(loc), gt, valid)
-    assert min_fde(make_pred(loc + shift), gt + shift, valid) == \
-        min_fde(make_pred(loc), gt, valid)
+    assert score(loc + shift, gt + shift) == score(loc, gt)
 
 
 def test_duplicate_mode_never_changes_metrics():
@@ -181,26 +240,22 @@ def test_duplicate_mode_never_changes_metrics():
         k = 1 + rng.integers(3)
         loc = rng.uniform((k, 4, 2), -5.0, 5.0)
         gt = rng.uniform((4, 2), -5.0, 5.0)
-        valid = np.ones(4, dtype=bool)
         dup_idx = rng.integers(k)
         dup = np.concatenate([loc, loc[dup_idx:dup_idx + 1]])
-        assert min_ade(make_pred(dup), gt, valid) == min_ade(make_pred(loc), gt, valid)
-        assert min_fde(make_pred(dup), gt, valid) == min_fde(make_pred(loc), gt, valid)
+        assert score(dup, gt) == score(loc, gt)
 
 
 def test_miss_rate_monotone_in_endpoint_error():
     f = 3
     gt = np.zeros((f, 2))
 
-    def single(e):
-        loc = np.zeros((1, f, 2))
-        loc[0, -1, 0] = e
-        return make_pred(loc)
+    def mr(errors):
+        loc = np.zeros((len(errors), 1, f, 2))
+        loc[:, 0, -1, 0] = errors
+        return score_focal(loc, [focal_scene(gt)] * len(errors)).mr
 
-    errors = [0.5, 1.0, 1.5, 2.5, 3.0]
-    base = miss_rate([single(e) for e in errors], [gt] * 5)
-    worse = miss_rate([single(e + 1.0) for e in errors], [gt] * 5)
-    assert worse >= base
+    errors = np.array([0.5, 1.0, 1.5, 2.5, 3.0])
+    assert mr(errors + 1.0) >= mr(errors)
 
 
 def test_evaluate_model_perfect_oracle_stub():

@@ -79,10 +79,14 @@ def test_softmax_rejects_non_finite():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(T.NumericalError):
         log(Tensor([1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(T.NumericalError):
         div(Tensor([1.0]), Tensor([0.0]))
+    with pytest.raises(T.NumericalError):
+        sqrt(Tensor([-1.0]))
+    with pytest.raises(T.NumericalError):
+        softmax(Tensor([np.nan, 0.0]), axis=0)
 
 
 def test_backward_sum_gives_ones():

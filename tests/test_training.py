@@ -288,9 +288,15 @@ def test_adamw_inf_grad_names_parameter():
     opt = AdamW()
     p = Tensor(np.ones(2), requires_grad=True)
     p.grad = np.array([np.inf, 0.0])
-    with pytest.raises(ValueError, match="non-finite gradient for parameter head.bias"):
+    with pytest.raises(T.NumericalError, match="non-finite gradient for parameter head.bias"):
         opt.step([("head.bias", p)], lr=0.1)
     assert np.array_equal(p.data, np.ones(2))
+
+
+def test_regression_nll_rejects_non_positive_scale():
+    loc, sc, _ = batch_of_one(np.zeros((1, 3, 2)), scales=np.zeros((1, 3, 2)))
+    with pytest.raises(T.NumericalError):
+        regression_nll(loc, sc, np.zeros((1, 3, 2)), np.ones((1, 3), dtype=bool), [0])
 
 
 def test_adamw_deterministic():
@@ -384,6 +390,23 @@ def test_train_divergence_aborts_cleanly(monkeypatch):
     assert exc.value.snapshots, "completed snapshots should be retained"
     assert exc.value.snapshots[-1].cycle_index == 0
     assert "snapshot_0" in str(exc.value)
+
+
+@pytest.mark.parametrize("raised, seen, message", [
+    (ValueError, ValueError, "^bad step$"),
+    (T.NumericalError, DivergenceError, "^numerical blow-up at epoch 0 [(]bad step[)]"),
+])
+def test_train_turns_only_numerical_errors_into_divergence(monkeypatch, raised, seen, message):
+    # a plain ValueError in a step is a bug, not a blow-up: it must not read as exit 3
+    import dyttp.training as training_mod
+
+    def failing(locations, gt, valid_mask):
+        raise raised("bad step")
+
+    monkeypatch.setattr(training_mod, "select_best_mode", failing)
+    with pytest.raises(seen, match=message) as exc:
+        train(_tiny_split(6), SMALL, SchedulerConfig(cycle_length=1, num_cycles=1), Rng(9))
+    assert type(exc.value) is seen
 
 
 def test_train_resume_from_params():
