@@ -40,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Scenario
-from .layers import Linear, Module, TransformerBlock, gelu, stacked, swap_axes
+from .layers import Linear, Module, TransformerBlock, stacked, swap_axes
 from .tensor import Rng, Tensor
 
 SCALE_FLOOR = 1e-6  # keeps softplus output strictly positive after underflow
@@ -273,7 +273,7 @@ class TrajectoryPredictor(Module):
     def decode(self, enc: EncodedBatch) -> BatchPrediction:
         k, f = self.cfg.modes, self.cfg.pred_steps
         lead = enc.embeddings.shape[:-1]    # [..., A]
-        h = gelu(self.head_hidden(enc.embeddings))
+        h = T.gelu(self.head_hidden(enc.embeddings))
         raw = T.reshape(self.head_out(h), lead + (k, 4 * f + 1))
         offsets = T.reshape(T.getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
         locations = T.add(offsets, enc.origins[:, None, None, :])

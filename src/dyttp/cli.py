@@ -8,12 +8,14 @@ Checkpoints store parameters as little-endian float32 (in-memory math stays
 float64; the narrowing is the documented precision boundary) under a header
 carrying a model-config digest and the random generator's algorithm id. A
 digest mismatch on load exits with code 4; training divergence exits 3;
-usage errors exit 2.
+usage errors, malformed input and an output path that cannot be written
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import io
 import json
@@ -49,6 +51,19 @@ EXIT_CKPT_MISMATCH = 4
 
 class CheckpointMismatchError(ValueError):
     """Checkpoint digest does not match the active model configuration."""
+
+
+class OutputError(Exception):
+    """An output path that cannot be written."""
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised inside the block as an OutputError for path."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +198,8 @@ def _emit_json(doc: dict, out_json):
     """Write doc to out_json, or print it when no path is given."""
     payload = _dump_json(doc)
     if out_json:
-        write_atomic(out_json, payload.encode())
+        with _writing(out_json):
+            write_atomic(out_json, payload.encode())
     else:
         print(payload, end="")
 
@@ -194,11 +210,8 @@ def _emit_json(doc: dict, out_json):
 def cmd_gen_data(args) -> int:
     rng = Rng(args.seed)
     split = generate_synthetic(args.count, rng, GenConfig(noise_sigma=args.noise_sigma))
-    try:
+    with _writing(args.out):
         save_scenarios(split, args.out)
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"wrote {args.out}: {len(split.train)} train / {len(split.val)} val scenarios")
     return 0
 
@@ -212,7 +225,8 @@ def _find_resume_state(out_dir, model_cfg):
 def cmd_train(args) -> int:
     model_cfg, sched_cfg, extras = resolve_configs(args)
     split = load_scenarios(args.data)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
 
     initial_params, start_cycle = (None, 0)
     if args.resume:
@@ -223,12 +237,12 @@ def cmd_train(args) -> int:
             print("nothing to resume: all cycles complete")
             return 0
 
-    write_atomic(os.path.join(args.out, "config.json"),
-                 _dump_json(_archived_config(model_cfg, sched_cfg, extras,
-                                             args.data, args.out)).encode())
-
     log_path = os.path.join(args.out, "training_log.jsonl")
-    log_fh = open(log_path, "a" if start_cycle else "w")
+    with _writing(args.out):
+        write_atomic(os.path.join(args.out, "config.json"),
+                     _dump_json(_archived_config(model_cfg, sched_cfg, extras,
+                                                 args.data, args.out)).encode())
+        log_fh = open(log_path, "a" if start_cycle else "w")
 
     def sink(record):
         log_fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -240,7 +254,8 @@ def cmd_train(args) -> int:
     def persist(snapshots):
         for snap in snapshots:
             path = os.path.join(args.out, f"snapshot_{snap.cycle_index}.ckpt")
-            save_checkpoint(path, snap.params, model_cfg, snap.cycle_index)
+            with _writing(path):
+                save_checkpoint(path, snap.params, model_cfg, snap.cycle_index)
 
     try:
         result = train(split, model_cfg, sched_cfg, Rng(extras["seed"]),
@@ -332,12 +347,13 @@ def cmd_ablate(args) -> int:
     print(table)
     doc = ablation_to_dict(cells, extras["seed"], model_cfg)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        write_atomic(os.path.join(args.out_dir, "ablation.json"), _dump_json(doc).encode())
-        write_atomic(os.path.join(args.out_dir, "ablation.txt"), (table + "\n").encode())
-        for i, cell in enumerate(cells):
-            write_atomic(os.path.join(args.out_dir, f"cell_{i}_train_log.jsonl"),
-                         "".join(line + "\n" for line in cell.log_lines).encode())
+        with _writing(args.out_dir):
+            os.makedirs(args.out_dir, exist_ok=True)
+            write_atomic(os.path.join(args.out_dir, "ablation.json"), _dump_json(doc).encode())
+            write_atomic(os.path.join(args.out_dir, "ablation.txt"), (table + "\n").encode())
+            for i, cell in enumerate(cells):
+                write_atomic(os.path.join(args.out_dir, f"cell_{i}_train_log.jsonl"),
+                             "".join(line + "\n" for line in cell.log_lines).encode())
     else:
         print(_dump_json(doc), end="")
     return 0 if any(c.ok for c in cells) else 1
@@ -435,7 +451,7 @@ def main(argv=None) -> int:
     except CheckpointMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CKPT_MISMATCH
-    except (FormatError, FileNotFoundError, ValueError) as e:
+    except (FormatError, FileNotFoundError, ValueError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -92,8 +92,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, stacked(self.weight, 2, x.ndim))
-        return T.add(out, stacked(self.bias, 1, out.ndim))
+        return T.linear(x, stacked(self.weight, 2, x.ndim), stacked(self.bias, 1, x.ndim))
 
 
 class DynamicTanh(Module):
@@ -117,7 +116,7 @@ class DynamicTanh(Module):
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
         n = x.ndim
-        return T.add(T.mul(T.tanh(T.mul(x, stacked(self.alpha, 0, n))), stacked(self.gamma, 1, n)),
+        return T.dyt(x, stacked(self.alpha, 0, n), stacked(self.gamma, 1, n),
                      stacked(self.beta, 1, n))
 
 
@@ -136,12 +135,8 @@ class LayerNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        mu = T.mean(x, axis=-1, keepdims=True)
-        centered = T.sub(x, mu)
-        var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
-        std = T.sqrt(T.add(var, self.eps))
         n = x.ndim
-        return T.add(T.mul(T.div(centered, std), stacked(self.gamma, 1, n)), stacked(self.beta, 1, n))
+        return T.layer_norm(x, stacked(self.gamma, 1, n), stacked(self.beta, 1, n), self.eps)
 
 
 def make_norm(kind: str, channels: int):
@@ -152,43 +147,37 @@ def make_norm(kind: str, channels: int):
     raise ValueError(f"unknown norm kind {kind!r} (want 'dyt' or 'layernorm')")
 
 
-def gelu(x: Tensor) -> Tensor:
-    # smooth tanh-form gelu; smoothness keeps finite-difference checks tight
-    c = np.sqrt(2.0 / np.pi)
-    x3 = T.mul(T.mul(x, x), x)
-    inner = T.mul(T.add(x, T.mul(x3, 0.044715)), c)
-    return T.mul(T.mul(x, 0.5), T.add(T.tanh(inner), 1.0))
-
-
 class Dropout:
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
 
+    def keep(self, shape, rng: Rng | None):
+        """Inverted-dropout multipliers of `shape` drawn from rng; None without rng or when p is 0."""
+        if rng is None or self.p == 0.0:
+            return None
+        return (rng.uniform(shape) >= self.p) / (1.0 - self.p)
+
     def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
         """x with inverted dropout applied, drawn from rng; x itself when rng is None."""
-        if rng is None or self.p == 0.0:
-            return x
-        keep = (rng.uniform(x.shape) >= self.p) / (1.0 - self.p)
-        return T.mul(x, keep)
-
-
-_MASK_FILL = -1e30  # finite stand-in for blocked logits; exp underflows to 0
+        keep = self.keep(x.shape, rng)
+        return x if keep is None else T.mul(x, keep)
 
 
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with optional boolean mask (true = attend).
 
     Queries [..., Tq, D] read keys and values [..., Tk, D]; the mask is
-    [B, Tq, Tk] and broadcasts over any axes in front of B.
+    [B, Tq, Tk] and broadcasts over any axes in front of B. The projections
+    are Linear layers; everything between them is one `tensor.attention` op,
+    whose dropout multipliers are drawn here.
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
         if width % heads != 0:
             raise ValueError("width must be divisible by heads")
         self.heads = heads
-        self.head_dim = width // heads
         self.wq = Linear(width, width, rng)
         self.wk = Linear(width, width, rng)
         self.wv = Linear(width, width, rng)
@@ -198,25 +187,10 @@ class MultiHeadAttention(Module):
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
                  rng: Rng | None = None) -> Tensor:
         kv_in = q_in if kv_in is None else kv_in
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if not mask.any(axis=-1).all():
-                raise ValueError("attention mask leaves a query row with no keys")
-
-        def split(x):  # [..., T, D] -> [..., H, T, D / H]
-            return swap_axes(T.reshape(x, x.shape[:-1] + (self.heads, self.head_dim)), -3, -2)
-
-        q = split(self.wq(q_in))
-        k = split(self.wk(kv_in))
-        v = split(self.wv(kv_in))
-
-        scores = T.mul(T.matmul(q, swap_axes(k, -2, -1)), 1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = T.mask_fill(scores, mask[..., None, :, :], _MASK_FILL)
-        weights = T.softmax(scores, axis=-1)
-        weights = self.drop(weights, rng)
-        ctx = swap_axes(T.matmul(weights, v), -3, -2)
-        return self.wo(T.reshape(ctx, ctx.shape[:-2] + (q_in.shape[-1],)))
+        q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
+        keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)
+        return self.wo(T.attention(q, k, v, self.heads, mask, keep))
 
 
 class FeedForward(Module):
@@ -227,7 +201,7 @@ class FeedForward(Module):
         self.drop = Dropout(dropout)
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
-        return self.lin2(self.drop(gelu(self.lin1(x)), rng))
+        return self.lin2(self.drop(T.gelu(self.lin1(x)), rng))
 
 
 def grad_check_params(model: Module, loss_fn, names=None, h: float = 1e-5):

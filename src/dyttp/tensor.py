@@ -7,6 +7,9 @@ Conventions:
   pays no tracking cost.
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
+- Each model layer is one fused op (linear, dyt, layer_norm, gelu,
+  attention, laplace_nll) with a hand-written backward pass, so it adds one
+  tape record.
 - Tensors are treated as immutable once created, except parameter updates
   applied between passes and gradient accumulation during a backward pass.
   Tapes are thread-local, so independent evaluations may run concurrently.
@@ -20,16 +23,17 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
-    "add", "sub", "mul", "div", "neg", "tanh", "log", "abs_", "softplus",
-    "sqrt", "clamp_min", "mask_fill", "matmul", "transpose", "reshape",
-    "getitem", "sum_", "mean", "softmax",
+    "add", "mul", "neg", "tanh", "log", "softplus", "clamp_min", "matmul",
+    "transpose", "reshape", "getitem", "sum_", "mean", "softmax",
+    "linear", "dyt", "layer_norm", "gelu", "attention", "laplace_nll",
 ]
 
 
 class NumericalError(ValueError):
-    """A value outside the domain of an op or update: a zero divisor, a
-    non-positive log or sqrt argument, a non-finite softmax input or gradient.
-    Training reports it as a divergence; other ValueErrors are not."""
+    """A value outside the domain of an op or update: a non-positive log
+    argument or Laplace scale, a non-finite softmax input or attention logit,
+    or a non-finite gradient. Training reports it as a divergence; other
+    ValueErrors are not."""
 
 
 class Tensor:
@@ -154,62 +158,52 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------------------
-# elementwise ops
+def _op(inputs, out_data, grads):
+    """out_data as the output of one tape record over the Tensors `inputs`.
 
-def _binary(a, b, out_data, da, db):
-    a, b = _as_tensor(a), _as_tensor(b)
+    grads(g, needs) returns one gradient per input given the output gradient
+    g; needs[i] says whether input i wants one, and an unwanted entry may be
+    None. Each gradient is sum-reduced to its input's shape, so inputs may
+    broadcast against each other.
+    """
     out = Tensor(out_data)
     tape = _current_tape()
-    if tape is not None and (a.requires_grad or b.requires_grad):
+    if tape is None:
+        return out
+    needs = tuple(t.requires_grad for t in inputs)
+    if any(needs):
         out.requires_grad = True
 
         def backward_fn(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(da(g), a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(db(g), b.data.shape))
+            for t, need, gt in zip(inputs, needs, grads(g, needs)):
+                if need:
+                    _accumulate(t, _unbroadcast(gt, t.data.shape))
 
         tape._record(out, backward_fn)
     return out
+
+
+def _binary(a, b, out_data, da, db):
+    return _op((a, b), out_data,
+               lambda g, needs: (da(g) if needs[0] else None, db(g) if needs[1] else None))
 
 
 def _unary(a, out_data, da):
-    a = _as_tensor(a)
-    out = Tensor(out_data)
-    tape = _current_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
+    return _op((a,), out_data, lambda g, needs: (da(g),))
 
-        def backward_fn(g):
-            _accumulate(a, _unbroadcast(da(g), a.data.shape))
 
-        tape._record(out, backward_fn)
-    return out
-
+# ---------------------------------------------------------------------------
+# elementwise ops
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     return _binary(a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
-
-
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if np.any(b.data == 0.0):
-        raise NumericalError("division by zero")
-    ad, bd = a.data, b.data
-    return _binary(a, b, ad / bd, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
 
 
 def neg(a):
@@ -230,12 +224,6 @@ def log(a):
     return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
-def abs_(a):
-    a = _as_tensor(a)
-    # subgradient 0 at the kink
-    return _unary(a, np.abs(a.data), lambda g: g * np.sign(a.data))
-
-
 def softplus(a):
     a = _as_tensor(a)
     out_data = np.logaddexp(0.0, a.data)
@@ -249,27 +237,11 @@ def softplus(a):
     return _unary(a, out_data, da)
 
 
-def sqrt(a):
-    a = _as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise NumericalError("sqrt of negative value")
-    out_data = np.sqrt(a.data)
-    return _unary(a, out_data, lambda g: g * 0.5 / out_data)
-
-
 def clamp_min(a, floor: float):
     """max(a, floor) elementwise; gradient passes only where a > floor."""
     a = _as_tensor(a)
     keep = a.data > floor
     return _unary(a, np.maximum(a.data, floor), lambda g: g * keep)
-
-
-def mask_fill(a, keep_mask, fill_value: float):
-    """Keep entries where keep_mask is true, replace the rest by fill_value."""
-    a = _as_tensor(a)
-    keep = np.asarray(keep_mask, dtype=bool)
-    out_data = np.where(keep, a.data, fill_value)
-    return _unary(a, out_data, lambda g: g * keep)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +357,161 @@ def softmax(a, axis: int = -1):
         return (g - dot) * out_data
 
     return _unary(a, out_data, da)
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops: one tape record each, with a hand-written backward pass.
+# Parameters may carry leading axes that broadcast against the activation
+# (stacked snapshots, lined up by layers.stacked).
+
+def linear(x, w, b):
+    """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.shape[-1] != wd.shape[-2]:
+        raise ValueError(f"linear dimensions disagree: {xd.shape} x {wd.shape}")
+
+    def grads(g, needs):
+        gx = np.matmul(g, np.swapaxes(wd, -1, -2)) if needs[0] else None
+        gw = None
+        if needs[1] and wd.ndim == 2:
+            # one matrix product over every leading position at once
+            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif needs[1]:
+            gw = np.matmul(np.swapaxes(xd, -1, -2), g)
+        return gx, gw, g
+
+    return _op((x, w, b), np.matmul(xd, wd) + b.data, grads)
+
+
+def dyt(x, alpha, gamma, beta):
+    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise."""
+    x, alpha, gamma, beta = (_as_tensor(t) for t in (x, alpha, gamma, beta))
+    t = np.tanh(x.data * alpha.data)
+
+    def grads(g, needs):
+        d = g * gamma.data * (1.0 - t * t) if needs[0] or needs[1] else None
+        return (d * alpha.data if needs[0] else None, d * x.data if needs[1] else None,
+                g * t if needs[2] else None, g)
+
+    return _op((x, alpha, gamma, beta), t * gamma.data + beta.data, grads)
+
+
+def layer_norm(x, gamma, beta, eps: float):
+    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta."""
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered / std
+
+    def grads(g, needs):
+        gx = None
+        if needs[0]:
+            gh = g * gamma.data
+            gx = (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return gx, g * xhat if needs[1] else None, g
+
+    return _op((x, gamma, beta), xhat * gamma.data + beta.data, grads)
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(x):
+    """Tanh-form GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))) with c = sqrt(2 / pi).
+
+    Smooth, which keeps finite-difference checks tight."""
+    x = _as_tensor(x)
+    xd = x.data
+    t = np.tanh((xd + xd * xd * xd * 0.044715) * _GELU_C)
+
+    def grads(g, needs):
+        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * 0.044715 * xd * xd)
+        return (g * (0.5 * (t + 1.0) + xd * 0.5 * dt),)
+
+    return _op((x,), xd * 0.5 * (t + 1.0), grads)
+
+
+_MASK_FILL = -1e30  # finite stand-in for blocked logits; exp underflows to 0
+
+
+def attention(q, k, v, heads: int, mask=None, keep=None):
+    """Multi-head scaled dot-product attention over projected q, k and v.
+
+    q is [..., Tq, D] and k, v are [..., Tk, D], their leading axes
+    broadcasting; each is split into `heads` heads of D / heads channels.
+    mask ([..., Tq, Tk] bool, true = attend) applies to every head and must
+    leave each query at least one key. keep, when given, multiplies the
+    [..., H, Tq, Tk] softmax weights (inverted dropout drawn by the caller).
+    The heads are merged back into [..., Tq, D]. The softmax weights are kept
+    for the backward pass, not recomputed.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    d = q.data.shape[-1]
+    if d % heads != 0:
+        raise ValueError("width must be divisible by heads")
+    hd = d // heads
+
+    def split(a):  # [..., T, D] -> [..., H, T, D / H]
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, hd)), -3, -2)
+
+    def merge(a):  # [..., H, T, D / H] -> [..., T, D]
+        a = np.swapaxes(a, -3, -2)
+        return a.reshape(a.shape[:-2] + (d,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(hd)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention mask leaves a query row with no keys")
+        scores = np.where(mask[..., None, :, :], scores, _MASK_FILL)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("attention requires finite logits")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    dropped = weights if keep is None else weights * keep
+
+    def grads(g, needs):
+        g_ctx = split(g)
+        gv = merge(np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)) if needs[2] else None
+        if not (needs[0] or needs[1]):
+            return None, None, gv
+        gw = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        if keep is not None:
+            gw = gw * keep
+        # a blocked logit's weight is exactly 0, so its gradient is too
+        gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * (weights * scale)
+        return (merge(np.matmul(gs, kh)) if needs[0] else None,
+                merge(np.matmul(np.swapaxes(gs, -1, -2), qh)) if needs[1] else None, gv)
+
+    return _op((q, k, v), merge(np.matmul(dropped, vh)), grads)
+
+
+def laplace_nll(locations, scales, gt, weight):
+    """Weighted Laplace negative log-likelihood, summed over the last three axes.
+
+    Each element adds weight * (log(2 b) + |gt - mu| / b) for location mu and
+    scale b, so [..., K, F, 2] inputs give [...]. gt and weight are arrays
+    that broadcast against locations and get no gradient. Every scale must be
+    strictly positive.
+    """
+    locations, scales = _as_tensor(locations), _as_tensor(scales)
+    b = scales.data
+    if np.any(b <= 0.0):
+        raise NumericalError("Laplace NLL needs strictly positive scales")
+    diff = locations.data - gt
+    ratio = np.abs(diff) / b
+    terms = np.log(b * 2.0) + ratio
+
+    def grads(g, needs):
+        gb = g[..., None, None, None] * weight / b
+        return (gb * np.sign(diff) if needs[0] else None,
+                gb * (1.0 - ratio) if needs[1] else None)
+
+    return _op((locations, scales), (terms * weight).sum(axis=(-3, -2, -1)), grads)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,10 @@ def regression_nll(locations: Tensor, scales: Tensor, gt, valid_mask, modes) -> 
     Each term is log(2b) + |y - mu| / b; the chosen mode and the valid steps
     enter as a 0/1 weight, so the other modes get exactly zero gradient.
     """
-    if np.any(scales.data <= 0.0):
-        raise T.NumericalError("regression NLL needs strictly positive scales")
     gt = np.asarray(gt, dtype=np.float64)
     valid = np.asarray(valid_mask, dtype=np.float64)
     weight = _one_hot(modes, locations.shape[1])[:, :, None, None] * valid[:, None, :, None]
-    terms = T.add(T.log(T.mul(scales, 2.0)), T.div(T.abs_(T.sub(locations, gt[:, None])), scales))
-    return T.sum_(T.mul(terms, weight), axis=(1, 2, 3))
+    return T.laplace_nll(locations, scales, gt[:, None], weight)
 
 
 def classification_ce(mode_probs: Tensor, modes) -> Tensor:

@@ -23,7 +23,7 @@ from dyttp.data import (
 from dyttp.evaluation import (
     constant_velocity_predict, evaluate_model, norm_layer_latency, score_focal,
 )
-from dyttp.layers import DynamicTanh, grad_check_params
+from dyttp.layers import DynamicTanh, grad_check_params, stacked
 from dyttp.tensor import Rng, Tensor, grad_check
 from dyttp.training import (
     EnsembleConfig, SchedulerConfig, Snapshot, classification_ce, lr_at,
@@ -63,19 +63,13 @@ def test_criterion_1_gradient_correctness():
     pos = rng.uniform((2, 4), 0.2, 2.0)
     w = rng.uniform((2, 4), -1.0, 1.0)
     check("add", lambda t: T.sum_(T.mul(T.add(t, a), w)), rng.uniform((2, 4), -2, 2))
-    check("sub", lambda t: T.sum_(T.mul(T.sub(a, t), w)), rng.uniform((2, 4), -2, 2))
     check("mul", lambda t: T.sum_(T.mul(T.mul(t, a), w)), rng.uniform((2, 4), -2, 2))
-    check("div", lambda t: T.sum_(T.mul(T.div(a, t), w)), rng.uniform((2, 4), 0.5, 2))
     check("tanh", lambda t: T.sum_(T.mul(T.tanh(t), w)), rng.uniform((2, 4), -2, 2))
     check("log", lambda t: T.sum_(T.mul(T.log(t), w)), pos.copy())
     check("neg", lambda t: T.sum_(T.mul(T.neg(t), w)), rng.uniform((2, 4), -2, 2))
-    check("abs", lambda t: T.sum_(T.mul(T.abs_(t), w)), pos + 0.1)
     check("softplus", lambda t: T.sum_(T.mul(T.softplus(t), w)), rng.uniform((2, 4), -2, 2))
-    check("sqrt", lambda t: T.sum_(T.mul(T.sqrt(t), w)), pos.copy())
     check("clamp_min", lambda t: T.sum_(T.mul(T.clamp_min(t, 1.0), w)),
           rng.uniform((2, 4), 1.2, 2.0))
-    check("mask_fill", lambda t: T.sum_(T.mul(T.mask_fill(t, a > 0, -2.0), w)),
-          rng.uniform((2, 4), -2, 2))
     check("matmul", lambda t: T.sum_(T.mul(T.matmul(t, a.T), np.ones((2, 2)))),
           rng.uniform((2, 4), -2, 2))
     check("transpose", lambda t: T.sum_(T.mul(T.transpose(t, (1, 0)), w.T)),
@@ -85,15 +79,76 @@ def test_criterion_1_gradient_correctness():
     check("getitem", lambda t: T.sum_(T.getitem(t, (slice(None), 1))),
           rng.uniform((2, 4), -2, 2))
     # a repeated integer index must add, not overwrite, the gradients it scatters
-    check("getitem_repeated", lambda t: T.sum_(T.mul(T.getitem(t, np.array([1, 0, 1, 1])),
+    check("getitem.repeated", lambda t: T.sum_(T.mul(T.getitem(t, np.array([1, 0, 1, 1])),
                                                      np.arange(1.0, 17.0).reshape(4, 4))),
           rng.uniform((2, 4), -2, 2))
-    check("sum", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
+    check("sum_", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
           rng.uniform((2, 4), -2, 2))
     check("mean", lambda t: T.mean(T.mul(t, t)), rng.uniform((2, 4), -2, 2))
     check("softmax", lambda t: T.sum_(T.mul(T.softmax(t, axis=-1), w)),
           rng.uniform((2, 4), -2, 2))
 
+    # fused ops: every input, with parameters plain and stacked [S, *P]
+    x = rng.uniform((2, 3, 4), -2, 2)
+    w4 = rng.uniform((2, 3, 4), -1, 1)
+    lin_w, lin_b = rng.uniform((4, 5), -1, 1), rng.uniform((5,), -1, 1)
+    w5 = rng.uniform((2, 3, 5), -1, 1)
+    w25 = rng.uniform((2, 2, 3, 5), -1, 1)
+    check("linear.x", lambda t: T.sum_(T.mul(T.linear(t, lin_w, lin_b), w5)), x)
+    check("linear.w", lambda t: T.sum_(T.mul(T.linear(x, t, lin_b), w5)), lin_w)
+    check("linear.b", lambda t: T.sum_(T.mul(T.linear(x, lin_w, t), w5)), lin_b)
+    check("linear.w_stacked",
+          lambda t: T.sum_(T.mul(T.linear(x[None], stacked(t, 2, 4), lin_b), w25)),
+          rng.uniform((2, 4, 5), -1, 1))
+    check("linear.b_stacked",
+          lambda t: T.sum_(T.mul(T.linear(x[None], lin_w, stacked(t, 1, 4)), w25)),
+          rng.uniform((2, 5), -1, 1))
+    alpha, gamma, beta = np.array(0.7), rng.uniform((4,), 0.5, 1.5), rng.uniform((4,), -1, 1)
+    check("dyt.x", lambda t: T.sum_(T.mul(T.dyt(t, alpha, gamma, beta), w4)), x)
+    check("dyt.alpha", lambda t: T.sum_(T.mul(T.dyt(x, t, gamma, beta), w4)), alpha)
+    check("dyt.gamma", lambda t: T.sum_(T.mul(T.dyt(x, alpha, t, beta), w4)), gamma)
+    check("dyt.beta", lambda t: T.sum_(T.mul(T.dyt(x, alpha, gamma, t), w4)), beta)
+    w24 = rng.uniform((2, 2, 3, 4), -1, 1)
+    check("dyt.alpha_stacked",
+          lambda t: T.sum_(T.mul(T.dyt(x[None], stacked(t, 0, 4), gamma, beta), w24)),
+          rng.uniform((2,), 0.3, 1.0))
+    check("dyt.gamma_stacked",
+          lambda t: T.sum_(T.mul(T.dyt(x[None], alpha, stacked(t, 1, 4), beta), w24)),
+          rng.uniform((2, 4), 0.5, 1.5))
+    check("layer_norm.x", lambda t: T.sum_(T.mul(T.layer_norm(t, gamma, beta, 1e-5), w4)), x)
+    check("layer_norm.gamma", lambda t: T.sum_(T.mul(T.layer_norm(x, t, beta, 1e-5), w4)), gamma)
+    check("layer_norm.beta", lambda t: T.sum_(T.mul(T.layer_norm(x, gamma, t, 1e-5), w4)), beta)
+    check("layer_norm.gamma_stacked",
+          lambda t: T.sum_(T.mul(T.layer_norm(x[None], stacked(t, 1, 4), beta, 1e-5), w24)),
+          rng.uniform((2, 4), 0.5, 1.5))
+    check("gelu", lambda t: T.sum_(T.mul(T.gelu(t), w4)), x)
+    # attention: 2 heads, a mask, dropout multipliers, and [1, S, D] keys and
+    # values broadcast over the queries' leading axis
+    q, kv = rng.uniform((2, 3, 4), -1, 1), rng.uniform((1, 5, 4), -1, 1)
+    mask = rng.uniform((2, 3, 5)) < 0.6
+    mask[..., 0] = True
+    keep = (rng.uniform((2, 2, 3, 5)) >= 0.2) / 0.8
+
+    def attention_loss(mk, kp, **probe):
+        qkv = {"q": q, "k": kv, "v": kv, **probe}
+        return T.sum_(T.mul(T.attention(qkv["q"], qkv["k"], qkv["v"], 2, mk, kp), w4))
+
+    for label, mk, kp in (("", None, None), ("_mask", mask, None), ("_mask_keep", mask, keep)):
+        for arg, x0 in (("q", q), ("k", kv), ("v", kv)):
+            check(f"attention.{arg}{label}",
+                  lambda t, arg=arg, mk=mk, kp=kp: attention_loss(mk, kp, **{arg: t}), x0)
+    mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
+    gt = rng.uniform((2, 1, 4, 2), -2, 2)
+    weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)
+    check("laplace_nll.locations",
+          lambda t: T.sum_(T.mul(T.laplace_nll(t, scale, gt, weight), np.array([0.7, -1.3]))), mu)
+    check("laplace_nll.scales",
+          lambda t: T.sum_(T.mul(T.laplace_nll(mu, t, gt, weight), np.array([0.7, -1.3]))), scale)
+
+    # a new op cannot skip this criterion
+    not_ops = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}
+    unchecked = set(T.__all__) - not_ops - {name.split(".")[0] for name in worst}
+    assert not unchecked, f"ops without a gradient check: {sorted(unchecked)}"
     for name, err in worst.items():
         assert err <= 1e-4, (name, err)
 

@@ -190,10 +190,33 @@ def test_failed_out_json_leaves_earlier_file_intact(tmp_path, monkeypatch):
         raise PermissionError(f"cannot replace {dst}")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(PermissionError):
-        main(args)
+    assert main(args) == 2
     assert j.read_bytes() == good
     assert [p.name for p in out.iterdir()] == ["latency.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "bench", "ablate"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, command):
+    data = gen(tmp_path, count=12)
+    blocker = tmp_path / "blocker"
+    fast = ["--width", "16", "--heads", "2", "--modes", "2"]
+    if command in ("train", "ablate"):
+        blocker.write_bytes(b"a regular file where a directory should go")
+        flag = "--out" if command == "train" else "--out-dir"
+        args = [command, "--data", str(data), flag, str(blocker), *FAST]
+        if command == "ablate":
+            args += ["--bench-iterations", "100", "--bench-warmup", "10"]
+    else:
+        blocker.mkdir()  # a directory where the JSON file should go
+        args = [command, "--data", str(data), "--out-json", str(blocker), *fast]
+        if command == "evaluate":
+            args += ["--checkpoints", str(train(tmp_path, data) / "snapshot_1.ckpt")]
+        else:
+            args += ["--iterations", "100", "--warmup", "10", "--scenarios", "2"]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert f"error: cannot write {blocker}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_non_finite_values_raise_format_error_and_exit_2(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from dyttp import tensor as T
 from dyttp.backbone import ModelConfig
 from dyttp.layers import (
-    Dropout, DynamicTanh, LayerNorm, MultiHeadAttention,
-    TransformerBlock, gelu, make_norm,
+    Dropout, DynamicTanh, LayerNorm, Linear, MultiHeadAttention,
+    TransformerBlock, make_norm,
 )
 from dyttp.tensor import Rng, Tensor, grad_check
 
@@ -142,6 +142,58 @@ def test_mha_mask_blocks_and_fully_masked_errors():
         mha(x, mask=bad)
 
 
+def softmax_np(s):
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+CAUSAL = np.tril(np.ones((4, 4), dtype=bool))[None]
+
+
+def mha_np(p, x):
+    """All heads at once: [..., T, 6] tokens, 2 heads of 3 channels, CAUSAL mask."""
+    def proj(name, a):
+        return a @ p[f"{name}.weight"] + p[f"{name}.bias"]
+
+    q, k, v = (proj(n, x).reshape(x.shape[:-1] + (2, 3)) for n in ("wq", "wk", "wv"))
+    s = np.where(CAUSAL[..., None, :, :], np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(3.0),
+                 -np.inf)
+    ctx = np.einsum("...hqk,...khd->...qhd", softmax_np(s), v)
+    return proj("wo", ctx.reshape(x.shape))
+
+
+# builder, call, oracle on one snapshot's parameters
+LAYER_ORACLES = {
+    "linear": (lambda rng: Linear(6, 6, rng), lambda m, x: m(x),
+               lambda p, x: x @ p["weight"] + p["bias"]),
+    "dyt": (lambda rng: DynamicTanh(6), lambda m, x: m(x),
+            lambda p, x: p["gamma"] * np.tanh(p["alpha"] * x) + p["beta"]),
+    "layernorm": (lambda rng: LayerNorm(6), lambda m, x: m(x),
+                  lambda p, x: (x - x.mean(axis=-1, keepdims=True))
+                  / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * p["gamma"] + p["beta"]),
+    "attention": (lambda rng: MultiHeadAttention(6, 2, rng), lambda m, x: m(x, mask=CAUSAL),
+                  mha_np),
+}
+
+
+@pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
+@pytest.mark.parametrize("name", sorted(LAYER_ORACLES))
+def test_layers_match_numpy_oracles(name, snapshots):
+    build, call, oracle = LAYER_ORACLES[name]
+    rng = Rng(sum(map(ord, name)))
+    layer = build(rng)
+    x = rng.normal((2, 4, 6))
+    states = [{n: np.asarray(rng.normal(p.shape)) for n, p in layer.named_params()}
+              for _ in range(max(snapshots, 1))]
+    for n, p in layer.named_params():
+        p.data = np.stack([st[n] for st in states]) if snapshots else states[0][n]
+    out = call(layer, Tensor(x[None] if snapshots else x)).data
+    for s, state in enumerate(states):
+        want = oracle(state, x)
+        got = out[s] if snapshots else out
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), s
+
+
 def test_block_residual_identity_with_zero_projections():
     rng = Rng(9)
     cfg = ModelConfig(norm_kind="dyt", width=8, heads=2, dropout=0.0)
@@ -207,11 +259,11 @@ def test_dropout_modes():
 
 def test_gelu_values_and_gradient():
     # reference points of the tanh-form gelu
-    assert gelu(Tensor(0.0)).item() == 0.0
-    big = gelu(Tensor(20.0)).item()
+    assert T.gelu(Tensor(0.0)).item() == 0.0
+    big = T.gelu(Tensor(20.0)).item()
     assert abs(big - 20.0) < 1e-6
     x = Tensor(Rng(15).uniform((6,), -2.0, 2.0))
-    assert grad_check(lambda t: T.sum_(gelu(t)), x) < 1e-4
+    assert grad_check(lambda t: T.sum_(T.gelu(t)), x) < 1e-4
 
 
 def test_named_params_and_state_dict_roundtrip():
