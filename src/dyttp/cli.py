@@ -42,7 +42,7 @@ from .training import (
 )
 
 CKPT_MAGIC = b"DYTC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # 2: the attention key projection has no bias (attn.wk)
 
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
@@ -216,10 +216,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _find_resume_state(out_dir, model_cfg):
+def _latest_snapshot(out_dir, model_cfg):
     paths = sorted(glob.glob(os.path.join(out_dir, "snapshot_*.ckpt")))
     snaps = snapshots_from_checkpoints(paths, model_cfg)
-    return (snaps[-1].params, snaps[-1].cycle_index + 1) if snaps else (None, 0)
+    return snaps[-1] if snaps else None
 
 
 def cmd_train(args) -> int:
@@ -228,14 +228,13 @@ def cmd_train(args) -> int:
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
 
-    initial_params, start_cycle = (None, 0)
-    if args.resume:
-        initial_params, start_cycle = _find_resume_state(args.out, model_cfg)
-        if start_cycle:
-            print(f"resuming from cycle {start_cycle}")
-        if start_cycle >= sched_cfg.num_cycles:
-            print("nothing to resume: all cycles complete")
-            return 0
+    resume = _latest_snapshot(args.out, model_cfg) if args.resume else None
+    start_cycle = resume.cycle_index + 1 if resume else 0
+    if start_cycle:
+        print(f"resuming from cycle {start_cycle}")
+    if start_cycle >= sched_cfg.num_cycles:
+        print("nothing to resume: all cycles complete")
+        return 0
 
     log_path = os.path.join(args.out, "training_log.jsonl")
     with _writing(args.out):
@@ -244,32 +243,28 @@ def cmd_train(args) -> int:
                                                  args.data, args.out)).encode())
         log_fh = open(log_path, "a" if start_cycle else "w")
 
-    def sink(record):
+    def log_sink(record):
         log_fh.write(json.dumps(record, sort_keys=True) + "\n")
         log_fh.flush()
         val = f"{record['val_minADE']:.4f}" if record["val_minADE"] is not None else "n/a"
         print(f"epoch {record['epoch']:>3}  cycle {record['cycle']}  "
               f"lr {record['lr']:.2e}  loss {record['train_loss']:.4f}  val minADE {val}")
 
-    def persist(snapshots):
-        for snap in snapshots:
-            path = os.path.join(args.out, f"snapshot_{snap.cycle_index}.ckpt")
-            with _writing(path):
-                save_checkpoint(path, snap.params, model_cfg, snap.cycle_index)
+    def snapshot_sink(snap):
+        path = os.path.join(args.out, f"snapshot_{snap.cycle_index}.ckpt")
+        with _writing(path):
+            save_checkpoint(path, snap.params, model_cfg, snap.cycle_index)
 
     try:
         result = train(split, model_cfg, sched_cfg, Rng(extras["seed"]),
                        lam=extras["lam"], batch_size=extras["batch_size"],
-                       log_sink=sink, initial_params=initial_params,
-                       start_cycle=start_cycle)
+                       log_sink=log_sink, snapshot_sink=snapshot_sink, resume=resume)
     except DivergenceError as e:
-        persist(e.snapshots)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
     finally:
         log_fh.close()
 
-    persist(result.snapshots)
     print(f"wrote {len(result.snapshots)} snapshots and {log_path}")
     return 0
 

@@ -391,13 +391,22 @@ class BinaryReader:
             raise FormatError(f"trailing bytes in {self.kind}")
 
 
-def _read_scenario(r: BinaryReader) -> Scenario:
+def _read_scenario(r: BinaryReader, steps) -> Scenario:
+    """One length-prefixed scenario record, whose (observed, future) step
+    counts must equal `steps`, the container header's."""
     (rec_len,) = r.unpack("<I")
     sub = BinaryReader(r.take(rec_len), r.kind)
     sid = sub.string()
     n, t, f, focal = sub.unpack("<IHHI")
+    if (t, f) != steps:
+        raise FormatError(f"{r.kind}: scenario {sid!r} has {t}+{f} steps, "
+                          f"the header says {steps[0]}+{steps[1]}")
+    if focal >= n:
+        raise FormatError(f"{r.kind}: scenario {sid!r} has focal agent {focal} of {n}")
     hist = sub.f32((n, t, 2))
     valid = sub.flags((n, t))
+    if not valid[focal].all():
+        raise FormatError(f"{r.kind}: scenario {sid!r} does not fully observe its focal agent")
     fut = sub.f32((n, f, 2))
     fvalid = sub.flags((n, f))
     (n_lanes,) = sub.unpack("<I")
@@ -417,7 +426,7 @@ def load_scenarios(path) -> DatasetSplit:
     version, t, f, n_train, n_val, seed = r.unpack("<IHHIIQ")
     if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported container version {version}")
-    train = [_read_scenario(r) for _ in range(n_train)]
-    val = [_read_scenario(r) for _ in range(n_val)]
+    train = [_read_scenario(r, (t, f)) for _ in range(n_train)]
+    val = [_read_scenario(r, (t, f)) for _ in range(n_val)]
     r.finish()
     return DatasetSplit(train=train, val=val, seed=seed)

@@ -169,9 +169,12 @@ class MultiHeadAttention(Module):
     """Scaled dot-product attention with optional boolean mask (true = attend).
 
     Queries [..., Tq, D] read keys and values [..., Tk, D]; the mask is
-    [B, Tq, Tk] and broadcasts over any axes in front of B. The projections
-    are Linear layers; everything between them is one `tensor.attention` op,
-    whose dropout multipliers are drawn here.
+    [B, Tq, Tk] and broadcasts over any axes in front of B. The query, value
+    and output projections are Linear layers. The key projection is a bare
+    [D, D] weight: a key bias b adds q . b to every logit of a query's row,
+    which softmax removes, so it could never learn. Everything between the
+    projections is one `tensor.attention` op, whose dropout multipliers are
+    drawn here.
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
@@ -179,7 +182,7 @@ class MultiHeadAttention(Module):
             raise ValueError("width must be divisible by heads")
         self.heads = heads
         self.wq = Linear(width, width, rng)
-        self.wk = Linear(width, width, rng)
+        self.wk = Tensor(_xavier(rng, width, width), requires_grad=True)
         self.wv = Linear(width, width, rng)
         self.wo = Linear(width, width, rng)
         self.drop = Dropout(dropout)
@@ -187,7 +190,9 @@ class MultiHeadAttention(Module):
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
                  rng: Rng | None = None) -> Tensor:
         kv_in = q_in if kv_in is None else kv_in
-        q, k, v = self.wq(q_in), self.wk(kv_in), self.wv(kv_in)
+        q = self.wq(q_in)
+        k = T.linear(kv_in, stacked(self.wk, 2, kv_in.ndim), 0.0)
+        v = self.wv(kv_in)
         lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
         keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)
         return self.wo(T.attention(q, k, v, self.heads, mask, keep))

@@ -23,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
-    "add", "mul", "neg", "tanh", "log", "softplus", "clamp_min", "matmul",
+    "add", "mul", "neg", "log", "softplus", "clamp_min",
     "transpose", "reshape", "getitem", "sum_", "mean", "softmax",
     "linear", "dyt", "layer_norm", "gelu", "attention", "laplace_nll",
 ]
@@ -211,12 +211,6 @@ def neg(a):
     return _unary(a, -a.data, lambda g: -g)
 
 
-def tanh(a):
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-    return _unary(a, out_data, lambda g: g * (1.0 - out_data * out_data))
-
-
 def log(a):
     a = _as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -245,25 +239,7 @@ def clamp_min(a, floor: float):
 
 
 # ---------------------------------------------------------------------------
-# matmul and shape ops
-
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul needs tensors with at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    ad, bd = a.data, b.data
-    out_data = np.matmul(ad, bd)
-
-    def da(g):
-        return np.matmul(g, np.swapaxes(bd, -1, -2))
-
-    def db(g):
-        return np.matmul(np.swapaxes(ad, -1, -2), g)
-
-    return _binary(a, b, out_data, da, db)
-
+# shape ops
 
 def transpose(a, axes):
     a = _as_tensor(a)
@@ -552,16 +528,27 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # seeded pseudo-randomness
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+def _u64(value: int) -> np.ndarray:
+    return np.array(value, dtype=np.uint64)
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+# 0-d arrays, not numpy scalars: numpy applies them with less overhead per
+# call, which counts for the one-value draws of scene generation
+_GOLDEN = _u64(_GOLDEN_INT)
+_MIX1, _MIX2 = _u64(0xBF58476D1CE4E5B9), _u64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = _u64(11), _u64(27), _u64(30), _u64(31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64's output mix of z, computed in place; returns z."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 class Rng:
@@ -570,26 +557,27 @@ class Rng:
     algorithm = "splitmix64"
 
     def __init__(self, seed: int):
-        self._state = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        self._state = seed & _MASK64  # a Python int: advancing it costs no numpy call
 
     def u64(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN
-            vals = _mix64(self._state + steps)
-            self._state = self._state + np.uint64(n) * _GOLDEN
-        return vals
+        # uint64 array arithmetic wraps modulo 2**64 without a warning
+        vals = np.arange(1, n + 1, dtype=np.uint64)
+        vals *= _GOLDEN
+        vals += _u64(self._state)
+        self._state = (self._state + n * _GOLDEN_INT) & _MASK64
+        return _mix64(vals)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
-        u = (self.u64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u = (self.u64(n) >> _S11).astype(np.float64) * (2.0 ** -53)
         out = low + (high - low) * u
         return out.reshape(shape) if shape else float(out[0])
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
         m = (n + 1) // 2
-        u1 = 1.0 - (self.u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        u2 = (self.u64(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        u1 = 1.0 - (self.u64(m) >> _S11).astype(np.float64) * (2.0 ** -53)
+        u2 = (self.u64(m) >> _S11).astype(np.float64) * (2.0 ** -53)
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
         out = mean + std * z
@@ -608,7 +596,5 @@ class Rng:
 
     def child(self, key: int) -> "Rng":
         """Independent stream derived from (state, key); parent state unchanged."""
-        with np.errstate(over="ignore"):
-            k = _mix64(np.array([key & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) + _GOLDEN)
-            derived = _mix64(self._state ^ k)
-        return Rng(int(derived[0]))
+        k = _mix64(np.array([key & _MASK64], dtype=np.uint64) + _GOLDEN)
+        return Rng(int(_mix64(k ^ _u64(self._state))[0]))

@@ -173,11 +173,7 @@ class Snapshot:
 
 
 class DivergenceError(RuntimeError):
-    """Loss became non-finite; carries the snapshots captured so far."""
-
-    def __init__(self, message: str, snapshots):
-        super().__init__(message)
-        self.snapshots = list(snapshots)
+    """Loss became non-finite, or a NumericalError was raised inside a step."""
 
 
 @dataclass
@@ -207,27 +203,30 @@ def _validate(model: TrajectoryPredictor, scenarios, batch_size: int):
 
 def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfig,
           rng: Rng, lam: float = 1.0, batch_size: int = 8, log_sink=None,
-          initial_params: dict | None = None, start_cycle: int = 0) -> TrainResult:
+          snapshot_sink=None, resume: Snapshot | None = None) -> TrainResult:
     """Run num_cycles x cycle_length epochs, snapshotting at each cycle end.
 
     Emits one machine-readable record per epoch (epoch, cycle, lr, train
-    loss, validation minADE/minFDE/MR). On a non-finite loss or a
-    NumericalError inside a step the run aborts with the completed snapshots
-    retained on the raised DivergenceError; any other error propagates as is.
+    loss, validation minADE/minFDE/MR) to log_sink, and hands each snapshot
+    to snapshot_sink as its cycle ends, so a run that stops later keeps the
+    cycles it finished. With resume, training starts from that snapshot's
+    parameters at the cycle after it. On a non-finite loss or a
+    NumericalError inside a step the run aborts with a DivergenceError; any
+    other error propagates as is.
     """
     train_scenarios = [s for s in split.train if eligible_agents(s).any()]
     if not train_scenarios:
         raise ValueError("training split has no loss-eligible agents")
     model = TrajectoryPredictor(model_cfg, rng.child(0))
-    if initial_params is not None:
-        model.load_state_dict(initial_params)
+    start_cycle = 0
+    if resume is not None:
+        model.load_state_dict(resume.params)
+        start_cycle = resume.cycle_index + 1
     shuffle_rng = rng.child(1)
     dropout_rng = rng.child(2)
     opt = AdamW()
     snapshots, records = [], []
-
-    def last_good():
-        return f"snapshot_{snapshots[-1].cycle_index}" if snapshots else "none"
+    last_good = f"snapshot_{start_cycle - 1}" if start_cycle else "none"
 
     epoch_global = start_cycle * sched_cfg.cycle_length
     for cycle in range(start_cycle, sched_cfg.num_cycles):
@@ -242,16 +241,15 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
                         breakdown = total_loss(model, batch, lam, dropout_rng, training=True)
                     loss_val = breakdown.total.item()
                     if not math.isfinite(loss_val):
-                        raise DivergenceError(
-                            f"non-finite loss at epoch {epoch_global}; "
-                            f"last good snapshot: {last_good()}", snapshots)
+                        raise DivergenceError(f"non-finite loss at epoch {epoch_global}; "
+                                              f"last good snapshot: {last_good}")
                     T.backward(breakdown.total, tape)
                     opt.step(model.named_params(), lr)
                     model.zero_grad()
                 except T.NumericalError as err:
                     raise DivergenceError(
                         f"numerical blow-up at epoch {epoch_global} ({err}); "
-                        f"last good snapshot: {last_good()}", snapshots) from err
+                        f"last good snapshot: {last_good}") from err
                 batch_losses.append(loss_val)
             val_metrics = _validate(model, split.val, batch_size) if split.val else None
             record = {
@@ -268,6 +266,9 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
                 log_sink(record)
             epoch_global += 1
         snapshots.append(Snapshot(cycle_index=cycle, params=model.state_dict()))
+        if snapshot_sink is not None:
+            snapshot_sink(snapshots[-1])
+        last_good = f"snapshot_{cycle}"
     return TrainResult(model=model, snapshots=snapshots, records=records)
 
 
@@ -332,13 +333,9 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
 
     def predict(scenario: Scenario) -> BatchPrediction:
         pred = model.forward([scenario])
-        probs = _mean_arrays(pred.mode_probs.data)
-        sums = probs.sum(axis=1, keepdims=True)
-        drift = np.abs(sums - 1.0) > 1e-12  # renormalize only on real drift
-        probs = np.where(drift, probs / sums, probs)
         return BatchPrediction(
             locations=Tensor(_mean_arrays(pred.locations.data)),
             scales=Tensor(_mean_arrays(pred.scales.data)),
-            mode_probs=Tensor(probs))
+            mode_probs=Tensor(_mean_arrays(pred.mode_probs.data)))
 
     return predict

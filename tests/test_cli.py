@@ -108,6 +108,66 @@ def test_train_resume_completes_cycles(tmp_path):
                  *FAST, "--resume"]) == 0
 
 
+def test_interrupted_train_keeps_finished_snapshots(tmp_path, monkeypatch):
+    import dyttp.cli as cli
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted_train(*args, log_sink, **kwargs):
+        def sink(record):
+            if record["cycle"] == 2:
+                raise Interrupted
+            log_sink(record)
+        return real_train(*args, log_sink=sink, **kwargs)
+
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", interrupted_train)
+    data = gen(tmp_path)
+    run = tmp_path / "interrupted"
+    args = ["train", "--data", str(data), "--out", str(run), "--seed", "5", *FAST, "--cycles", "3"]
+    with pytest.raises(Interrupted):
+        main(args)
+    cfg = ModelConfig(width=16, heads=2, modes=2, dropout=0.05)
+    paths = [str(run / f"snapshot_{c}.ckpt") for c in (0, 1)]
+    assert [s.cycle_index for s in snapshots_from_checkpoints(paths, cfg)] == [0, 1]
+    assert sorted(p.name for p in run.glob("snapshot_*")) == ["snapshot_0.ckpt", "snapshot_1.ckpt"]
+
+    monkeypatch.setattr(cli, "train", real_train)
+    assert main([*args, "--resume"]) == 0
+    assert (run / "snapshot_2.ckpt").exists()
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
+    # version 1 still held attention key biases; its files cannot load
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, TrajectoryPredictor(cfg, Rng(9)).state_dict(), cfg, 0)
+    raw = path.read_bytes()
+    assert raw[4:8] == struct.pack("<I", 2)
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    data = gen(tmp_path, count=6)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--checkpoints", str(path),
+                 "--width", "16", "--heads", "2", "--modes", "2"]) == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_focal_agent_out_of_range(tmp_path, capsys):
+    split = generate_synthetic(6, Rng(5))
+    scene = split.all_scenarios()[-1]
+    scene.focal_agent = scene.num_agents + 5
+    data = tmp_path / "bad.bin"
+    save_scenarios(split, data)
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, TrajectoryPredictor(cfg, Rng(9)).state_dict(), cfg, 0)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--checkpoints", str(ckpt),
+                 "--width", "16", "--heads", "2", "--modes", "2"]) == 2
+    assert "focal agent" in capsys.readouterr().err
+
+
 def test_checkpoint_roundtrip_identical_outputs(tmp_path):
     cfg = ModelConfig(width=16, heads=2, modes=2, dropout=0.0)
     model = TrajectoryPredictor(cfg, Rng(9))

@@ -149,6 +149,38 @@ def test_bad_magic_and_version(tmp_path):
         load_scenarios(p)
 
 
+def _focal_out_of_range(sc):
+    sc.focal_agent = sc.num_agents + 5
+
+
+def _short_history(sc):
+    sc.agent_histories, sc.agent_valid = sc.agent_histories[:, 1:], sc.agent_valid[:, 1:]
+
+
+def _short_future(sc):
+    sc.agent_futures, sc.future_valid = sc.agent_futures[:, 1:], sc.future_valid[:, 1:]
+
+
+def _focal_unobserved(sc):
+    sc.agent_valid[sc.focal_agent, 0] = False
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_focal_out_of_range, "has focal agent [0-9]+ of [0-9]+$"),
+    (_short_history, "has 19[+]30 steps, the header says 20[+]30"),
+    (_short_future, "has 20[+]29 steps, the header says 20[+]30"),
+    (_focal_unobserved, "does not fully observe its focal agent"),
+], ids=["focal-out-of-range", "short-history", "short-future", "focal-unobserved"])
+def test_invalid_scenario_records_raise_format_error(tmp_path, corrupt, message):
+    # the records parse, but no consumer of the scenario could use them
+    split = generate_synthetic(6, Rng(5))
+    corrupt(split.all_scenarios()[-1])  # the header's step counts come from the first
+    p = tmp_path / "bad.bin"
+    save_scenarios(split, p)
+    with pytest.raises(FormatError, match=message):
+        load_scenarios(p)
+
+
 def test_scenario_translate_and_permute():
     sc = generate_scenario(2, Rng(8).child(2), GenConfig(noise_sigma=0.0))
     moved = sc.translated(100.0, -50.0)

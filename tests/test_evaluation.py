@@ -369,7 +369,7 @@ def test_run_ablation_trains_each_norm_once(monkeypatch):
     def counted(split, cfg, *args, **kwargs):
         calls.append(cfg.norm_kind)
         if cfg.norm_kind == "layernorm":
-            raise training.DivergenceError("non-finite loss at epoch 0", [])
+            raise training.DivergenceError("non-finite loss at epoch 0")
         return real(split, cfg, *args, **kwargs)
 
     real = training.train

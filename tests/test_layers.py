@@ -110,9 +110,10 @@ def test_mha_identical_tokens_identical_outputs():
 def test_mha_two_token_hand_computation():
     rng = Rng(7)
     mha = MultiHeadAttention(2, 1, rng)
-    for lin in (mha.wq, mha.wk, mha.wv, mha.wo):
+    for lin in (mha.wq, mha.wv, mha.wo):
         lin.weight.data = np.eye(2)
         lin.bias.data = np.zeros(2)
+    mha.wk.data = np.eye(2)
     x = np.array([[[1.0, 0.0], [0.0, 2.0]]])
     out = mha(Tensor(x)).data
 
@@ -155,7 +156,9 @@ def mha_np(p, x):
     def proj(name, a):
         return a @ p[f"{name}.weight"] + p[f"{name}.bias"]
 
-    q, k, v = (proj(n, x).reshape(x.shape[:-1] + (2, 3)) for n in ("wq", "wk", "wv"))
+    # the key projection is a bare weight, with no bias
+    q, k, v = (a.reshape(x.shape[:-1] + (2, 3))
+               for a in (proj("wq", x), x @ p["wk"], proj("wv", x)))
     s = np.where(CAUSAL[..., None, :, :], np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(3.0),
                  -np.inf)
     ctx = np.einsum("...hqk,...khd->...qhd", softmax_np(s), v)
@@ -234,7 +237,7 @@ def test_block_grad_check(kind):
         probe.data = p.data
         try:
             h = block.norm_attn(Tensor(x0))
-            out = T.sum_(T.mul(T.matmul(h, p), w))
+            out = T.sum_(T.mul(T.linear(h, p, 0.0), w))
         finally:
             probe.data = old
         return out

@@ -7,8 +7,18 @@ from dyttp import tensor as T
 from dyttp.layers import stacked
 from dyttp.tensor import (
     Rng, Tape, Tensor, add, backward, clamp_min, getitem, grad_check, log,
-    matmul, mean, mul, neg, reshape, softmax, softplus, sum_, tanh, transpose,
+    mean, mul, neg, reshape, softmax, softplus, sum_, transpose,
 )
+
+
+def tanh(x):
+    """tanh as DyT with unit alpha and gamma and zero beta."""
+    return T.dyt(x, 1.0, 1.0, 0.0)
+
+
+def matmul(a, b):
+    """A matrix product as a linear op with zero bias."""
+    return T.linear(a, b, 0.0)
 
 
 def test_tanh_zero_is_zero():
@@ -186,7 +196,6 @@ def test_grad_check_tanh_sum():
 # explicit ids, so a case's test name does not change when another case is
 # added or removed
 UNARY_CASES = [
-    pytest.param("tanh", tanh, (-2.0, 2.0), id="tanh-tanh-rng_range0"),
     pytest.param("log", log, (0.2, 2.0), id="log-log-rng_range2"),
     pytest.param("softplus", softplus, (-2.0, 2.0), id="softplus-softplus-rng_range4"),
     pytest.param("neg", neg, (-2.0, 2.0), id="neg-neg-rng_range6"),
@@ -209,7 +218,6 @@ def test_grad_check_binary_and_reductions():
     cases = {
         "add": lambda t: sum_(add(t, a_fixed)),
         "mul": lambda t: sum_(mul(t, a_fixed)),
-        "matmul": lambda t: sum_(matmul(t, a_fixed.T)),
         "mean": lambda t: mean(mul(t, t)),
         "softmax": lambda t: sum_(mul(softmax(t, axis=-1), a_fixed)),
         "clamp_min": lambda t: sum_(clamp_min(t, 1.0)),
@@ -376,6 +384,17 @@ def test_rng_uniform_bounds_and_normal_moments():
     assert abs(z.std() - 1.0) < 0.05
 
 
+def test_rng_matches_splitmix64_reference_outputs():
+    # splitmix64's published outputs for seeds 0 and 1234567
+    assert Rng(0).u64(3).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                      0x06C45D188009454F]
+    assert Rng(1234567).u64(3).tolist() == [0x599ED017FB08FC85, 0x2C73F08458540FA5,
+                                            0x883EBCE5A3F27C77]
+    # drawing in pieces continues the same stream
+    rng = Rng(0)
+    assert rng.u64(1).tolist() + rng.u64(2).tolist() == Rng(0).u64(3).tolist()
+
+
 def test_rng_permutation_is_permutation():
     rng = Rng(9)
     p = rng.permutation(100)
@@ -392,7 +411,7 @@ def test_tapes_are_thread_local():
         x = Tensor(rng.normal((16,)), requires_grad=True)
         for _ in range(50):
             with Tape() as tape:
-                loss = sum_(mul(tanh(x), x))
+                loss = sum_(mul(softplus(x), x))
             backward(loss, tape)
         results[tag] = (x.grad.copy(), loss.item())
 
@@ -414,3 +433,29 @@ def test_all_names_resolve():
     # perfbench wraps every op listed in __all__, so a stale entry would break it
     for name in T.__all__:
         assert callable(getattr(T, name)), name
+
+
+def test_every_op_has_a_library_caller():
+    # an op that only tests call is dead weight: the library reaches each op
+    # through `tensor as <alias>` attribute calls or `from .tensor import`
+    import ast
+    from pathlib import Path
+
+    src = Path(T.__file__).parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases)
+    not_ops = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}
+    unused = set(T.__all__) - not_ops - used
+    assert not unused, f"ops no library module calls: {sorted(unused)}"

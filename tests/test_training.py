@@ -222,6 +222,22 @@ def test_batched_total_loss_and_gradients_match_single_scenarios():
         assert np.abs(grads[n] - want).max() <= 1e-10 * scale, n
 
 
+@pytest.mark.parametrize("kind", ["dyt", "layernorm"])
+def test_every_parameter_of_a_default_model_gets_a_gradient(kind):
+    # a parameter whose gradient is rounding noise cannot learn: AdamW only
+    # turns that noise into build-dependent values
+    model = TrajectoryPredictor(ModelConfig(norm_kind=kind), Rng(1))
+    batch = generate_synthetic(12, Rng(42)).train[:8]
+    assert len(batch) == 8
+    with Tape() as tape:
+        lb = total_loss(model, batch, rng=Rng(2))
+    T.backward(lb.total, tape)
+    largest = {n: float(np.abs(p.grad).max()) for n, p in model.named_params()}
+    assert len(largest) == {"dyt": 82, "layernorm": 73}[kind]
+    dead = sorted(n for n, g in largest.items() if not g > 1e-8)
+    assert not dead, dead
+
+
 def test_total_loss_empty_batch_errors():
     model = TrajectoryPredictor(SMALL, Rng(5))
     with pytest.raises(ValueError):
@@ -385,10 +401,11 @@ def test_train_divergence_aborts_cleanly(monkeypatch):
 
     monkeypatch.setattr(training_mod, "total_loss", poisoned)
     sched = SchedulerConfig(cycle_length=1, num_cycles=3)
+    saved = []
     with pytest.raises(DivergenceError) as exc:
-        train(split, SMALL, sched, Rng(9), batch_size=batch_size)
-    assert exc.value.snapshots, "completed snapshots should be retained"
-    assert exc.value.snapshots[-1].cycle_index == 0
+        train(split, SMALL, sched, Rng(9), batch_size=batch_size, snapshot_sink=saved.append)
+    # the completed cycle was handed out before the run aborted
+    assert [s.cycle_index for s in saved] == [0]
     assert "snapshot_0" in str(exc.value)
 
 
@@ -413,8 +430,7 @@ def test_train_resume_from_params():
     split = _tiny_split(8)
     sched = SchedulerConfig(cycle_length=1, num_cycles=2)
     full = train(split, SMALL, sched, Rng(10), batch_size=4)
-    resumed = train(split, SMALL, sched, Rng(10), batch_size=4,
-                    initial_params=full.snapshots[0].params, start_cycle=1)
+    resumed = train(split, SMALL, sched, Rng(10), batch_size=4, resume=full.snapshots[0])
     assert [s.cycle_index for s in resumed.snapshots] == [1]
     assert resumed.records[0]["epoch"] == 1
 
