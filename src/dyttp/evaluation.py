@@ -156,11 +156,6 @@ def norm_layer_latency(norm_kind: str, shape=(32, 50, 64), iterations: int = 100
     x = Tensor(Rng(seed).normal(shape))
     for _ in range(warmup):
         layer(x)
-    # allocating the timed input after the warm-up leaves the allocator in the
-    # same state for every layer, whichever one a process times first: each
-    # timed iteration then maps fresh pages for its temporaries (without the
-    # copy only the first layer timed in a process does)
-    x = Tensor(x.data.copy())
     t0 = time.perf_counter()
     for _ in range(iterations):
         layer(x)

@@ -13,6 +13,8 @@ output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -152,12 +154,17 @@ class Dropout:
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
+        # rng.uniform() is k * 2**-53 for the top 53 bits k of a draw, and k * 2**-53 >= p
+        # exactly when k >= ceil(p * 2**53): the same mask, compared on the integers
+        self._drop_below = math.ceil(p * 2.0 ** 53)
 
     def keep(self, shape, rng: Rng | None):
         """Inverted-dropout multipliers of `shape` drawn from rng; None without rng or when p is 0."""
         if rng is None or self.p == 0.0:
             return None
-        return (rng.uniform(shape) >= self.p) / (1.0 - self.p)
+        bits = rng.u64(math.prod(shape))
+        bits >>= 11
+        return (bits >= self._drop_below).reshape(shape) / (1.0 - self.p)
 
     def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
         """x with inverted dropout applied, drawn from rng; x itself when rng is None."""

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from dyttp.backbone import (
     ModelConfig, TrajectoryPredictor, agent_step_features, frame_origins,
     lane_segments,
 )
-from dyttp.data import DatasetSplit, Scenario, load_scenarios, save_scenarios
+from dyttp.data import (
+    DatasetSplit, GenConfig, Scenario, generate_synthetic, load_scenarios, save_scenarios,
+)
 from dyttp.tensor import Rng, Tensor
 
 TINY = ModelConfig(width=8, heads=2, blocks_per_stage=1, modes=2,
@@ -304,3 +308,28 @@ def test_rng_alone_switches_dropout_on():
         dropped = [not np.array_equal(getattr(a, name).data, getattr(plain, name).data)
                    for name in fields]
         assert all(dropped) if dropout else not any(dropped), dropout
+
+
+def _has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in the C library: importing dyttp "
+                    "leaves the allocator's thresholds as they are")
+def test_steady_state_dense_predict_does_not_page_fault():
+    resource = pytest.importorskip("resource")
+    split = generate_synthetic(64, Rng(3), GenConfig(max_agents=32))
+    scene = next(s for s in split.all_scenarios() if s.num_agents >= 24)
+    model = TrajectoryPredictor(ModelConfig(), Rng(1))
+    for _ in range(5):
+        model.predict(scene)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        model.predict(scene)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # freed activations stay mapped, so the same predict reuses their pages
+    assert faults <= 20, f"{faults} minor page faults in 20 predicts"

@@ -260,6 +260,18 @@ def test_dropout_modes():
         Dropout(1.0)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.999])
+def test_dropout_mask_equals_the_uniform_draw(p):
+    # the mask compares the draws' top 53 bits with an integer threshold; it must keep
+    # exactly the elements `uniform >= p` keeps and leave the stream at the same place
+    shape = (20, 4, 28, 28)
+    a, b = Rng(5), Rng(5)
+    got = Dropout(p).keep(shape, a)
+    want = (b.uniform(shape) >= p) / (1.0 - p)
+    assert np.array_equal(got, want)
+    assert a.u64(4).tolist() == b.u64(4).tolist()
+
+
 def test_gelu_values_and_gradient():
     # reference points of the tanh-form gelu
     assert T.gelu(Tensor(0.0)).item() == 0.0
