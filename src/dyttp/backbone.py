@@ -232,8 +232,6 @@ class TrajectoryPredictor(Module):
         return x
 
     def stage_agent_lane(self, summary: Tensor, lane_tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
-        if batch.seg_valid.shape[1] == 0:
-            return summary
         rel = batch.seg_mids[batch.scene_of] - batch.origins[:, None, :]      # [A, S_max, 2]
         near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.seg_valid[batch.scene_of]
         has_key = near.any(axis=1)

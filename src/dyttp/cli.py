@@ -274,9 +274,9 @@ def _predict_fn_from_args(args, model_cfg):
     snaps = snapshots_from_checkpoints(args.checkpoints, model_cfg)
     if args.ensemble == "off":
         return make_ensemble(snaps[-1:], model_cfg, EnsembleConfig()), "single snapshot"
-    cfg = EnsembleConfig(strategy=args.ensemble, snapshots_used=args.snapshots_used)
-    used = len(snaps) if args.snapshots_used is None else min(args.snapshots_used, len(snaps))
-    return make_ensemble(snaps, model_cfg, cfg), f"{args.ensemble} over {used} snapshots"
+    used = snaps if args.snapshots_used is None else snaps[-args.snapshots_used:]
+    return (make_ensemble(used, model_cfg, EnsembleConfig(strategy=args.ensemble)),
+            f"{args.ensemble} over {len(used)} snapshots")
 
 
 def _maybe_autoconfig(args):
@@ -441,6 +441,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen-data" and args.count < 1:
         parser.error("--count must be >= 1")
+    if getattr(args, "snapshots_used", None) is not None and args.snapshots_used < 1:
+        parser.error("--snapshots-used must be >= 1")
     try:
         return args.fn(args)
     except CheckpointMismatchError as e:

@@ -67,45 +67,6 @@ class Scenario:
     def pred_steps(self) -> int:
         return self.agent_futures.shape[1]
 
-    def validate(self):
-        n, t = self.agent_valid.shape
-        if self.agent_histories.shape != (n, t, 2):
-            raise ValueError("history/validity shapes disagree")
-        if self.agent_futures.shape[0] != n or self.future_valid.shape != self.agent_futures.shape[:2]:
-            raise ValueError("future/validity shapes disagree")
-        if not (0 <= self.focal_agent < n):
-            raise ValueError("focal agent index out of range")
-        if not self.agent_valid[self.focal_agent].all():
-            raise ValueError("focal agent must have a fully observed history")
-        for arr in (self.agent_histories, self.agent_futures, *self.lanes):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite coordinates")
-
-    def translated(self, dx: float, dy: float) -> "Scenario":
-        shift = np.array([dx, dy])
-        return Scenario(
-            self.agent_histories + shift,
-            self.agent_valid.copy(),
-            self.agent_futures + shift,
-            self.future_valid.copy(),
-            [l + shift for l in self.lanes],
-            self.focal_agent,
-            self.scenario_id,
-        )
-
-    def permuted(self, order) -> "Scenario":
-        order = np.asarray(order)
-        inv = int(np.argwhere(order == self.focal_agent)[0, 0])
-        return Scenario(
-            self.agent_histories[order],
-            self.agent_valid[order],
-            self.agent_futures[order],
-            self.future_valid[order],
-            [l.copy() for l in self.lanes],
-            inv,
-            self.scenario_id,
-        )
-
 
 @dataclass
 class DatasetSplit:
@@ -243,13 +204,11 @@ def generate_scenario(index: int, rng: Rng, cfg: GenConfig) -> Scenario:
     if cfg.noise_sigma > 0.0:
         histories = histories + rng.normal((n_agents, t, 2), std=cfg.noise_sigma)
 
-    sc = Scenario(
+    return Scenario(
         histories, agent_valid, futures, future_valid, lanes,
         focal_agent=0,
         scenario_id=f"syn-{index:06d}-{focal_maneuver}",
     )
-    sc.validate()
-    return sc
 
 
 def split_of(scenario_id: str, seed: int) -> str:

@@ -40,14 +40,6 @@ class Module:
         for _, p in self.named_params():
             p.grad = None
 
-    def set_param(self, name: str, tensor: Tensor):
-        """Replace a named parameter object (gradient-checking hook)."""
-        obj = self
-        parts = name.split(".")
-        for p in parts[:-1]:
-            obj = obj[int(p)] if p.isdigit() else getattr(obj, p)
-        setattr(obj, parts[-1], tensor)
-
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_params()}
 
@@ -214,32 +206,6 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
         return self.lin2(self.drop(T.gelu(self.lin1(x)), rng))
-
-
-def grad_check_params(model: Module, loss_fn, names=None, h: float = 1e-5):
-    """Finite-difference check of loss_fn gradients w.r.t. named parameters.
-
-    loss_fn computes a scalar Tensor from the model's current parameters;
-    each named parameter is swapped for a probe tensor in turn. Returns
-    {name: max relative error} for the checked parameters.
-    """
-    from .tensor import Tensor as _Tensor, grad_check
-
-    all_named = dict(model.named_params())
-    names = list(all_named) if names is None else names
-    errors = {}
-    for name in names:
-        original = all_named[name]
-
-        def f(p, _name=name, _orig=original):
-            model.set_param(_name, p)
-            try:
-                return loss_fn()
-            finally:
-                model.set_param(_name, _orig)
-
-        errors[name] = grad_check(f, _Tensor(original.data.copy()), h=h)
-    return errors
 
 
 class TransformerBlock(Module):

@@ -97,20 +97,11 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # Tape
 
-_tls = threading.local()
+class _Innermost(threading.local):
+    tape = None  # the thread's innermost open Tape
 
 
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _current_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_innermost = _Innermost()
 
 
 class Tape:
@@ -124,14 +115,15 @@ class Tape:
         self._records = []  # (output Tensor, backward fn taking output grad)
         self._recorded = 0
         self._used = False
+        self._outer = None  # the tape this one was opened inside
 
     def __enter__(self):
-        _tape_stack().append(self)
+        self._outer, _innermost.tape = _innermost.tape, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self
+        assert _innermost.tape is self
+        _innermost.tape = self._outer
         return False
 
     def __len__(self):
@@ -194,7 +186,7 @@ def _op(inputs, out_data, grads):
     broadcast against each other.
     """
     out = Tensor(out_data)
-    tape = _current_tape()
+    tape = _innermost.tape
     if tape is None:
         return out
     needs = tuple(t.requires_grad for t in inputs)
@@ -305,45 +297,23 @@ def getitem(a, idx):
 # ---------------------------------------------------------------------------
 # reductions
 
-def _normalize_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    for ax in axis:
-        if not -ndim <= ax < ndim:
-            raise ValueError(f"axis {ax} out of range for ndim {ndim}")
-    return tuple(ax % ndim for ax in axis)
-
-
-def sum_(a, axis=None, keepdims: bool = False):
+def sum_(a, axis=None):
     a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def da(g):
-        if not keepdims and axis is not None:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.data.shape)
 
     return _unary(a, out_data, da)
 
 
-def mean(a, axis=None, keepdims: bool = False):
+def mean(a):
+    """Mean over every element."""
     a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def da(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape) / n
-
-    return _unary(a, out_data, da)
+    n = a.data.size
+    return _unary(a, a.data.mean(), lambda g: np.broadcast_to(g, a.data.shape) / n)
 
 
 def softmax(a, axis: int = -1):

@@ -278,13 +278,10 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
 @dataclass
 class EnsembleConfig:
     strategy: str = "prediction_average"
-    snapshots_used: int | None = None   # most recent S; None means all
 
     def __post_init__(self):
         if self.strategy not in ("prediction_average", "parameter_average"):
             raise ValueError(f"unknown ensemble strategy {self.strategy!r}")
-        if self.snapshots_used is not None and self.snapshots_used < 1:
-            raise ValueError("snapshots_used must be >= 1")
 
 
 def model_from_params(params: dict, model_cfg: ModelConfig) -> TrajectoryPredictor:
@@ -314,22 +311,21 @@ def _mean_arrays(arrays):
 
 
 def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
-    """Build a predict(scenario) -> BatchPrediction callable for a set of snapshots."""
+    """Build a predict(scenario) -> BatchPrediction callable over every given snapshot."""
     if not snapshots:
         raise ValueError("ensemble needs at least one snapshot")
-    used = snapshots if cfg.snapshots_used is None else snapshots[-cfg.snapshots_used:]
-    _check_compatible(used)
+    _check_compatible(snapshots)
 
     if cfg.strategy == "parameter_average":
-        params = {k: _mean_arrays([s.params[k] for s in used]) for k in used[0].params}
+        params = {k: _mean_arrays([s.params[k] for s in snapshots]) for k in snapshots[0].params}
         return model_from_params(params, model_cfg).predict
 
-    model = model_from_params(used[0].params, model_cfg)
-    if len(used) == 1:
+    model = model_from_params(snapshots[0].params, model_cfg)
+    if len(snapshots) == 1:
         return model.predict
     # every parameter becomes [S, *P]; forward's outputs then lead with S
     for name, p in model.named_params():
-        p.data = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in used])
+        p.data = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in snapshots])
 
     def predict(scenario: Scenario) -> BatchPrediction:
         pred = model.forward([scenario])

@@ -23,12 +23,14 @@ from dyttp.data import (
 from dyttp.evaluation import (
     constant_velocity_predict, evaluate_model, norm_layer_latency, score_focal,
 )
-from dyttp.layers import DynamicTanh, grad_check_params, stacked
+from dyttp.layers import DynamicTanh, stacked
 from dyttp.tensor import Rng, Tensor, grad_check
 from dyttp.training import (
     EnsembleConfig, SchedulerConfig, Snapshot, classification_ce, lr_at,
     make_ensemble, regression_nll, select_best_mode, total_loss, train,
 )
+
+from conftest import grad_check_params
 
 
 def ok(n, text):

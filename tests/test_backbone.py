@@ -13,6 +13,8 @@ from dyttp.data import (
 )
 from dyttp.tensor import Rng, Tensor
 
+from conftest import grad_check_params, permuted, translated
+
 TINY = ModelConfig(width=8, heads=2, blocks_per_stage=1, modes=2,
                    obs_steps=4, pred_steps=3, radius=50.0, dropout=0.0)
 
@@ -51,7 +53,7 @@ def test_agent_tokens_translation_invariant_bitwise():
                   sc.agent_valid, sc.agent_futures, sc.future_valid,
                   [l.astype(np.float32).astype(np.float64) for l in sc.lanes],
                   sc.focal_agent, sc.scenario_id)
-    moved = sc.translated(100.0, 100.0)
+    moved = translated(sc, 100.0, 100.0)
     a, _, _ = model.embed_inputs([sc])
     b, _, _ = model.embed_inputs([moved])
     assert np.array_equal(a.data, b.data)
@@ -155,7 +157,7 @@ def test_translation_equivariance():
         path = os.path.join(d, "s.bin")
         save_scenarios(split, path)
         sc = load_scenarios(path).train[0]
-    moved = sc.translated(100.0, 100.0)
+    moved = translated(sc, 100.0, 100.0)
     a = model.predict(sc)
     b = model.predict(moved)
     for pa, pb in zip(a, b):
@@ -168,7 +170,7 @@ def test_agent_permutation_equivariance():
     model = TrajectoryPredictor(TINY, Rng(15))
     sc = tiny_scenario(16, n_agents=3)
     order = np.array([2, 0, 1])
-    perm = sc.permuted(order)
+    perm = permuted(sc, order)
     a = model.predict(sc)
     b = model.predict(perm)
     # reduction order changes under permutation cost a few ulps at most
@@ -183,7 +185,7 @@ def test_extreme_coordinates_stay_finite():
                           norm_kind=kind, dropout=0.0)
         model = TrajectoryPredictor(cfg, Rng(17))
         sc = tiny_scenario(18, cfg=cfg)
-        big = sc.translated(1e4, -1e4)
+        big = translated(sc, 1e4, -1e4)
         for p in model.predict(big):
             assert np.all(np.isfinite(p.locations.data))
             assert np.all(np.isfinite(p.scales.data))
@@ -200,8 +202,6 @@ def test_partial_validity_still_embeds():
 
 
 def test_backbone_grad_check_subset_of_params():
-    from dyttp.layers import grad_check_params
-
     model = TrajectoryPredictor(TINY, Rng(21))
     sc = tiny_scenario(22)
     w_rng = Rng(23)
@@ -263,7 +263,7 @@ def test_other_scene_in_batch_does_not_leak():
     model = TrajectoryPredictor(TINY, Rng(25))
     first, second = tiny_scenario(34, n_agents=2), tiny_scenario(35, n_agents=3)
     # overlap the first scene, well inside the radius, then move it again
-    near = second.translated(1.0, -1.0)
+    near = translated(second, 1.0, -1.0)
     moved = Scenario(near.agent_histories + Rng(36).uniform((3, TINY.obs_steps, 2), -2, 2),
                      near.agent_valid, near.agent_futures, near.future_valid,
                      [l[::-1] + 0.5 for l in near.lanes], 0, "moved")

@@ -413,6 +413,29 @@ def test_ensemble_off_and_snapshots_used_pick_the_highest_cycle(tmp_path):
                    "--snapshots-used", "1") == newest
 
 
+@pytest.mark.parametrize("ensemble", ["off", "prediction_average"])
+@pytest.mark.parametrize("used", ["0", "-1"])
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_snapshots_used_below_one_is_a_usage_error(tmp_path, capsys, command, used, ensemble):
+    data = gen(tmp_path, count=6)
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    ckpt = tmp_path / "snapshot_0.ckpt"
+    save_checkpoint(ckpt, TrajectoryPredictor(cfg, Rng(1)).state_dict(), cfg, 0)
+    out = tmp_path / "out.json"
+    argv = [command, "--data", str(data), "--checkpoints", str(ckpt), "--width", "16",
+            "--heads", "2", "--modes", "2", "--ensemble", ensemble, "--snapshots-used", used,
+            "--out-json", str(out)]
+    if command == "bench":
+        argv += ["--iterations", "100", "--warmup", "10", "--scenarios", "1"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_digest_mismatch_exit_code(tmp_path):
     data = gen(tmp_path)
     run = train(tmp_path, data)

@@ -181,17 +181,6 @@ def test_invalid_scenario_records_raise_format_error(tmp_path, corrupt, message)
         load_scenarios(p)
 
 
-def test_scenario_translate_and_permute():
-    sc = generate_scenario(2, Rng(8).child(2), GenConfig(noise_sigma=0.0))
-    moved = sc.translated(100.0, -50.0)
-    assert np.allclose(moved.agent_histories - sc.agent_histories, [100.0, -50.0])
-    if sc.num_agents > 1:
-        order = np.arange(sc.num_agents)[::-1]
-        perm = sc.permuted(order)
-        assert perm.focal_agent == sc.num_agents - 1
-        assert np.array_equal(perm.agent_histories[-1], sc.agent_histories[0])
-
-
 @pytest.mark.parametrize("make", [
     lambda: Rng(1).integers(0),
     lambda: Rng(1).integers(-3),

@@ -401,6 +401,21 @@ def test_rng_permutation_is_permutation():
     assert sorted(p.tolist()) == list(range(100))
 
 
+def test_nested_tape_records_into_the_innermost():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as outer:
+        add(x, 1.0)
+        with Tape() as inner:
+            mul(x, 2.0)
+        neg(x)
+    assert (len(outer), len(inner)) == (2, 1)
+    add(x, 1.0)  # no tape open: nothing records
+    assert (len(outer), len(inner)) == (2, 1)
+    with pytest.raises(AssertionError):
+        with Tape():
+            outer.__exit__(None, None, None)
+
+
 def test_tapes_are_thread_local():
     import threading
 
@@ -459,3 +474,37 @@ def test_every_op_has_a_library_caller():
     not_ops = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}
     unused = set(T.__all__) - not_ops - used
     assert not unused, f"ops no library module calls: {sorted(unused)}"
+
+
+def test_every_library_name_has_a_caller_outside_the_tests():
+    # a function, class or method that only tests reach is dead weight. A name
+    # counts as reached when src/, demos/ or perfbench/ mentions it as a bare
+    # name, an attribute or a `from ... import`. Matching is by name alone, so
+    # the check is approximate: a method shares its callers with every other
+    # definition of the same name, and a call through getattr is not seen
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in (p for d in ("src", "demos", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+
+    defined = []
+    for path in sorted((root / "src" / "dyttp").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((path.name, m) for m in node.body
+                               if isinstance(m, ast.FunctionDef)
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
+    uncalled = [f"{file}:{node.lineno} {node.name}" for file, node in defined
+                if node.name not in used]
+    assert not uncalled, f"names with no caller outside the tests: {uncalled}"

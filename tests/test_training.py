@@ -543,18 +543,6 @@ def test_symmetric_offsets_average_to_midpoint():
                            (a.locations.data + b.locations.data) / 2, atol=1e-12)
 
 
-def test_snapshots_used_takes_most_recent():
-    split = _tiny_split(4)
-    sc = split.all_scenarios()[0]
-    m1 = TrajectoryPredictor(SMALL, Rng(14))
-    m2 = TrajectoryPredictor(SMALL, Rng(15))
-    snaps = [_snapshot_of(m1, 0), _snapshot_of(m2, 1)]
-    last_only = make_ensemble(snaps, SMALL, EnsembleConfig(snapshots_used=1))(sc)
-    direct = m2.predict(sc)
-    for p, q in zip(last_only, direct):
-        assert np.array_equal(p.locations.data, q.locations.data)
-
-
 def test_mismatched_architecture_errors():
     m1 = TrajectoryPredictor(SMALL, Rng(16))
     m2 = TrajectoryPredictor(ModelConfig(width=32, heads=2, modes=2, dropout=0.0), Rng(17))
