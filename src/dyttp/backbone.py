@@ -1,10 +1,10 @@
 """Trajectory prediction backbone.
 
 Agents are embedded from per-step displacement vectors in a translated
-(agent-centric) frame, lanes from segment direction vectors; absolute
-positions only ever enter through differences, so the model is translation
-invariant by construction and predictions become world-frame by adding each
-agent's frame origin (its last observed position).
+(agent-centric) frame, lanes from segment directions and midpoints relative
+to each agent; absolute positions only ever enter through differences, so the
+model is translation invariant by construction and predictions become
+world-frame by adding each agent's frame origin (its last observed position).
 
 Encoding runs four attention stages in order: agent-agent per observed
 timestep within a radius, temporal per agent with a causal mask (last-step
@@ -125,55 +125,46 @@ def agent_step_features(scenario) -> np.ndarray:
 
 
 def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
-    """Split polylines into segments: ([S, 3] unit direction + length, [S, 2] midpoints)."""
-    feats, mids = [], []
-    for poly in lanes:
-        poly = np.asarray(poly, dtype=np.float64)
-        if poly.shape[0] < 2:
-            continue
-        d = np.diff(poly, axis=0)
-        length = np.linalg.norm(d, axis=1)
-        keep = length > 0
-        if not keep.any():
-            continue
-        u = d[keep] / length[keep, None]
-        feats.append(np.concatenate([u, length[keep, None]], axis=1))
-        mids.append(0.5 * (poly[:-1] + poly[1:])[keep])
-    if not feats:
-        return np.zeros((0, 3)), np.zeros((0, 2))
-    return np.concatenate(feats), np.concatenate(mids)
+    """Nonzero steps within each polyline: ([S, 3] unit direction + length, [S, 2] midpoints)."""
+    points = np.concatenate([np.zeros((0, 2)), *lanes])                     # [P, 2]
+    lane_of = np.repeat(np.arange(len(lanes)), [len(poly) for poly in lanes])
+    d = np.diff(points, axis=0)
+    length = np.linalg.norm(d, axis=1)
+    keep = (lane_of[1:] == lane_of[:-1]) & (length > 0)
+    feats = np.concatenate([d[keep] / length[keep, None], length[keep, None]], axis=1)
+    return feats, 0.5 * (points[:-1] + points[1:])[keep]
 
 
 class SceneBatch:
     """Scenarios run together, their agents flattened onto one axis of A = sum N_i.
 
     Agents keep scene order, then their order within the scene; `scene_of`
-    maps each agent to its scene. Lane segments are split once per scene and
-    padded to the batch's largest segment count S_max, with `seg_valid`
-    marking the real ones. The stages build their attention masks from these
-    arrays and AND in `same_scene`, so no agent attends across scenes.
+    maps each agent to its scene. Each agent gets its scene's lane segments,
+    padded to the batch's largest count S_max, as `lane_feats` (unit direction,
+    length, midpoint minus the agent's frame origin) with `lane_valid` marking
+    the real ones. The stages build their attention masks from these arrays
+    and AND in `same_scene`, so no agent attends across scenes.
     """
 
     def __init__(self, scenes):
         scenes = list(scenes)
         if not scenes:
             raise ValueError("a batch needs at least one scenario")
-        self.size = b = len(scenes)
-        self.scene_of = np.repeat(np.arange(b), [s.num_agents for s in scenes])    # [A]
+        self.scene_of = np.repeat(np.arange(len(scenes)), [s.num_agents for s in scenes])  # [A]
         self.same_scene = self.scene_of[:, None] == self.scene_of[None, :]        # [A, A]
         self.agent_histories = np.concatenate([s.agent_histories for s in scenes])  # [A, T, 2]
         self.agent_valid = np.concatenate([s.agent_valid for s in scenes])          # [A, T]
         self.origins = frame_origins(self)                                          # [A, 2]
         segments = [lane_segments(s.lanes) for s in scenes]
         s_max = max(feats.shape[0] for feats, _ in segments)
-        self.seg_feats = np.zeros((b, s_max, 3))
-        self.seg_mids = np.zeros((b, s_max, 2))
-        self.seg_valid = np.zeros((b, s_max), dtype=bool)
+        seg_feats = np.zeros((len(scenes), s_max, 5))
+        seg_valid = np.zeros((len(scenes), s_max), dtype=bool)
         for i, (feats, mids) in enumerate(segments):
-            n = feats.shape[0]
-            self.seg_feats[i, :n] = feats
-            self.seg_mids[i, :n] = mids
-            self.seg_valid[i, :n] = True
+            seg_feats[i, :len(feats)] = np.concatenate([feats, mids], axis=1)
+            seg_valid[i, :len(feats)] = True
+        self.lane_feats = seg_feats[self.scene_of]                                  # [A, S_max, 5]
+        self.lane_feats[..., 3:] -= self.origins[:, None, :]
+        self.lane_valid = seg_valid[self.scene_of]                                  # [A, S_max]
 
 
 class TrajectoryPredictor(Module):
@@ -182,8 +173,7 @@ class TrajectoryPredictor(Module):
         self.cfg = cfg
         self.input_proj = Linear(3, d, rng)
         self.pos_embed = Tensor(rng.normal((cfg.obs_steps, d), std=0.02), requires_grad=True)
-        self.lane_proj = Linear(3, d, rng)
-        self.rel_proj = Linear(2, d, rng)
+        self.lane_proj = Linear(5, d, rng)
         self.social_blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.blocks_per_stage)]
         self.temporal_blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.blocks_per_stage)]
         self.lane_blocks = [TransformerBlock(cfg, rng, cross=True) for _ in range(cfg.blocks_per_stage)]
@@ -199,12 +189,11 @@ class TrajectoryPredictor(Module):
         return Tensor(arr[(None,) * (self.pos_embed.ndim - 2)])
 
     def embed_inputs(self, scenes):
-        """(agent tokens [..., A, T, D], lane segment tokens [..., B, S_max, D], the SceneBatch)."""
+        """(agent tokens [..., A, T, D], the SceneBatch)."""
         batch = SceneBatch(scenes)
         tokens = self.input_proj(self._input(agent_step_features(batch)))
         tokens = T.add(tokens, stacked(self.pos_embed, 2, tokens.ndim))
-        lane_tokens = self.lane_proj(self._input(batch.seg_feats))
-        return tokens, lane_tokens, batch
+        return tokens, batch
 
     # ----- encoder stages -----
 
@@ -231,18 +220,15 @@ class TrajectoryPredictor(Module):
             x = block(x, mask=mask, rng=rng)
         return x
 
-    def stage_agent_lane(self, summary: Tensor, lane_tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
-        rel = batch.seg_mids[batch.scene_of] - batch.origins[:, None, :]      # [A, S_max, 2]
-        near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.seg_valid[batch.scene_of]
+    def stage_agent_lane(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
+        rel = batch.lane_feats[..., 3:]                                       # [A, S_max, 2]
+        near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.lane_valid
         has_key = near.any(axis=1)
         if not has_key.any():
             return summary
         mask = near[:, None, :].copy()
         mask[~has_key, 0, 0] = True  # placeholder key; its update is discarded below
-        # a batch of one broadcasts its [1, S, D] lane tokens over the agents
-        lanes = (lane_tokens if batch.size == 1 else
-                 T.getitem(lane_tokens, (Ellipsis, batch.scene_of, slice(None), slice(None))))
-        keys = T.add(lanes, self.rel_proj(self._input(rel)))
+        keys = self.lane_proj(self._input(batch.lane_feats))                 # [..., A, S_max, D]
         x = T.reshape(summary, summary.shape[:-1] + (1, -1))
         for block in self.lane_blocks:
             x = block(x, kv=keys, mask=mask, rng=rng)
@@ -251,18 +237,17 @@ class TrajectoryPredictor(Module):
         return T.add(T.mul(updated, ind), T.mul(summary, 1.0 - ind))
 
     def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
-        mask = None if batch.size == 1 else batch.same_scene[None]
         x = T.reshape(summary, summary.shape[:-2] + (1,) + summary.shape[-2:])
         for block in self.global_blocks:
-            x = block(x, mask=mask, rng=rng)
+            x = block(x, mask=batch.same_scene[None], rng=rng)
         return T.reshape(x, summary.shape)
 
     def encode(self, scenes, rng=None) -> EncodedBatch:
-        tokens, lane_tokens, batch = self.embed_inputs(scenes)
+        tokens, batch = self.embed_inputs(scenes)
         x = self.stage_agent_agent(tokens, batch, rng)
         x = self.stage_temporal(x, batch, rng)
         summary = T.getitem(x, (Ellipsis, x.shape[-2] - 1, slice(None)))    # last-step token
-        summary = self.stage_agent_lane(summary, lane_tokens, batch, rng)
+        summary = self.stage_agent_lane(summary, batch, rng)
         summary = self.stage_global(summary, batch, rng)
         return EncodedBatch(embeddings=summary, origins=batch.origins)
 

@@ -8,8 +8,8 @@ Checkpoints store parameters as little-endian float32 (in-memory math stays
 float64; the narrowing is the documented precision boundary) under a header
 carrying a model-config digest and the random generator's algorithm id. A
 digest mismatch on load exits with code 4; training divergence exits 3;
-usage errors, malformed input and an output path that cannot be written
-exit 2.
+usage errors, malformed input and a path that cannot be read or written
+exit 2; a standard output closed by its reader exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .training import (
 )
 
 CKPT_MAGIC = b"DYTC"
-CKPT_VERSION = 2  # 2: the attention key projection has no bias (attn.wk)
+CKPT_VERSION = 3  # 3: one lane key projection lane_proj (5 inputs), no rel_proj
 
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
@@ -441,14 +441,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen-data" and args.count < 1:
         parser.error("--count must be >= 1")
-    if getattr(args, "snapshots_used", None) is not None and args.snapshots_used < 1:
+    used, ensemble = getattr(args, "snapshots_used", None), getattr(args, "ensemble", "off")
+    if used is not None and used < 1:
         parser.error("--snapshots-used must be >= 1")
+    if used is not None and ensemble == "off":
+        parser.error("--snapshots-used needs --ensemble prediction_average or parameter_average")
+    if ensemble != "off" and not args.checkpoints:
+        parser.error("--ensemble needs --checkpoints")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CheckpointMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CKPT_MISMATCH
-    except (FormatError, FileNotFoundError, ValueError, OutputError) as e:
+    except (FormatError, OSError, ValueError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

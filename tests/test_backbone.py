@@ -37,7 +37,7 @@ def test_stationary_agent_token_is_bias_sequence():
     hist = np.tile(np.array([3.0, -2.0]), (1, t, 1))
     sc = Scenario(hist, np.ones((1, t), dtype=bool), np.zeros((1, 3, 2)),
                   np.ones((1, 3), dtype=bool), [], 0, "stationary")
-    tokens, _, _ = model.embed_inputs([sc])
+    tokens, _ = model.embed_inputs([sc])
     feats = agent_step_features(sc)
     assert np.array_equal(feats[0, :, :2], np.zeros((t, 2)))
     # displacement features zero: tokens equal valid-flag projection + bias + position embedding
@@ -54,17 +54,17 @@ def test_agent_tokens_translation_invariant_bitwise():
                   [l.astype(np.float32).astype(np.float64) for l in sc.lanes],
                   sc.focal_agent, sc.scenario_id)
     moved = translated(sc, 100.0, 100.0)
-    a, _, _ = model.embed_inputs([sc])
-    b, _, _ = model.embed_inputs([moved])
+    a, _ = model.embed_inputs([sc])
+    b, _ = model.embed_inputs([moved])
     assert np.array_equal(a.data, b.data)
 
 
 def test_empty_lane_shapes():
     model = TrajectoryPredictor(TINY, Rng(3))
     sc = tiny_scenario(4, n_agents=1, n_lanes=0)
-    tokens, lane_tokens, _ = model.embed_inputs([sc])
+    tokens, batch = model.embed_inputs([sc])
     assert tokens.shape == (1, TINY.obs_steps, TINY.width)
-    assert lane_tokens.shape == (1, 0, TINY.width)
+    assert batch.lane_feats.shape == (1, 0, 5)
     preds = model.predict(sc)
     assert len(preds) == 1
     assert np.all(np.isfinite(preds[0].locations.data))
@@ -78,6 +78,37 @@ def test_lane_segments_split():
     assert np.allclose(feats[1], [0.0, 1.0, 2.0])
     empty_feats, empty_mids = lane_segments([])
     assert empty_feats.shape == (0, 3) and empty_mids.shape == (0, 2)
+
+
+def _lane_segments_per_polyline(lanes):
+    """lane_segments written as a loop over the polylines."""
+    feats, mids = [np.zeros((0, 3))], [np.zeros((0, 2))]
+    for poly in lanes:
+        poly = np.asarray(poly, dtype=np.float64)
+        if poly.shape[0] < 2:
+            continue
+        d = np.diff(poly, axis=0)
+        length = np.linalg.norm(d, axis=1)
+        keep = length > 0
+        feats.append(np.concatenate([d[keep] / length[keep, None], length[keep, None]], axis=1))
+        mids.append(0.5 * (poly[:-1] + poly[1:])[keep])
+    return np.concatenate(feats), np.concatenate(mids)
+
+
+@pytest.mark.parametrize("lanes", [
+    [],
+    [np.zeros((0, 2))],
+    [np.array([[3.0, -1.0]])],
+    [np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.5, 0.5]])],
+    [np.array([[1.0, 2.0], [1.0, 2.0]])],
+    [np.array([[0.0, 0.0], [3.0, 4.0]]), np.zeros((0, 2)), np.array([[7.0, 7.0]]),
+     np.array([[3.0, 4.0], [3.0, 4.0], [-1.0, 0.3]]), np.array([[5.0, 5.0], [6.0, 5.0]])],
+    Rng(11).uniform((4, 6, 2), -20.0, 20.0),
+], ids=["no-lanes", "0-point", "1-point", "zero-length", "only-zero-length", "mixed", "random"])
+def test_lane_segments_equals_per_polyline_loop(lanes):
+    got, want = lane_segments(lanes), _lane_segments_per_polyline(lanes)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_frame_origins_last_valid():
@@ -110,7 +141,7 @@ def test_far_agents_blocked_by_radius_mask():
             [], 0, "pair")
 
     def agent_agent(sc):
-        tokens, _, batch = model.embed_inputs([sc])
+        tokens, batch = model.embed_inputs([sc])
         return model.stage_agent_agent(tokens, batch)
 
     out_pair = agent_agent(pair_with(far_hist))

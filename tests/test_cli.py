@@ -1,6 +1,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,19 +141,21 @@ def test_interrupted_train_keeps_finished_snapshots(tmp_path, monkeypatch):
     assert (run / "snapshot_2.ckpt").exists()
 
 
-def test_version_1_checkpoint_is_rejected(tmp_path, capsys):
-    # version 1 still held attention key biases; its files cannot load
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_is_rejected(tmp_path, capsys, version):
+    # version 1 still held attention key biases and version 2 a second lane
+    # key projection (rel_proj); their files cannot load
     cfg = ModelConfig(width=16, heads=2, modes=2)
-    path = tmp_path / "v1.ckpt"
+    path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, TrajectoryPredictor(cfg, Rng(9)).state_dict(), cfg, 0)
     raw = path.read_bytes()
-    assert raw[4:8] == struct.pack("<I", 2)
-    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    assert raw[4:8] == struct.pack("<I", 3)
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
     data = gen(tmp_path, count=6)
     capsys.readouterr()
     assert main(["evaluate", "--data", str(data), "--checkpoints", str(path),
                  "--width", "16", "--heads", "2", "--modes", "2"]) == 2
-    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert f"unsupported checkpoint version {version}" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_focal_agent_out_of_range(tmp_path, capsys):
@@ -413,20 +418,25 @@ def test_ensemble_off_and_snapshots_used_pick_the_highest_cycle(tmp_path):
                    "--snapshots-used", "1") == newest
 
 
-@pytest.mark.parametrize("ensemble", ["off", "prediction_average"])
-@pytest.mark.parametrize("used", ["0", "-1"])
-@pytest.mark.parametrize("command", ["evaluate", "bench"])
-def test_snapshots_used_below_one_is_a_usage_error(tmp_path, capsys, command, used, ensemble):
+def _ensemble_argv(tmp_path, command, flags, checkpoints=True):
+    """(argv, out path) for evaluate or bench on 6 scenes, with one saved snapshot or none."""
     data = gen(tmp_path, count=6)
     cfg = ModelConfig(width=16, heads=2, modes=2)
     ckpt = tmp_path / "snapshot_0.ckpt"
     save_checkpoint(ckpt, TrajectoryPredictor(cfg, Rng(1)).state_dict(), cfg, 0)
     out = tmp_path / "out.json"
-    argv = [command, "--data", str(data), "--checkpoints", str(ckpt), "--width", "16",
-            "--heads", "2", "--modes", "2", "--ensemble", ensemble, "--snapshots-used", used,
-            "--out-json", str(out)]
+    argv = [command, "--data", str(data), *(["--checkpoints", str(ckpt)] if checkpoints else []),
+            "--width", "16", "--heads", "2", "--modes", "2", *flags, "--out-json", str(out)]
     if command == "bench":
         argv += ["--iterations", "100", "--warmup", "10", "--scenarios", "1"]
+    return argv, out
+
+
+@pytest.mark.parametrize("ensemble", ["off", "prediction_average"])
+@pytest.mark.parametrize("used", ["0", "-1"])
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_snapshots_used_below_one_is_a_usage_error(tmp_path, capsys, command, used, ensemble):
+    argv, out = _ensemble_argv(tmp_path, command, ["--ensemble", ensemble, "--snapshots-used", used])
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -434,6 +444,58 @@ def test_snapshots_used_below_one_is_a_usage_error(tmp_path, capsys, command, us
     assert code == 2
     assert "snapshots" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, checkpoints, flags", [
+    ("evaluate", True, ["--ensemble", "off", "--snapshots-used", "1"]),
+    ("bench", True, ["--ensemble", "off", "--snapshots-used", "1"]),
+    ("bench", False, ["--ensemble", "prediction_average"]),
+    ("bench", False, ["--snapshots-used", "1"]),
+    ("bench", False, ["--ensemble", "parameter_average", "--snapshots-used", "2"]),
+], ids=["evaluate-off", "bench-off", "bench-fresh-ensemble", "bench-fresh-used",
+        "bench-fresh-both"])
+def test_ignored_ensemble_flags_are_a_usage_error(tmp_path, capsys, command, checkpoints, flags):
+    argv, out = _ensemble_argv(tmp_path, command, flags, checkpoints)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--snapshots-used" in err or "--ensemble" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "bench"])
+def test_directory_as_input_file_is_usage_error(tmp_path, capsys, command, flag):
+    data = gen(tmp_path, count=6)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [command, flag, str(folder)] + (["--data", str(data)] if flag == "--config" else [])
+    argv += {"train": ["--out", str(tmp_path / "run"), *FAST],
+             "evaluate": ["--checkpoints", str(tmp_path / "snapshot_0.ckpt")],
+             "bench": ["--iterations", "100", "--warmup", "10", "--scenarios", "1"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # run in a child process: the handler re-points file descriptor 1
+    data = gen(tmp_path, count=6)
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    ckpt = tmp_path / "snapshot_0.ckpt"
+    save_checkpoint(ckpt, TrajectoryPredictor(cfg, Rng(1)).state_dict(), cfg, 0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyttp.cli", "evaluate", "--data", str(data),
+         "--checkpoints", str(ckpt), "--width", "16", "--heads", "2", "--modes", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    proc.stdout.close()  # the reader is gone before the child prints its table
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1, err
+    assert not err  # no traceback, and no import error that also exits 1
 
 
 def test_evaluate_digest_mismatch_exit_code(tmp_path):
