@@ -24,10 +24,12 @@ their masks, and agent-lane keys are padded to the batch's largest segment
 count with the padding masked out, so a scene's outputs do not depend on the
 other scenes in its batch. `predict` is the batch of one.
 
-A model whose parameters are S snapshots stacked on a leading axis ([S, *P],
-built by `training.make_ensemble`) runs the same code: the raw input arrays
-get a unit leading axis, every activation and output carries S in front, and
-each slice equals what that snapshot alone computes.
+In a plain forward every parameter meets an activation of PARAM_SITE_NDIM
+axes. A model whose parameters are S snapshots stacked on a leading axis,
+each with unit axes after S up to that rank (built by
+`training.make_ensemble`), therefore runs the same code: the parameters
+broadcast against the raw input arrays, every activation and output carries S
+in front, and each slice equals what that snapshot alone computes.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ import numpy as np
 
 from . import tensor as T
 from .data import Scenario
-from .layers import Linear, Module, TransformerBlock, stacked, swap_axes
+from .layers import Linear, Module, TransformerBlock, swap_axes
 from .tensor import Rng, Tensor
 
 SCALE_FLOOR = 1e-6  # keeps softplus output strictly positive after underflow
+PARAM_SITE_NDIM = 3  # axes of every activation a parameter meets in a plain forward
 
 
 @dataclass
@@ -77,7 +80,7 @@ class ModelConfig:
 
 @dataclass
 class EncodedBatch:
-    embeddings: Tensor      # [..., A, D]
+    embeddings: Tensor      # [..., 1, A, D]
     origins: np.ndarray     # [A, 2] frame origin per agent (last observed position)
 
 
@@ -184,15 +187,10 @@ class TrajectoryPredictor(Module):
 
     # ----- embedding -----
 
-    def _input(self, arr: np.ndarray) -> Tensor:
-        """A raw input array, with a unit leading axis when the parameters are stacked."""
-        return Tensor(arr[(None,) * (self.pos_embed.ndim - 2)])
-
     def embed_inputs(self, scenes):
         """(agent tokens [..., A, T, D], the SceneBatch)."""
         batch = SceneBatch(scenes)
-        tokens = self.input_proj(self._input(agent_step_features(batch)))
-        tokens = T.add(tokens, stacked(self.pos_embed, 2, tokens.ndim))
+        tokens = T.add(self.input_proj(Tensor(agent_step_features(batch))), self.pos_embed)
         return tokens, batch
 
     # ----- encoder stages -----
@@ -221,6 +219,7 @@ class TrajectoryPredictor(Module):
         return x
 
     def stage_agent_lane(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
+        """Summary [..., A, 1, D] after each agent attends to the lane segments near it."""
         rel = batch.lane_feats[..., 3:]                                       # [A, S_max, 2]
         near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.lane_valid
         has_key = near.any(axis=1)
@@ -228,25 +227,27 @@ class TrajectoryPredictor(Module):
             return summary
         mask = near[:, None, :].copy()
         mask[~has_key, 0, 0] = True  # placeholder key; its update is discarded below
-        keys = self.lane_proj(self._input(batch.lane_feats))                 # [..., A, S_max, D]
-        x = T.reshape(summary, summary.shape[:-1] + (1, -1))
+        keys = self.lane_proj(Tensor(batch.lane_feats))                      # [..., A, S_max, D]
+        x = summary
         for block in self.lane_blocks:
             x = block(x, kv=keys, mask=mask, rng=rng)
-        updated = T.reshape(x, summary.shape)
-        ind = has_key.astype(np.float64)[:, None]
-        return T.add(T.mul(updated, ind), T.mul(summary, 1.0 - ind))
+        ind = has_key.astype(np.float64)[:, None, None]
+        return T.add(T.mul(x, ind), T.mul(summary, 1.0 - ind))
 
     def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
-        x = T.reshape(summary, summary.shape[:-2] + (1,) + summary.shape[-2:])
+        """Summary [..., A, 1, D] in, [..., 1, A, D] out: every agent attends to its scene."""
+        *lead, a, _, d = summary.shape
+        x = T.reshape(summary, (*lead, 1, a, d))
         for block in self.global_blocks:
             x = block(x, mask=batch.same_scene[None], rng=rng)
-        return T.reshape(x, summary.shape)
+        return x
 
     def encode(self, scenes, rng=None) -> EncodedBatch:
         tokens, batch = self.embed_inputs(scenes)
         x = self.stage_agent_agent(tokens, batch, rng)
         x = self.stage_temporal(x, batch, rng)
-        summary = T.getitem(x, (Ellipsis, x.shape[-2] - 1, slice(None)))    # last-step token
+        t = x.shape[-2]
+        summary = T.getitem(x, (Ellipsis, slice(t - 1, t), slice(None)))   # last-step token
         summary = self.stage_agent_lane(summary, batch, rng)
         summary = self.stage_global(summary, batch, rng)
         return EncodedBatch(embeddings=summary, origins=batch.origins)
@@ -255,8 +256,9 @@ class TrajectoryPredictor(Module):
 
     def decode(self, enc: EncodedBatch) -> BatchPrediction:
         k, f = self.cfg.modes, self.cfg.pred_steps
-        lead = enc.embeddings.shape[:-1]    # [..., A]
-        h = T.gelu(self.head_hidden(enc.embeddings))
+        emb = enc.embeddings
+        lead = emb.shape[:-3] + emb.shape[-2:-1]    # [..., A]
+        h = T.gelu(self.head_hidden(emb))
         raw = T.reshape(self.head_out(h), lead + (k, 4 * f + 1))
         offsets = T.reshape(T.getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
         locations = T.add(offsets, enc.origins[:, None, None, :])

@@ -54,6 +54,9 @@ class Scenario:
         self.agent_futures = np.asarray(self.agent_futures, dtype=np.float64)
         self.future_valid = np.asarray(self.future_valid, dtype=bool)
         self.lanes = [np.asarray(l, dtype=np.float64) for l in self.lanes]
+        for i, lane in enumerate(self.lanes):
+            if lane.ndim != 2 or lane.shape[1] != 2:
+                raise ValueError(f"lane {i} has shape {lane.shape}, want [P, 2]")
 
     @property
     def num_agents(self) -> int:

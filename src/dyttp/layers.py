@@ -5,10 +5,11 @@ other layer is norm-agnostic. Blocks are pre-norm residual: the input is
 normalized before attention and before the feed-forward, and added back.
 Dropout draws from an explicit Rng and runs only when one is passed.
 
-Every layer indexes shapes from the right, so activations may carry leading
-axes. A layer whose parameters are stacked snapshots ([S, *P], see
-`stacked`) runs all S of them in one call, with S as the leading axis of its
-output.
+Every layer indexes shapes from the right and passes its parameters to its
+fused op as they are, so activations may carry leading axes and parameters
+broadcast against them. A layer whose parameters are stacked snapshots, each
+lined up with unit axes after S (see `training.make_ensemble`), runs all S of
+them in one call, with S as the leading axis of its output.
 """
 
 from __future__ import annotations
@@ -60,19 +61,6 @@ def _xavier(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform((fan_in, fan_out), -bound, bound)
 
 
-def stacked(p: Tensor, rank: int, ndim: int) -> Tensor:
-    """Parameter p lined up against an activation with ndim axes.
-
-    A plain parameter (rank axes) is returned as is and broadcasts from the
-    right. A stacked one, [S, *P] with one axis more, gets unit axes after S
-    so that each snapshot meets its own slice of an activation whose leading
-    axis is S (or 1).
-    """
-    if p.ndim in (rank, ndim):
-        return p
-    return T.reshape(p, p.shape[:1] + (1,) * (ndim - p.ndim) + p.shape[1:])
-
-
 def swap_axes(x: Tensor, i: int, j: int) -> Tensor:
     """x with axes i and j exchanged."""
     axes = list(range(x.ndim))
@@ -86,7 +74,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, stacked(self.weight, 2, x.ndim), stacked(self.bias, 1, x.ndim))
+        return T.linear(x, self.weight, self.bias)
 
 
 class DynamicTanh(Module):
@@ -109,9 +97,7 @@ class DynamicTanh(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        n = x.ndim
-        return T.dyt(x, stacked(self.alpha, 0, n), stacked(self.gamma, 1, n),
-                     stacked(self.beta, 1, n))
+        return T.dyt(x, self.alpha, self.gamma, self.beta)
 
 
 class LayerNorm(Module):
@@ -129,8 +115,7 @@ class LayerNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        n = x.ndim
-        return T.layer_norm(x, stacked(self.gamma, 1, n), stacked(self.beta, 1, n), self.eps)
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 def make_norm(kind: str, channels: int):
@@ -190,7 +175,7 @@ class MultiHeadAttention(Module):
                  rng: Rng | None = None) -> Tensor:
         kv_in = q_in if kv_in is None else kv_in
         q = self.wq(q_in)
-        k = T.linear(kv_in, stacked(self.wk, 2, kv_in.ndim), 0.0)
+        k = T.linear(kv_in, self.wk, 0.0)
         v = self.wv(kv_in)
         lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
         keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)

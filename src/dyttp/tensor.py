@@ -335,7 +335,7 @@ def softmax(a, axis: int = -1):
 # ---------------------------------------------------------------------------
 # fused layer ops: one tape record each, with a hand-written backward pass.
 # Parameters may carry leading axes that broadcast against the activation
-# (stacked snapshots, lined up by layers.stacked).
+# (stacked snapshots, lined up by training.make_ensemble).
 
 def linear(x, w, b):
     """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]."""

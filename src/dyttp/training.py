@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import BatchPrediction, ModelConfig, TrajectoryPredictor
+from .backbone import PARAM_SITE_NDIM, BatchPrediction, ModelConfig, TrajectoryPredictor
 from .data import DatasetSplit, Scenario
 from .evaluation import score_focal
 from .tensor import Rng, Tape, Tensor
@@ -323,9 +323,11 @@ def make_ensemble(snapshots, model_cfg: ModelConfig, cfg: EnsembleConfig):
     model = model_from_params(snapshots[0].params, model_cfg)
     if len(snapshots) == 1:
         return model.predict
-    # every parameter becomes [S, *P]; forward's outputs then lead with S
+    # every parameter becomes [S, 1, ..., *P], lined up with the activation it
+    # meets; forward's outputs then lead with S
     for name, p in model.named_params():
-        p.data = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in snapshots])
+        stack = np.stack([np.asarray(s.params[name], dtype=np.float64) for s in snapshots])
+        p.data = stack.reshape((len(snapshots),) + (1,) * (PARAM_SITE_NDIM - p.ndim) + p.shape)
 
     def predict(scenario: Scenario) -> BatchPrediction:
         pred = model.forward([scenario])

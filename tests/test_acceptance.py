@@ -23,7 +23,7 @@ from dyttp.data import (
 from dyttp.evaluation import (
     constant_velocity_predict, evaluate_model, norm_layer_latency, score_focal,
 )
-from dyttp.layers import DynamicTanh, stacked
+from dyttp.layers import DynamicTanh
 from dyttp.tensor import Rng, Tensor, grad_check
 from dyttp.training import (
     EnsembleConfig, SchedulerConfig, Snapshot, classification_ce, lr_at,
@@ -87,7 +87,8 @@ def test_criterion_1_gradient_correctness():
     check("softmax", lambda t: T.sum_(T.mul(T.softmax(t, axis=-1), w)),
           rng.uniform((2, 4), -2, 2))
 
-    # fused ops: every input, with parameters plain and stacked [S, *P]
+    # fused ops: every input, with parameters plain and stacked as make_ensemble
+    # lines them up ([S, 1, ..., *P], unit axes up to the activation's rank)
     x = rng.uniform((2, 3, 4), -2, 2)
     w4 = rng.uniform((2, 3, 4), -1, 1)
     lin_w, lin_b = rng.uniform((4, 5), -1, 1), rng.uniform((5,), -1, 1)
@@ -97,10 +98,10 @@ def test_criterion_1_gradient_correctness():
     check("linear.w", lambda t: T.sum_(T.mul(T.linear(x, t, lin_b), w5)), lin_w)
     check("linear.b", lambda t: T.sum_(T.mul(T.linear(x, lin_w, t), w5)), lin_b)
     check("linear.w_stacked",
-          lambda t: T.sum_(T.mul(T.linear(x[None], stacked(t, 2, 4), lin_b), w25)),
+          lambda t: T.sum_(T.mul(T.linear(x, T.reshape(t, (2, 1, 4, 5)), lin_b), w25)),
           rng.uniform((2, 4, 5), -1, 1))
     check("linear.b_stacked",
-          lambda t: T.sum_(T.mul(T.linear(x[None], lin_w, stacked(t, 1, 4)), w25)),
+          lambda t: T.sum_(T.mul(T.linear(x, lin_w, T.reshape(t, (2, 1, 1, 5))), w25)),
           rng.uniform((2, 5), -1, 1))
     alpha, gamma, beta = np.array(0.7), rng.uniform((4,), 0.5, 1.5), rng.uniform((4,), -1, 1)
     check("dyt.x", lambda t: T.sum_(T.mul(T.dyt(t, alpha, gamma, beta), w4)), x)
@@ -109,16 +110,17 @@ def test_criterion_1_gradient_correctness():
     check("dyt.beta", lambda t: T.sum_(T.mul(T.dyt(x, alpha, gamma, t), w4)), beta)
     w24 = rng.uniform((2, 2, 3, 4), -1, 1)
     check("dyt.alpha_stacked",
-          lambda t: T.sum_(T.mul(T.dyt(x[None], stacked(t, 0, 4), gamma, beta), w24)),
+          lambda t: T.sum_(T.mul(T.dyt(x, T.reshape(t, (2, 1, 1, 1)), gamma, beta), w24)),
           rng.uniform((2,), 0.3, 1.0))
     check("dyt.gamma_stacked",
-          lambda t: T.sum_(T.mul(T.dyt(x[None], alpha, stacked(t, 1, 4), beta), w24)),
+          lambda t: T.sum_(T.mul(T.dyt(x, alpha, T.reshape(t, (2, 1, 1, 4)), beta), w24)),
           rng.uniform((2, 4), 0.5, 1.5))
     check("layer_norm.x", lambda t: T.sum_(T.mul(T.layer_norm(t, gamma, beta, 1e-5), w4)), x)
     check("layer_norm.gamma", lambda t: T.sum_(T.mul(T.layer_norm(x, t, beta, 1e-5), w4)), gamma)
     check("layer_norm.beta", lambda t: T.sum_(T.mul(T.layer_norm(x, gamma, t, 1e-5), w4)), beta)
     check("layer_norm.gamma_stacked",
-          lambda t: T.sum_(T.mul(T.layer_norm(x[None], stacked(t, 1, 4), beta, 1e-5), w24)),
+          lambda t: T.sum_(T.mul(T.layer_norm(x, T.reshape(t, (2, 1, 1, 4)), beta, 1e-5),
+                                 w24)),
           rng.uniform((2, 4), 0.5, 1.5))
     check("gelu", lambda t: T.sum_(T.mul(T.gelu(t), w4)), x)
     # attention: 2 heads, a mask, dropout multipliers, and [1, S, D] keys and

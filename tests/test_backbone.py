@@ -123,7 +123,7 @@ def test_encode_output_shape():
     model = TrajectoryPredictor(TINY, Rng(4))
     for n in (1, 3):
         enc = model.encode([tiny_scenario(6, n_agents=n)])
-        assert enc.embeddings.shape == (n, TINY.width)
+        assert enc.embeddings.shape == (1, n, TINY.width)
         assert enc.origins.shape == (n, 2)
 
 

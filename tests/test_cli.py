@@ -599,10 +599,14 @@ def test_three_snapshot_ensemble_costs_at_most_2_4_singles(tmp_path):
     model = TrajectoryPredictor(cfg, Rng(20))
     snap = Snapshot(0, model.state_dict())
 
-    single = bench_latency(model.predict, scens, iterations=200, warmup=20)
     trio = make_ensemble([snap] * 3, cfg, EnsembleConfig())
-    triple = bench_latency(trio, scens, iterations=200, warmup=20)
+    # short alternated rounds, each side's fastest kept: a process sharing the
+    # CPUs slows some rounds of either side, rarely every round of one
+    single, triple = [], []
+    for _ in range(10):
+        single.append(bench_latency(model.predict, scens, iterations=100, warmup=10).ave_ms)
+        triple.append(bench_latency(trio, scens, iterations=100, warmup=10).ave_ms)
     # the snapshots share one forward pass: the scene preprocessing and the
     # per-op overhead are paid once, and only the array work grows threefold
-    ratio = triple.ave_ms / single.ave_ms
+    ratio = min(triple) / min(single)
     assert ratio <= 2.4, ratio

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyttp.data import (
-    DT, FormatError, GenConfig, arc_path, generate_scenario,
+    DT, FormatError, GenConfig, Scenario, arc_path, generate_scenario,
     generate_synthetic, lane_change_path, load_scenarios, save_scenarios,
     split_of, straight_path,
 )
@@ -179,6 +179,18 @@ def test_invalid_scenario_records_raise_format_error(tmp_path, corrupt, message)
     save_scenarios(split, p)
     with pytest.raises(FormatError, match=message):
         load_scenarios(p)
+
+
+@pytest.mark.parametrize("lane", [[], np.zeros(4), np.zeros((3, 3))],
+                         ids=["empty-list", "one-dim", "three-columns"])
+def test_malformed_lane_raises_when_scenario_is_built(lane):
+    sc = generate_synthetic(1, Rng(3)).all_scenarios()[0]
+    ok = Scenario(sc.agent_histories, sc.agent_valid, sc.agent_futures, sc.future_valid,
+                  [sc.lanes[0], np.zeros((0, 2))], sc.focal_agent, "ok")
+    assert ok.lanes[1].shape == (0, 2)
+    with pytest.raises(ValueError, match=r"^lane 1 has shape"):
+        Scenario(sc.agent_histories, sc.agent_valid, sc.agent_futures, sc.future_valid,
+                 [sc.lanes[0], lane], sc.focal_agent, "bad")
 
 
 @pytest.mark.parametrize("make", [

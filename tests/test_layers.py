@@ -189,8 +189,10 @@ def test_layers_match_numpy_oracles(name, snapshots):
     states = [{n: np.asarray(rng.normal(p.shape)) for n, p in layer.named_params()}
               for _ in range(max(snapshots, 1))]
     for n, p in layer.named_params():
-        p.data = np.stack([st[n] for st in states]) if snapshots else states[0][n]
-    out = call(layer, Tensor(x[None] if snapshots else x)).data
+        # stacked as make_ensemble does: [S, 1, ..., *P] with the activation's rank after S
+        lined_up = (snapshots,) + (1,) * (x.ndim - p.ndim) + p.shape
+        p.data = np.stack([st[n] for st in states]).reshape(lined_up) if snapshots else states[0][n]
+    out = call(layer, Tensor(x)).data
     for s, state in enumerate(states):
         want = oracle(state, x)
         got = out[s] if snapshots else out

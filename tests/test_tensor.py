@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dyttp import tensor as T
-from dyttp.layers import stacked
 from dyttp.tensor import (
     Rng, Tape, Tensor, add, backward, clamp_min, getitem, grad_check, log,
     mean, mul, neg, reshape, softmax, softplus, sum_, transpose,
@@ -266,8 +265,10 @@ def test_param_ops_match_numpy_oracles(name, snapshots):
         assert_rel(op(Tensor(x), *map(Tensor, params)).data, oracle(x, *params))
         return
     params = [rng.normal((snapshots,) + shape) for shape in shapes]
-    lined_up = [stacked(Tensor(p), len(shape), x.ndim + 1) for p, shape in zip(params, shapes)]
-    out = op(Tensor(x[None]), *lined_up).data
+    # lined up as make_ensemble does: unit axes after S up to the activation's rank
+    lined_up = [Tensor(p.reshape((snapshots,) + (1,) * (x.ndim - len(shape)) + shape))
+                for p, shape in zip(params, shapes)]
+    out = op(Tensor(x), *lined_up).data
     for s in range(snapshots):
         assert_rel(out[s], oracle(x, *(p[s] for p in params)))
 

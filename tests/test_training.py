@@ -246,6 +246,15 @@ def test_every_parameter_of_a_default_model_gets_a_gradient(kind):
     assert not duplicated, duplicated
 
 
+def test_default_training_step_records_96_tape_ops():
+    # README quotes this count: an op added to or fused out of the step shows here
+    model = TrajectoryPredictor(ModelConfig(), Rng(1))
+    batch = generate_synthetic(12, Rng(42)).train[:8]
+    with Tape() as tape:
+        total_loss(model, batch, rng=Rng(2))
+    assert len(tape) == 96
+
+
 def test_total_loss_empty_batch_errors():
     model = TrajectoryPredictor(SMALL, Rng(5))
     with pytest.raises(ValueError):
@@ -500,8 +509,6 @@ def test_stacked_ensemble_equals_mean_of_separate_forwards(norm_kind):
         for sc in scenes:
             outs = [m.forward([sc]) for m in members]
             probs = _mean_arrays([o.mode_probs.data for o in outs])
-            sums = probs.sum(axis=1, keepdims=True)
-            probs = np.where(np.abs(sums - 1.0) > 1e-12, probs / sums, probs)
             locations = _mean_arrays([o.locations.data for o in outs])
             scales = _mean_arrays([o.scales.data for o in outs])
             got = ensemble(sc)
