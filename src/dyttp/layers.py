@@ -131,17 +131,20 @@ class Dropout:
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
-        # rng.uniform() is k * 2**-53 for the top 53 bits k of a draw, and k * 2**-53 >= p
-        # exactly when k >= ceil(p * 2**53): the same mask, compared on the integers
-        self._drop_below = math.ceil(p * 2.0 ** 53)
+        # a 16-bit field k is uniform on [0, 2**16), and drops exactly when k < ceil(p * 2**16)
+        self._drop_below = math.ceil(p * 65536.0)
 
     def keep(self, shape, rng: Rng | None):
-        """Inverted-dropout multipliers of `shape` drawn from rng; None without rng or when p is 0."""
+        """Inverted-dropout multipliers of `shape` drawn from rng; None without rng or when p is 0.
+
+        Each 64-bit draw serves four elements, one 16-bit field each, low field
+        first whatever the machine's byte order; ceil(n / 4) draws cover n elements.
+        """
         if rng is None or self.p == 0.0:
             return None
-        bits = rng.u64(math.prod(shape))
-        bits >>= 11
-        return (bits >= self._drop_below).reshape(shape) / (1.0 - self.p)
+        n = math.prod(shape)
+        fields = rng.u64(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
+        return (fields >= self._drop_below).reshape(shape) / (1.0 - self.p)
 
     def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
         """x with inverted dropout applied, drawn from rng; x itself when rng is None."""

@@ -397,13 +397,29 @@ def gelu(x):
     Smooth, which keeps finite-difference checks tight."""
     x = _as_tensor(x)
     xd = x.data
-    t = np.tanh((xd + xd * xd * xd * 0.044715) * _GELU_C)
+    # in place where it keeps the association order; asarray because numpy
+    # arithmetic on 0-d arrays returns scalars, which take no out=
+    t = np.asarray(xd * xd)
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_x, t1 = xd * 0.5, t + 1.0
 
     def grads(g, needs):
-        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * 0.044715 * xd * xd)
-        return (g * (0.5 * (t + 1.0) + xd * 0.5 * dt),)
+        dt = 1.0 - t * t
+        dt *= _GELU_C
+        poly = xd * (3.0 * 0.044715)
+        poly *= xd
+        poly += 1.0
+        dt *= poly
+        dt *= half_x
+        dt += t1 * 0.5
+        dt *= g
+        return (dt,)
 
-    return _op((x,), xd * 0.5 * (t + 1.0), grads)
+    return _op((x,), half_x * t1, grads)
 
 
 _MASK_FILL = -1e30  # finite stand-in for blocked logits; exp underflows to 0
@@ -435,7 +451,8 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(hd)
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    scores *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
@@ -443,8 +460,10 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
         scores = np.where(mask[..., None, :, :], scores, _MASK_FILL)
     if not np.all(np.isfinite(scores)):
         raise NumericalError("attention requires finite logits")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    # the softmax runs in place: the logits' array becomes the weights
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
     dropped = weights if keep is None else weights * keep
 
     def grads(g, needs):
@@ -452,11 +471,12 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
         gv = merge(np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)) if needs[2] else None
         if not (needs[0] or needs[1]):
             return None, None, gv
-        gw = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        gs = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
         if keep is not None:
-            gw = gw * keep
+            gs *= keep
         # a blocked logit's weight is exactly 0, so its gradient is too
-        gs = (gw - (gw * weights).sum(axis=-1, keepdims=True)) * (weights * scale)
+        gs -= (gs * weights).sum(axis=-1, keepdims=True)
+        gs *= weights * scale
         return (merge(np.matmul(gs, kh)) if needs[0] else None,
                 merge(np.matmul(np.swapaxes(gs, -1, -2), qh)) if needs[1] else None, gv)
 
@@ -539,12 +559,13 @@ _S11, _S27, _S30, _S31 = _u64(11), _u64(27), _u64(30), _u64(31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's output mix of z, computed in place; returns z."""
-    z ^= z >> _S30
+    """splitmix64's output mix of z, computed in place with one scratch array; returns z."""
+    shifted = z >> _S30
+    z ^= shifted
     z *= _MIX1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=shifted)
     z *= _MIX2
-    z ^= z >> _S31
+    z ^= np.right_shift(z, _S31, out=shifted)
     return z
 
 
@@ -561,8 +582,12 @@ class Rng:
         vals = np.arange(1, n + 1, dtype=np.uint64)
         vals *= _GOLDEN
         vals += _u64(self._state)
-        self._state = (self._state + n * _GOLDEN_INT) & _MASK64
+        self.skip(n)
         return _mix64(vals)
+
+    def skip(self, n: int):
+        """Advance the stream past n draws of u64 without computing them."""
+        self._state = (self._state + n * _GOLDEN_INT) & _MASK64
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1

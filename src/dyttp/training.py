@@ -131,7 +131,13 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay; moments keyed by name."""
+    """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
+
+    A step is one pass over flat vectors of every gradient, parameter and
+    moment; each parameter's data becomes a view of the new flat array. A
+    parameter whose grad is None keeps its value and its moments. Every step
+    must get the same parameters in the same order.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -139,31 +145,46 @@ class AdamW:
 
     def __init__(self, weight_decay: float = 1e-4):
         self.weight_decay = weight_decay
-        self.m = {}
-        self.v = {}
+        self.names = self.spans = self.m = self.v = None  # set by the first step
         self.t = 0
 
     def step(self, named_params, lr: float):
+        names, params = zip(*named_params)
+        if self.names is None:
+            ends = np.cumsum([p.data.size for p in params]).tolist()
+            self.names, self.spans = names, list(zip([0] + ends[:-1], ends))
+            self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
+        elif names != self.names:
+            raise ValueError("AdamW.step needs the same parameters, in the same order, every step")
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                            for p in params])
+        if not np.isfinite(g).all():
+            bad = next(name for name, p in zip(names, params)
+                       if p.grad is not None and not np.isfinite(p.grad).all())
+            raise T.NumericalError(f"non-finite gradient for parameter {bad}")
+        idle = [(a, b, self.m[a:b].copy(), self.v[a:b].copy())
+                for (a, b), p in zip(self.spans, params) if p.grad is None]
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in named_params:
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise T.NumericalError(f"non-finite gradient for parameter {name}")
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+        # each element sees the operations, in their order, of the per-parameter form
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p - lr (m^ / (sqrt(v^) + eps) + wd p)
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        g *= 1.0 - self.beta1
+        self.m *= self.beta1
+        self.m += g
+        denom = np.sqrt(self.v / (1.0 - self.beta2 ** self.t))
+        denom += self.eps
+        update = self.m / (1.0 - self.beta1 ** self.t)
+        update /= denom
+        flat = np.concatenate([p.data.ravel() for p in params])
+        update += flat * self.weight_decay
+        update *= lr
+        flat -= update
+        for a, b, m, v in idle:
+            self.m[a:b], self.v[a:b] = m, v
+        for (a, b), p in zip(self.spans, params):
+            if p.grad is not None:
+                p.data = flat[a:b].reshape(p.data.shape)
 
 
 @dataclass
@@ -222,17 +243,22 @@ def train(split: DatasetSplit, model_cfg: ModelConfig, sched_cfg: SchedulerConfi
     if resume is not None:
         model.load_state_dict(resume.params)
         start_cycle = resume.cycle_index + 1
-    shuffle_rng = rng.child(1)
-    dropout_rng = rng.child(2)
     opt = AdamW()
     snapshots, records = [], []
     last_good = f"snapshot_{start_cycle - 1}" if start_cycle else "none"
 
     epoch_global = start_cycle * sched_cfg.cycle_length
+    # each epoch's shuffle takes len(train_scenarios) draws of one stream, and
+    # each epoch draws its dropout masks from its own stream, so a resumed run
+    # sees the batches and masks an uninterrupted run sees from its first epoch on
+    shuffle_rng = rng.child(1)
+    shuffle_rng.skip(epoch_global * len(train_scenarios))
+    dropout_root = rng.child(2)
     for cycle in range(start_cycle, sched_cfg.num_cycles):
         for e_cur in range(sched_cfg.cycle_length):
             lr = lr_at(sched_cfg, e_cur)
             order = shuffle_rng.permutation(len(train_scenarios))
+            dropout_rng = dropout_root.child(epoch_global)
             batch_losses = []
             for batch_idx in _chunks(order, batch_size):
                 batch = [train_scenarios[i] for i in batch_idx]

@@ -264,13 +264,18 @@ def test_dropout_modes():
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.999])
 def test_dropout_mask_equals_the_uniform_draw(p):
-    # the mask compares the draws' top 53 bits with an integer threshold; it must keep
-    # exactly the elements `uniform >= p` keeps and leave the stream at the same place
-    shape = (20, 4, 28, 28)
+    # each u64 draw serves four elements, its 16-bit fields from the low one up; an
+    # element is kept when its field, a uniform draw on [0, 2**16), is >= ceil(p * 2**16).
+    # The oracle cuts the fields with shifts, so it holds whatever the byte order
+    shape = (19, 3, 27, 27)  # 41553 elements: the last draw serves one
+    n = math.prod(shape)
     a, b = Rng(5), Rng(5)
     got = Dropout(p).keep(shape, a)
-    want = (b.uniform(shape) >= p) / (1.0 - p)
-    assert np.array_equal(got, want)
+    draws = b.u64(-(-n // 4))
+    fields = (draws[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64)) & np.uint64(0xFFFF)
+    keep = fields.reshape(-1)[:n] >= math.ceil(p * 65536)
+    assert np.array_equal(got, keep.reshape(shape) / (1.0 - p))
+    # the mask took ceil(n / 4) draws and no more
     assert a.u64(4).tolist() == b.u64(4).tolist()
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -255,6 +256,17 @@ def test_default_training_step_records_96_tape_ops():
     assert len(tape) == 96
 
 
+def test_default_training_step_takes_88798_dropout_draws():
+    # one u64 draw serves four dropout elements; the step made 355,192 draws with one per element
+    model = TrajectoryPredictor(ModelConfig(), Rng(1))
+    batch = generate_synthetic(12, Rng(42)).train[:8]
+    rng, ref = Rng(2), Rng(2)
+    with Tape():
+        total_loss(model, batch, rng=rng)
+    ref.skip(88_798)
+    assert rng.u64(1).tolist() == ref.u64(1).tolist()
+
+
 def test_total_loss_empty_batch_errors():
     model = TrajectoryPredictor(SMALL, Rng(5))
     with pytest.raises(ValueError):
@@ -324,6 +336,47 @@ def test_adamw_inf_grad_names_parameter():
     with pytest.raises(T.NumericalError, match="non-finite gradient for parameter head.bias"):
         opt.step([("head.bias", p)], lr=0.1)
     assert np.array_equal(p.data, np.ones(2))
+
+
+def test_flat_adamw_equals_a_per_parameter_loop():
+    # the flat pass must give each element the same operations, in the same order,
+    # as this per-parameter loop: bit for bit, over 20 steps with weight decay
+    shapes = [(), (3,), (4, 5)]
+    params = [Tensor(Rng(i).normal(s) if s else 0.4, requires_grad=True) for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    opt, b1, b2 = AdamW(weight_decay=0.01), AdamW.beta1, AdamW.beta2
+    for t in range(1, 21):
+        lr = 0.01 + 0.001 * t
+        grads = [np.sin(r * 3.0 + t) for r in ref]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step([(f"p{i}", p) for i, p in enumerate(params)], lr)
+        for i, g in enumerate(grads):
+            m[i] = m[i] * b1 + (1.0 - b1) * g
+            v[i] = v[i] * b2 + (1.0 - b2) * g * g
+            update = (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + AdamW.eps)
+            ref[i] = ref[i] - lr * (update + 0.01 * ref[i])
+        for p, r in zip(params, ref):
+            assert p.data.shape == r.shape
+            assert p.data.tobytes() == r.tobytes()
+
+
+def test_adamw_parameter_without_grad_keeps_value_and_moments():
+    opt = AdamW()
+    a = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    b = Tensor(np.array([[2.0, 0.1]]), requires_grad=True)
+    a.grad, b.grad = np.ones(2), np.ones((1, 2))
+    opt.step([("a", a), ("b", b)], lr=0.1)
+    start, end = opt.spans[1]
+    b_before, m_before, v_before = b.data, opt.m[start:end].copy(), opt.v[start:end].copy()
+    a_before = a.data.copy()
+    b.grad = None
+    opt.step([("a", a), ("b", b)], lr=0.1)
+    assert b.data is b_before
+    assert np.array_equal(opt.m[start:end], m_before) and np.array_equal(opt.v[start:end], v_before)
+    assert not np.array_equal(a.data, a_before)
 
 
 def test_regression_nll_rejects_non_positive_scale():
@@ -450,6 +503,26 @@ def test_train_resume_from_params():
     resumed = train(split, SMALL, sched, Rng(10), batch_size=4, resume=full.snapshots[0])
     assert [s.cycle_index for s in resumed.snapshots] == [1]
     assert resumed.records[0]["epoch"] == 1
+
+
+def test_resumed_run_sees_the_uninterrupted_batches_and_masks(monkeypatch):
+    # record each batch's scenario ids and the next draw of its dropout stream
+    seen = []
+
+    def recording(model, batch, lam, rng, training):
+        seen.append(([s.scenario_id for s in batch], copy.copy(rng).u64(1).tolist()))
+        return total_loss(model, batch, lam, rng, training=training)
+
+    monkeypatch.setattr("dyttp.training.total_loss", recording)
+    split = _tiny_split(14)
+    cfg = ModelConfig(width=16, heads=2, blocks_per_stage=1, modes=2, dropout=0.1)
+    sched = SchedulerConfig(cycle_length=2, num_cycles=2)
+    full = train(split, cfg, sched, Rng(10), batch_size=4)
+    per_cycle = len(seen) // 2
+    uninterrupted, seen[:] = seen[per_cycle:], []
+    train(split, cfg, sched, Rng(10), batch_size=4, resume=full.snapshots[0])
+    assert seen == uninterrupted
+    assert len({tuple(ids) for ids, _ in seen}) > 1
 
 
 # ---------------------------------------------------------------------------
