@@ -83,26 +83,38 @@ class DatasetSplit:
 
 # ---------------------------------------------------------------------------
 # closed-form maneuver paths
+#
+# Each takes scalar parameters and gives one [T, 2] path, or parameters with a
+# leading agent axis (p0 [N, 2], the rest [N]) and gives [N, T, 2] paths, the
+# same values element for element.
+
+def _per_agent(*params):
+    """Each parameter shaped [..., 1, 1], to broadcast against [T, 1] times."""
+    return (np.asarray(v, dtype=np.float64)[..., None, None] for v in params)
+
 
 def straight_path(p0, heading, speed, times):
     """Positions along a constant-velocity line at the given times."""
-    times = np.asarray(times, dtype=np.float64)
-    u = np.array([np.cos(heading), np.sin(heading)])
-    return np.asarray(p0) + np.outer(speed * times, u)
+    times = np.asarray(times, dtype=np.float64)[:, None]
+    heading, speed = _per_agent(heading, speed)
+    u = np.concatenate([np.cos(heading), np.sin(heading)], axis=-1)
+    return np.asarray(p0)[..., None, :] + (speed * times) * u
 
 
 def arc_path(p0, heading, speed, radius, turn_sign, times):
     """Constant-speed circular arc; turn_sign +1 turns left, -1 right."""
-    times = np.asarray(times, dtype=np.float64)
-    normal = turn_sign * np.array([-np.sin(heading), np.cos(heading)])
-    center = np.asarray(p0) + radius * normal
+    times = np.asarray(times, dtype=np.float64)[:, None]
+    heading, speed, radius, turn_sign = _per_agent(heading, speed, radius, turn_sign)
+    p0 = np.asarray(p0)[..., None, :]
+    normal = turn_sign * np.concatenate([-np.sin(heading), np.cos(heading)], axis=-1)
+    center = p0 + radius * normal
     omega = turn_sign * speed / radius
-    rel = np.asarray(p0) - center
+    rel = p0 - center
     ang = omega * times
     cos_a, sin_a = np.cos(ang), np.sin(ang)
-    x = cos_a * rel[0] - sin_a * rel[1]
-    y = sin_a * rel[0] + cos_a * rel[1]
-    return center + np.stack([x, y], axis=-1)
+    x = cos_a * rel[..., :1] - sin_a * rel[..., 1:]
+    y = sin_a * rel[..., :1] + cos_a * rel[..., 1:]
+    return center + np.concatenate([x, y], axis=-1)
 
 
 def lane_change_path(p0, heading, speed, lateral_offset, duration, times):
@@ -111,15 +123,17 @@ def lane_change_path(p0, heading, speed, lateral_offset, duration, times):
     The shift ramps from 0 to lateral_offset over [0, duration] seconds and
     holds afterwards; negative times sit on the source lane.
     """
-    times = np.asarray(times, dtype=np.float64)
-    u = np.array([np.cos(heading), np.sin(heading)])
-    n = np.array([-np.sin(heading), np.cos(heading)])
+    times = np.asarray(times, dtype=np.float64)[:, None]
+    heading, speed, lateral_offset, duration = _per_agent(heading, speed, lateral_offset, duration)
+    u = np.concatenate([np.cos(heading), np.sin(heading)], axis=-1)
+    n = np.concatenate([-np.sin(heading), np.cos(heading)], axis=-1)
     tau = np.clip(times / duration, 0.0, 1.0)
     ramp = tau * tau * (3.0 - 2.0 * tau)
-    return np.asarray(p0) + np.outer(speed * times, u) + np.outer(lateral_offset * ramp, n)
+    return np.asarray(p0)[..., None, :] + (speed * times) * u + (lateral_offset * ramp) * n
 
 
 _MANEUVERS = ("straight", "arc_left", "arc_right", "lane_change")
+_TIMES = np.arange(-(OBS_STEPS - 1), PRED_STEPS + 1) * DT  # time 0 is the last observed step
 
 
 @dataclass
@@ -149,66 +163,68 @@ def _pick_maneuver(u: float, mix) -> str:
     return _MANEUVERS[-1]
 
 
-def _agent_track(rng: Rng, p0, heading, maneuver):
-    """(history [OBS_STEPS, 2], future [PRED_STEPS, 2]) of one agent."""
-    # time 0 is the last observed step
-    times = (np.arange(-(OBS_STEPS - 1), PRED_STEPS + 1)) * DT
-    speed = rng.uniform((), *SPEED_RANGE)
-    if maneuver == "straight":
-        path = straight_path(p0, heading, speed, times)
-    elif maneuver in ("arc_left", "arc_right"):
-        radius = rng.uniform((), *RADIUS_RANGE)
-        sign = 1.0 if maneuver == "arc_left" else -1.0
-        path = arc_path(p0, heading, speed, radius, sign, times)
-    else:
-        offset = 3.5 if rng.uniform(()) < 0.5 else -3.5
-        duration = rng.uniform((), 2.0, 3.0)
-        path = lane_change_path(p0, heading, speed, offset, duration, times)
-    return path[:OBS_STEPS], path[OBS_STEPS:]
-
-
-def _centerline(path: np.ndarray, spacing: float) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    n_pts = max(2, int(arc[-1] / spacing) + 1)
-    targets = np.linspace(0.0, arc[-1], n_pts)
-    xs = np.interp(targets, arc, path[:, 0])
-    ys = np.interp(targets, arc, path[:, 1])
-    return np.stack([xs, ys], axis=-1)
+def _centerlines(paths: np.ndarray, spacing: float) -> list:
+    """Each of the [N, T, 2] paths resampled at even steps of about `spacing`
+    meters along its length, as a list of N [P, 2] polylines."""
+    arcs = np.zeros(paths.shape[:2])
+    np.cumsum(np.linalg.norm(np.diff(paths, axis=1), axis=2), axis=1, out=arcs[:, 1:])
+    lanes = []
+    for path, arc in zip(paths, arcs):
+        targets = np.linspace(0.0, arc[-1], max(2, int(arc[-1] / spacing) + 1))
+        lane = np.empty((targets.size, 2))
+        lane[:, 0] = np.interp(targets, arc, path[:, 0])
+        lane[:, 1] = np.interp(targets, arc, path[:, 1])
+        lanes.append(lane)
+    return lanes
 
 
 def generate_scenario(index: int, rng: Rng, cfg: GenConfig) -> Scenario:
     t, f = OBS_STEPS, PRED_STEPS
     n_agents = 1 + rng.integers(cfg.max_agents)
     focal_maneuver = _pick_maneuver(rng.uniform(()), cfg.maneuver_mix)
-
-    histories = np.zeros((n_agents, t, 2))
-    futures = np.zeros((n_agents, f, 2))
     agent_valid = np.ones((n_agents, t), dtype=bool)
-    future_valid = np.ones((n_agents, f), dtype=bool)
-    lanes = []
 
-    base = rng.uniform((2,), -50.0, 50.0)
+    # the draws run agent by agent, in stream order; the paths then take one
+    # array pass per kind of maneuver
+    by_kind = {}  # path function -> (agent indices, parameter rows)
+    base_x, base_y = rng.uniform((), -50.0, 50.0), rng.uniform((), -50.0, 50.0)
     for i in range(n_agents):
         if i == 0:
-            p0, heading, maneuver = base, rng.uniform((), 0.0, 2.0 * np.pi), focal_maneuver
+            x0, y0, maneuver = base_x, base_y, focal_maneuver
+            heading = rng.uniform((), 0.0, 2.0 * np.pi)
         else:
-            p0 = base + rng.uniform((2,), -30.0, 30.0)
+            x0 = base_x + rng.uniform((), -30.0, 30.0)
+            y0 = base_y + rng.uniform((), -30.0, 30.0)
             heading = rng.uniform((), 0.0, 2.0 * np.pi)
             maneuver = _pick_maneuver(rng.uniform(()), cfg.maneuver_mix)
-        hist, fut = _agent_track(rng, p0, heading, maneuver)
-        histories[i], futures[i] = hist, fut
-        lanes.append(_centerline(np.concatenate([hist, fut]), LANE_POINT_SPACING))
+        row = [x0, y0, heading, rng.uniform((), *SPEED_RANGE)]
+        if maneuver == "straight":
+            path_fn = straight_path
+        elif maneuver in ("arc_left", "arc_right"):
+            path_fn = arc_path
+            row += [rng.uniform((), *RADIUS_RANGE), 1.0 if maneuver == "arc_left" else -1.0]
+        else:
+            path_fn = lane_change_path
+            row += [3.5 if rng.uniform(()) < 0.5 else -3.5, rng.uniform((), 2.0, 3.0)]
+        agents, rows = by_kind.setdefault(path_fn, ([], []))
+        agents.append(i)
+        rows.append(row)
         if i > 0 and rng.uniform(()) < 0.3:
             # late-entry neighbor: first steps unobserved, at least 2 remain valid
             missing = 1 + rng.integers(t - 2)
             agent_valid[i, :missing] = False
 
+    paths = np.empty((n_agents, t + f, 2))
+    for path_fn, (agents, rows) in by_kind.items():
+        params = np.array(rows)
+        paths[agents] = path_fn(params[:, :2], *params[:, 2:].T, _TIMES)
+    lanes = _centerlines(paths, LANE_POINT_SPACING)
+    histories, futures = paths[:, :t].copy(), paths[:, t:].copy()
     if cfg.noise_sigma > 0.0:
-        histories = histories + rng.normal((n_agents, t, 2), std=cfg.noise_sigma)
+        histories += rng.normal((n_agents, t, 2), std=cfg.noise_sigma)
 
     return Scenario(
-        histories, agent_valid, futures, future_valid, lanes,
+        histories, agent_valid, futures, np.ones((n_agents, f), dtype=bool), lanes,
         focal_agent=0,
         scenario_id=f"syn-{index:06d}-{focal_maneuver}",
     )
@@ -225,7 +241,7 @@ def generate_synthetic(count: int, rng: Rng, cfg: GenConfig | None = None) -> Da
     if count < 1:
         raise ValueError("count must be >= 1")
     cfg = cfg or GenConfig()
-    seed = int(rng.u64(1)[0])  # fold the stream position into the split key
+    seed = rng.next_u64()  # fold the stream position into the split key
     train, val = [], []
     for i in range(count):
         sc = generate_scenario(i, rng.child(i), cfg)

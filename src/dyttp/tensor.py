@@ -275,23 +275,23 @@ def reshape(a, shape):
 
 
 def getitem(a, idx):
+    """a[idx] for an index of slices, ints, Ellipsis, None and boolean masks.
+
+    An integer-array or list part raises TypeError: it can pick one element
+    twice, and the backward pass, which assigns, would then keep only one of
+    that element's gradients.
+    """
+    for part in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(part, list) or (isinstance(part, np.ndarray) and part.dtype.kind in "iu"):
+            raise TypeError(f"getitem takes no integer-array or list index, got {part!r}")
     a = _as_tensor(a)
-    out_data = a.data[idx]
-    # only an integer-array index can pick one element twice and so needs the
-    # (slower) unbuffered scatter-add; slices, ints and boolean masks cannot
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    may_repeat = any(isinstance(p, (np.ndarray, list)) and np.asarray(p).dtype.kind in "iu"
-                     for p in parts)
 
     def da(g):
         z = np.zeros_like(a.data)
-        if may_repeat:
-            np.add.at(z, idx, g)
-        else:
-            z[idx] = g
+        z[idx] = g
         return z
 
-    return _unary(a, np.array(out_data), da)
+    return _unary(a, np.array(a.data[idx]), da)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +551,10 @@ def _u64(value: int) -> np.ndarray:
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_INT = 0x9E3779B97F4A7C15
-# 0-d arrays, not numpy scalars: numpy applies them with less overhead per
-# call, which counts for the one-value draws of scene generation
+# 0-d arrays, not numpy scalars: numpy applies them with less overhead per call
 _GOLDEN = _u64(_GOLDEN_INT)
-_MIX1, _MIX2 = _u64(0xBF58476D1CE4E5B9), _u64(0x94D049BB133111EB)
+_MIX1_INT, _MIX2_INT = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MIX1, _MIX2 = _u64(_MIX1_INT), _u64(_MIX2_INT)
 _S11, _S27, _S30, _S31 = _u64(11), _u64(27), _u64(30), _u64(31)
 
 
@@ -569,8 +569,22 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64_int(z: int) -> int:
+    """_mix64 of one value, on Python ints."""
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+    return z ^ (z >> 31)
+
+
 class Rng:
-    """splitmix64 stream: 64-bit state, vectorized draws, same seed same bits."""
+    """splitmix64 stream: 64-bit state, same seed same bits.
+
+    Scalar and vector draws read one stream, and the shape picks the path.
+    uniform and integers with shape (), next_u64 and child run splitmix64 on
+    Python ints, about a twentieth of the cost of a one-element numpy pass;
+    every other draw runs on numpy arrays. So n scalar draws equal one draw
+    of shape (n,), bit for bit.
+    """
 
     algorithm = "splitmix64"
 
@@ -585,15 +599,20 @@ class Rng:
         self.skip(n)
         return _mix64(vals)
 
+    def next_u64(self) -> int:
+        """The next draw of u64(1), as a Python int."""
+        self._state = (self._state + _GOLDEN_INT) & _MASK64
+        return _mix64_int(self._state)
+
     def skip(self, n: int):
         """Advance the stream past n draws of u64 without computing them."""
         self._state = (self._state + n * _GOLDEN_INT) & _MASK64
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        u = (self.u64(n) >> _S11).astype(np.float64) * (2.0 ** -53)
-        out = low + (high - low) * u
-        return out.reshape(shape) if shape else float(out[0])
+        if not shape:
+            return low + (high - low) * ((self.next_u64() >> 11) * 2.0 ** -53)
+        u = (self.u64(int(np.prod(shape))) >> _S11).astype(np.float64) * (2.0 ** -53)
+        return (low + (high - low) * u).reshape(shape)
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         n = int(np.prod(shape)) if shape else 1
@@ -609,14 +628,15 @@ class Rng:
         if below < 1:
             raise ValueError(f"integers needs below >= 1, got {below}")
         # modulo bias is negligible for below << 2**64
-        n = int(np.prod(shape)) if shape else 1
-        vals = (self.u64(n) % np.uint64(below)).astype(np.int64)
-        return vals.reshape(shape) if shape else int(vals[0])
+        if not shape:
+            return self.next_u64() % int(below)
+        vals = (self.u64(int(np.prod(shape))) % np.uint64(below)).astype(np.int64)
+        return vals.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return np.argsort(self.u64(n), kind="stable")
 
     def child(self, key: int) -> "Rng":
         """Independent stream derived from (state, key); parent state unchanged."""
-        k = _mix64(np.array([key & _MASK64], dtype=np.uint64) + _GOLDEN)
-        return Rng(int(_mix64(k ^ _u64(self._state))[0]))
+        k = _mix64_int(((key & _MASK64) + _GOLDEN_INT) & _MASK64)
+        return Rng(_mix64_int(k ^ self._state))

