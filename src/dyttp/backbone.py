@@ -7,15 +7,18 @@ model is translation invariant by construction and predictions become
 world-frame by adding each agent's frame origin (its last observed position).
 
 Encoding runs four attention stages in order: agent-agent per observed
-timestep within a radius, temporal per agent with a causal mask (last-step
-token is the agent summary), agent-lane cross attention against lane
-segments within the radius, and global agent-agent attention without a
-radius mask. Every stage uses pre-norm blocks with the configured
-normalization (DynamicTanh or LayerNorm) at all sites. The decoder head reads
-the encoder output directly, with no norm of its own: a DynamicTanh there
-saturates as the residual stream grows in training, its output stops
-depending on the input, and the model settles on input-independent anchor
-trajectories from which its gradient (tanh' near 0) cannot lead it out.
+timestep within a radius, temporal per agent with a causal mask, agent-lane
+cross attention against lane segments within the radius, and global
+agent-agent attention without a radius mask. The last step's token is the
+agent summary: in the last temporal block only that step queries, reading
+keys and values from every step, so the temporal stage returns
+[..., A, 1, D] and spends no work on rows nothing reads. Every stage uses
+pre-norm blocks with the configured normalization (DynamicTanh or
+LayerNorm) at all sites. The decoder head reads the encoder output directly,
+with no norm of its own: a DynamicTanh there saturates as the residual
+stream grows in training, its output stops depending on the input, and the
+model settles on input-independent anchor trajectories from which its
+gradient (tanh' near 0) cannot lead it out.
 
 `forward` takes a list of scenarios and runs every stage once for the whole
 batch. The batch's agents are concatenated onto one axis (no padding);
@@ -209,14 +212,21 @@ class TrajectoryPredictor(Module):
         return swap_axes(x, -3, -2)
 
     def stage_temporal(self, tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
+        """Tokens [..., A, T, D] in, summary [..., A, 1, D] out: the last step's token.
+
+        Each step attends causally to the valid steps of its agent and to
+        itself. Only the last step queries in the last block, with keys and
+        values from every step; earlier blocks run every step, since the next
+        block reads them all.
+        """
         t = tokens.shape[-2]
-        causal = np.tril(np.ones((t, t), dtype=bool))
-        keys_ok = batch.agent_valid[:, None, :] | np.eye(t, dtype=bool)[None]
-        mask = causal[None] & keys_ok
+        keys_ok = batch.agent_valid[:, None, :]                               # [A, 1, T]
+        *early, last = self.temporal_blocks
         x = tokens
-        for block in self.temporal_blocks:
-            x = block(x, mask=mask, rng=rng)
-        return x
+        for block in early:
+            x = block(x, mask=np.tril(keys_ok | np.eye(t, dtype=bool)), rng=rng)
+        summary = T.getitem(x, (Ellipsis, slice(t - 1, t), slice(None)))
+        return last(summary, kv=x, mask=keys_ok | (np.arange(t) == t - 1), rng=rng)
 
     def stage_agent_lane(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         """Summary [..., A, 1, D] after each agent attends to the lane segments near it."""
@@ -245,9 +255,7 @@ class TrajectoryPredictor(Module):
     def encode(self, scenes, rng=None) -> EncodedBatch:
         tokens, batch = self.embed_inputs(scenes)
         x = self.stage_agent_agent(tokens, batch, rng)
-        x = self.stage_temporal(x, batch, rng)
-        t = x.shape[-2]
-        summary = T.getitem(x, (Ellipsis, slice(t - 1, t), slice(None)))   # last-step token
+        summary = self.stage_temporal(x, batch, rng)
         summary = self.stage_agent_lane(summary, batch, rng)
         summary = self.stage_global(summary, batch, rng)
         return EncodedBatch(embeddings=summary, origins=batch.origins)

@@ -22,6 +22,7 @@ import json
 import os
 import struct
 import sys
+import time
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -37,8 +38,8 @@ from .evaluation import (
 )
 from .tensor import Rng
 from .training import (
-    DivergenceError, EnsembleConfig, SchedulerConfig, Snapshot, make_ensemble,
-    train,
+    DivergenceError, EnsembleConfig, SchedulerConfig, Snapshot, eligible_agents,
+    make_ensemble, train,
 )
 
 CKPT_MAGIC = b"DYTC"
@@ -243,18 +244,26 @@ def cmd_train(args) -> int:
                                                  args.data, args.out)).encode())
         log_fh = open(log_path, "a" if start_cycle else "w")
 
+    # the stdout line, not the log, carries wall time: reruns must give the same log bytes
+    train_scenes = sum(1 for s in split.train if eligible_agents(s).any())
+
     def log_sink(record):
+        nonlocal since
         log_fh.write(json.dumps(record, sort_keys=True) + "\n")
         log_fh.flush()
+        now = time.perf_counter()
+        seconds, since = now - since, now
         val = f"{record['val_minADE']:.4f}" if record["val_minADE"] is not None else "n/a"
         print(f"epoch {record['epoch']:>3}  cycle {record['cycle']}  "
-              f"lr {record['lr']:.2e}  loss {record['train_loss']:.4f}  val minADE {val}")
+              f"lr {record['lr']:.2e}  loss {record['train_loss']:.4f}  val minADE {val}  "
+              f"{seconds:.2f} s  {train_scenes / seconds:.1f} scen/s")
 
     def snapshot_sink(snap):
         path = os.path.join(args.out, f"snapshot_{snap.cycle_index}.ckpt")
         with _writing(path):
             save_checkpoint(path, snap.params, model_cfg, snap.cycle_index)
 
+    since = time.perf_counter()
     try:
         result = train(split, model_cfg, sched_cfg, Rng(extras["seed"]),
                        lam=extras["lam"], batch_size=extras["batch_size"],

@@ -199,8 +199,11 @@ class FeedForward(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: x + MHA(norm(x)); then x + FFN(norm(x)).
 
-    With cross=True the attention reads keys/values from a separate memory
-    tensor, normalized by its own norm instance. cfg is a backbone.ModelConfig;
+    Given kv, the attention reads keys/values from that memory tensor instead
+    of from x. A cross=True block normalizes it with its own norm instance,
+    `norm_kv`; any other block uses `norm_attn`, so a block whose queries are
+    some positions of kv sees the keys it would see with every position
+    querying (both norms work per position). cfg is a backbone.ModelConfig;
     the block reads its norm_kind, width, heads, ff_ratio and dropout.
     """
 
@@ -215,7 +218,8 @@ class TransformerBlock(Module):
     def __call__(self, x: Tensor, kv: Tensor | None = None, mask=None,
                  rng: Rng | None = None) -> Tensor:
         h = self.norm_attn(x)
-        memory = self.norm_kv(kv) if kv is not None else h
+        norm_kv = self.norm_attn if self.norm_kv is None else self.norm_kv
+        memory = h if kv is None else norm_kv(kv)
         x = T.add(x, self.drop(self.attn(h, memory, mask, rng), rng))
         x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng), rng))
         return x

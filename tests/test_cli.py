@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -86,6 +87,26 @@ def test_train_writes_snapshots_log_and_config(tmp_path):
     rec = json.loads(lines[0])
     assert set(rec) == {"epoch", "cycle", "lr", "train_loss",
                         "val_minADE", "val_minFDE", "val_MR"}
+
+
+def test_train_epoch_line_reports_seconds_and_rate_outside_the_log(tmp_path, capsys):
+    data = gen(tmp_path)
+    capsys.readouterr()
+    run = train(tmp_path, data)
+    line = re.compile(r"epoch +(\d+)  cycle \d  lr \S+  loss \S+  val minADE \S+  "
+                      r"(\d+\.\d\d) s  (\d+\.\d) scen/s")
+    epochs = [line.fullmatch(l) for l in capsys.readouterr().out.splitlines()
+              if l.startswith("epoch")]
+    assert len(epochs) == 2 and all(epochs)
+    scenes = len(load_scenarios(data).train)
+    for m in epochs:
+        seconds, rate = float(m[2]), float(m[3])
+        # both figures are rounded: the rate must fit some seconds value that rounds to the one shown
+        assert scenes / (seconds + 0.005) - 0.05 <= rate <= scenes / max(seconds - 0.005, 1e-9) + 0.05
+    # criterion 9 compares the log byte for byte, so no wall time goes into it
+    for rec in map(json.loads, (run / "training_log.jsonl").read_text().splitlines()):
+        assert set(rec) == {"epoch", "cycle", "lr", "train_loss",
+                            "val_minADE", "val_minFDE", "val_MR"}
 
 
 def test_train_rerun_identical_bytes(tmp_path):
