@@ -135,7 +135,7 @@ def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
     points = np.concatenate([np.zeros((0, 2)), *lanes])                     # [P, 2]
     lane_of = np.repeat(np.arange(len(lanes)), [len(poly) for poly in lanes])
     d = np.diff(points, axis=0)
-    length = np.linalg.norm(d, axis=1)
+    length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     keep = (lane_of[1:] == lane_of[:-1]) & (length > 0)
     feats = np.concatenate([d[keep] / length[keep, None], length[keep, None]], axis=1)
     return feats, 0.5 * (points[:-1] + points[1:])[keep]
@@ -200,12 +200,19 @@ class TrajectoryPredictor(Module):
 
     def stage_agent_agent(self, tokens: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         a = tokens.shape[-3]
-        pos_t = np.transpose(batch.agent_histories, (1, 0, 2))  # [T, A, 2]
+        # per coordinate: a reduction over a length-2 axis runs once per agent pair
+        px, py = batch.agent_histories.T                         # [T, A] each
         vt = batch.agent_valid.T                                 # [T, A]
-        diff = pos_t[:, :, None, :] - pos_t[:, None, :, :]
-        near = (diff ** 2).sum(-1) <= self.cfg.radius ** 2
-        mask = vt[:, :, None] & vt[:, None, :] & near & batch.same_scene
-        mask |= np.eye(a, dtype=bool)[None]
+        dx = px[:, :, None] - px[:, None, :]                     # [T, A, A]
+        dy = py[:, :, None] - py[:, None, :]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        mask = dx <= self.cfg.radius ** 2
+        mask &= vt[:, :, None]
+        mask &= vt[:, None, :]
+        mask &= batch.same_scene
+        mask |= np.eye(a, dtype=bool)
         x = swap_axes(tokens, -3, -2)
         for block in self.social_blocks:
             x = block(x, mask=mask, rng=rng)
@@ -230,8 +237,9 @@ class TrajectoryPredictor(Module):
 
     def stage_agent_lane(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         """Summary [..., A, 1, D] after each agent attends to the lane segments near it."""
-        rel = batch.lane_feats[..., 3:]                                       # [A, S_max, 2]
-        near = ((rel ** 2).sum(-1) <= self.cfg.radius ** 2) & batch.lane_valid
+        rx, ry = batch.lane_feats[..., 3], batch.lane_feats[..., 4]           # [A, S_max] each
+        near = rx * rx + ry * ry <= self.cfg.radius ** 2
+        near &= batch.lane_valid
         has_key = near.any(axis=1)
         if not has_key.any():
             return summary

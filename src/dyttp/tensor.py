@@ -337,6 +337,16 @@ def softmax(a, axis: int = -1):
 # Parameters may carry leading axes that broadcast against the activation
 # (stacked snapshots, lined up by training.make_ensemble).
 
+def _add_into(out: np.ndarray, b) -> np.ndarray:
+    """out + b, written into out; a fresh sum where b adds leading axes (a stacked
+    parameter). The try costs nothing on the usual path, where a shape check would."""
+    try:
+        out += b
+    except ValueError:
+        return out + b
+    return out
+
+
 def linear(x, w, b):
     """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -354,20 +364,22 @@ def linear(x, w, b):
             gw = np.matmul(np.swapaxes(xd, -1, -2), g)
         return gx, gw, g
 
-    return _op((x, w, b), np.matmul(xd, wd) + b.data, grads)
+    return _op((x, w, b), _add_into(np.matmul(xd, wd), b.data), grads)
 
 
 def dyt(x, alpha, gamma, beta):
     """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise."""
     x, alpha, gamma, beta = (_as_tensor(t) for t in (x, alpha, gamma, beta))
-    t = np.tanh(x.data * alpha.data)
+    # asarray because numpy arithmetic on 0-d arrays returns scalars, which take no out=
+    t = np.asarray(x.data * alpha.data)
+    np.tanh(t, out=t)
 
     def grads(g, needs):
         d = g * gamma.data * (1.0 - t * t) if needs[0] or needs[1] else None
         return (d * alpha.data if needs[0] else None, d * x.data if needs[1] else None,
                 g * t if needs[2] else None, g)
 
-    return _op((x, alpha, gamma, beta), t * gamma.data + beta.data, grads)
+    return _op((x, alpha, gamma, beta), _add_into(np.asarray(t * gamma.data), beta.data), grads)
 
 
 def layer_norm(x, gamma, beta, eps: float):
@@ -422,7 +434,10 @@ def gelu(x):
     return _op((x,), half_x * t1, grads)
 
 
-_MASK_FILL = -1e30  # finite stand-in for blocked logits; exp underflows to 0
+_MASK_FILL = -1e30  # finite stand-in for blocked logits, far below any row's max
+# shifted logits are floored here before exp, above ln(DBL_MIN) ~ -708.4: numpy's exp
+# runs several times slower on inputs whose result underflows
+_EXP_FLOOR = -700.0
 
 
 def attention(q, k, v, heads: int, mask=None, keep=None):
@@ -457,12 +472,22 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError("attention mask leaves a query row with no keys")
-        scores = np.where(mask[..., None, :, :], scores, _MASK_FILL)
+        mask = mask[..., None, :, :]
+        try:
+            np.copyto(scores, _MASK_FILL, where=~mask)
+        except ValueError:  # the mask adds leading axes: a fresh array takes them
+            scores = np.where(mask, scores, _MASK_FILL)
     if not np.all(np.isfinite(scores)):
         raise NumericalError("attention requires finite logits")
-    # the softmax runs in place: the logits' array becomes the weights
+    # the softmax runs in place: the logits' array becomes the weights. Blocked
+    # logits reach exp at the floor and are zeroed by the mask after it, so their
+    # weights are exactly 0; an attended logit more than 700 below its row's max
+    # weighs under 1e-304 instead of a denormal
     scores -= scores.max(axis=-1, keepdims=True)
+    np.maximum(scores, _EXP_FLOOR, out=scores)
     weights = np.exp(scores, out=scores)
+    if mask is not None:
+        weights *= mask
     weights /= weights.sum(axis=-1, keepdims=True)
     dropped = weights if keep is None else weights * keep
 

@@ -166,18 +166,22 @@ class AdamW:
                 for (a, b), p in zip(self.spans, params) if p.grad is None]
         self.t += 1
         # each element sees the operations, in their order, of the per-parameter form
-        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p - lr (m^ / (sqrt(v^) + eps) + wd p)
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p - lr (m^ / (sqrt(v^) + eps) + wd p),
+        # in place on one scratch vector and on g, which becomes the update
+        scratch = np.multiply(g, 1.0 - self.beta2)
+        scratch *= g
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        self.v += scratch
         g *= 1.0 - self.beta1
         self.m *= self.beta1
         self.m += g
-        denom = np.sqrt(self.v / (1.0 - self.beta2 ** self.t))
+        denom = np.divide(self.v, 1.0 - self.beta2 ** self.t, out=scratch)
+        np.sqrt(denom, out=denom)
         denom += self.eps
-        update = self.m / (1.0 - self.beta1 ** self.t)
+        update = np.divide(self.m, 1.0 - self.beta1 ** self.t, out=g)
         update /= denom
         flat = np.concatenate([p.data.ravel() for p in params])
-        update += flat * self.weight_decay
+        update += np.multiply(flat, self.weight_decay, out=scratch)
         update *= lr
         flat -= update
         for a, b, m, v in idle:

@@ -299,16 +299,17 @@ def attention_np(q, k, v, heads, mask, keep):
     return out
 
 
-@pytest.mark.parametrize("q_lead,kv_lead", [((2,), (2,)), ((3, 2), (1, 2))],
-                         ids=["plain", "stacked"])
-def test_attention_matches_numpy_oracle(q_lead, kv_lead):
+@pytest.mark.parametrize("q_lead,kv_lead,mask_lead",
+                         [((2,), (2,), (2,)), ((3, 2), (1, 2), (2,)), ((2,), (2,), (3, 2))],
+                         ids=["plain", "stacked", "mask-adds-axes"])
+def test_attention_matches_numpy_oracle(q_lead, kv_lead, mask_lead):
     rng = Rng(19)
     heads, tq, tk, d = 2, 3, 4, 6
     q = rng.normal(q_lead + (tq, d))
     k, v = rng.normal(kv_lead + (tk, d)), rng.normal(kv_lead + (tk, d))
-    mask = rng.uniform((2, tq, tk)) < 0.6
+    mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
     mask[..., 0] = True
-    lead = np.broadcast_shapes(q_lead, kv_lead)
+    lead = np.broadcast_shapes(q_lead, kv_lead, mask_lead)
     keep = (rng.uniform(lead + (heads, tq, tk)) >= 0.3) / 0.7
     out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, keep).data
     assert out.shape == lead + (tq, d)
@@ -318,9 +319,48 @@ def test_attention_matches_numpy_oracle(q_lead, kv_lead):
         assert_rel(out[i], attention_np(bq[i], bk[i], bv[i], heads, bm[i], keep[i]))
     # no mask and no dropout is plain softmax attention
     full = T.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+    full = np.broadcast_to(full, lead + full.shape[-2:])
     ones = np.ones((heads, tq, tk))
     for i in np.ndindex(lead):
         assert_rel(full[i], attention_np(bq[i], bk[i], bv[i], heads, True, ones))
+
+
+def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
+    # about 85% of the keys blocked, as in a training batch's agent-agent stage:
+    # keys 8..19 are blocked for every query, keys 0..7 for about 70% of them
+    rng = Rng(23)
+    heads, tq, tk, d = 2, 6, 20, 4
+    q, k, v = rng.normal((2, tq, d)), rng.normal((2, tk, d)), rng.normal((2, tk, d))
+    mask = np.zeros((2, tq, tk), dtype=bool)
+    mask[..., :8] = rng.uniform((2, tq, 8)) < 0.3
+    mask[..., 0] = True
+    # in query row 0, key 1's logit sits 720 below key 0's in both heads: the
+    # oracle's weight is a denormal, the op's is under 1e-304
+    mask[0, 0, :] = False
+    mask[0, 0, :2] = True
+    q[0, 0] = [1.0, 0.0, 1.0, 0.0]
+    k[0, 0] = [3.0, 0.0, 3.0, 0.0]
+    k[0, 1] = [3.0 - 720.0 * math.sqrt(2.0), 0.0, 3.0 - 720.0 * math.sqrt(2.0), 0.0]
+    keep = (rng.uniform((2, heads, tq, tk)) >= 0.1) / 0.9
+    assert 0.8 <= 1.0 - mask.mean() <= 0.9
+    out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, keep).data
+    for i in range(2):
+        assert_rel(out[i], attention_np(q[i], k[i], v[i], heads, mask[i], keep[i]))
+
+    # the k and v rows of keys blocked for every query change nothing, bit for bit
+    k2, v2 = k.copy(), v.copy()
+    k2[:, 8:] = rng.normal((2, tk - 8, d), std=1e3)
+    v2[:, 8:] = rng.normal((2, tk - 8, d), std=1e3)
+    again = T.attention(Tensor(q), Tensor(k2), Tensor(v2), heads, mask, keep).data
+    assert again.tobytes() == out.tobytes()
+
+    # and get a gradient of exactly zero
+    kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_(mul(T.attention(Tensor(q), kt, vt, heads, mask, keep), rng.normal((2, tq, d))))
+    backward(loss, tape)
+    assert not np.any(vt.grad[:, 8:]) and not np.any(kt.grad[:, 8:])
+    assert np.all(np.abs(vt.grad[:, 0]).sum(-1) > 0)
 
 
 def test_attention_rejects_a_query_with_no_keys():

@@ -641,3 +641,24 @@ def test_mismatched_architecture_errors():
         make_ensemble([], SMALL, EnsembleConfig())
     with pytest.raises(ValueError):
         EnsembleConfig(strategy="majority_vote")
+
+
+def test_default_predict_training_epoch_and_ensemble_never_underflow():
+    # numpy's exp runs several times slower on inputs whose result underflows;
+    # attention once sent every blocked logit down that path, most of a
+    # training batch's agent-agent scores. Raising on underflow catches any op
+    # that starts doing so again
+    cfg = ModelConfig()
+    dense = generate_synthetic(6, Rng(3), GenConfig(max_agents=32)).all_scenarios()
+    assert max(s.num_agents for s in dense) >= 16
+    sparse = generate_synthetic(24, Rng(42))
+    snapshots = [Snapshot(k, TrajectoryPredictor(cfg, Rng(10 + k)).state_dict()) for k in range(4)]
+    with np.errstate(under="raise"):
+        model = TrajectoryPredictor(cfg, Rng(1))
+        for sc in dense:
+            model.predict(sc)
+        result = train(sparse, cfg, SchedulerConfig(cycle_length=1, num_cycles=1), Rng(7))
+        ensemble = make_ensemble(snapshots, cfg, EnsembleConfig())
+        for sc in sparse.val:
+            ensemble(sc)
+    assert len(result.records) == 1 and math.isfinite(result.records[0]["train_loss"])
