@@ -155,13 +155,17 @@ class Dropout:
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with optional boolean mask (true = attend).
 
-    Queries [..., Tq, D] read keys and values [..., Tk, D]; the mask is
+    Queries [..., Tq, D] read keys and values [..., Tk, D]: their own
+    positions, or a separate memory when kv_in is given. The mask is
     [B, Tq, Tk] and broadcasts over any axes in front of B. The query, value
     and output projections are Linear layers. The key projection is a bare
     [D, D] weight: a key bias b adds q . b to every logit of a query's row,
-    which softmax removes, so it could never learn. Everything between the
-    projections is one `tensor.attention` op, whose dropout multipliers are
-    drawn here.
+    which softmax removes, so it could never learn. Self-attention projects
+    keys and values and runs one `tensor.attention` op. A memory is read with
+    `tensor.memory_attention`, which moves the key and value projections onto
+    the queries and the context: the memory blocks have one query per agent,
+    so projecting every memory row would cost more. The dropout multipliers
+    are drawn here.
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
@@ -176,13 +180,17 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
                  rng: Rng | None = None) -> Tensor:
-        kv_in = q_in if kv_in is None else kv_in
         q = self.wq(q_in)
-        k = T.linear(kv_in, self.wk, 0.0)
-        v = self.wv(kv_in)
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
-        keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)
-        return self.wo(T.attention(q, k, v, self.heads, mask, keep))
+        kv = q_in if kv_in is None else kv_in
+        lead = np.broadcast_shapes(q.shape[:-2], kv.shape[:-2], np.shape(mask)[:-2])
+        keep = self.drop.keep(lead + (self.heads, q.shape[-2], kv.shape[-2]), rng)
+        if kv_in is None:
+            k, v = T.linear(kv, self.wk), self.wv(kv)
+            ctx = T.attention(q, k, v, self.heads, mask, keep)
+        else:
+            ctx = T.memory_attention(q, kv, self.wk, self.wv.weight, self.wv.bias,
+                                     self.heads, mask, keep)
+        return self.wo(ctx)
 
 
 class FeedForward(Module):
@@ -219,7 +227,7 @@ class TransformerBlock(Module):
                  rng: Rng | None = None) -> Tensor:
         h = self.norm_attn(x)
         norm_kv = self.norm_attn if self.norm_kv is None else self.norm_kv
-        memory = h if kv is None else norm_kv(kv)
+        memory = None if kv is None else norm_kv(kv)
         x = T.add(x, self.drop(self.attn(h, memory, mask, rng), rng))
         x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng), rng))
         return x

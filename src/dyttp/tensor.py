@@ -8,8 +8,8 @@ Conventions:
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
 - Each model layer is one fused op (linear, dyt, layer_norm, gelu,
-  attention, laplace_nll) with a hand-written backward pass, so it adds one
-  tape record.
+  attention, memory_attention, laplace_nll) with a hand-written backward
+  pass, so it adds one tape record.
 - Tensors are treated as immutable once created, except parameter updates
   applied between passes and gradient accumulation during a backward pass.
   Tapes are thread-local, so independent evaluations may run concurrently.
@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 
 import numpy as np
@@ -29,7 +30,8 @@ __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
     "add", "mul", "neg", "log", "softplus", "clamp_min",
     "transpose", "reshape", "getitem", "sum_", "mean", "softmax",
-    "linear", "dyt", "layer_norm", "gelu", "attention", "laplace_nll",
+    "linear", "dyt", "layer_norm", "gelu", "attention", "memory_attention",
+    "laplace_nll",
 ]
 
 
@@ -237,14 +239,28 @@ def log(a):
     return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
+# exp's inputs are floored here, above ln(DBL_MIN) ~ -708.4: numpy's exp runs
+# several times slower on inputs whose result underflows
+_EXP_FLOOR = -700.0
+
+
 def softplus(a):
+    """log(1 + exp(a)) as max(a, 0) + log1p(exp(-|a|)), elementwise.
+
+    The floored exp term, under 1e-304, is far below the rounding of any
+    result but one of a < -700."""
     a = _as_tensor(a)
-    out_data = np.logaddexp(0.0, a.data)
+    t = np.abs(a.data)
+    np.negative(t, out=t)
+    np.maximum(t, _EXP_FLOOR, out=t)
+    np.exp(t, out=t)                          # exp(-|a|)
+    out_data = np.log1p(t)
+    out_data += np.maximum(a.data, 0.0)
 
     def da(g):
-        # stable sigmoid
-        t = np.exp(-np.abs(a.data))
-        sig = np.where(a.data >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+        # the sigmoid, stable on both sides: 1 / (1 + t) for a >= 0, t / (1 + t) below
+        sig = np.where(a.data >= 0.0, 1.0, t)
+        sig /= t + 1.0
         return g * sig
 
     return _unary(a, out_data, da)
@@ -347,9 +363,9 @@ def _add_into(out: np.ndarray, b) -> np.ndarray:
     return out
 
 
-def linear(x, w, b):
-    """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+def linear(x, w, b=None):
+    """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]; no add when b is None."""
+    x, w = _as_tensor(x), _as_tensor(w)
     xd, wd = x.data, w.data
     if xd.shape[-1] != wd.shape[-2]:
         raise ValueError(f"linear dimensions disagree: {xd.shape} x {wd.shape}")
@@ -364,6 +380,9 @@ def linear(x, w, b):
             gw = np.matmul(np.swapaxes(xd, -1, -2), g)
         return gx, gw, g
 
+    if b is None:
+        return _op((x, w), np.matmul(xd, wd), grads)
+    b = _as_tensor(b)
     return _op((x, w, b), _add_into(np.matmul(xd, wd), b.data), grads)
 
 
@@ -435,9 +454,47 @@ def gelu(x):
 
 
 _MASK_FILL = -1e30  # finite stand-in for blocked logits, far below any row's max
-# shifted logits are floored here before exp, above ln(DBL_MIN) ~ -708.4: numpy's exp
-# runs several times slower on inputs whose result underflows
-_EXP_FLOOR = -700.0
+
+
+def _masked_softmax(scores, mask):
+    """Softmax over the last axis of scores [..., H, Tq, Tk], mostly in place.
+
+    mask ([..., Tq, Tk] bool, true = attend) applies to every head and must
+    leave each query at least one key; a blocked key's weight is exactly 0.
+    """
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any(axis=-1).all():
+            raise ValueError("attention mask leaves a query row with no keys")
+        mask = mask[..., None, :, :]
+        try:
+            np.copyto(scores, _MASK_FILL, where=~mask)
+        except ValueError:  # the mask adds leading axes: a fresh array takes them
+            scores = np.where(mask, scores, _MASK_FILL)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("attention requires finite logits")
+    # the logits' array becomes the weights. Blocked logits reach exp at the
+    # floor and are zeroed by the mask after it, so their weights are exactly 0;
+    # an attended logit more than 700 below its row's max weighs under 1e-304
+    # instead of a denormal
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.maximum(scores, _EXP_FLOOR, out=scores)
+    weights = np.exp(scores, out=scores)
+    if mask is not None:
+        weights *= mask
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+def _masked_softmax_grad(g, weights, keep, scale):
+    """The gradient of `scale` times the logits from g, the gradient of the
+    weights after `keep`; written into g. A blocked logit's weight is exactly
+    0, so its gradient is too."""
+    if keep is not None:
+        g *= keep
+    g -= (g * weights).sum(axis=-1, keepdims=True)
+    g *= weights * scale
+    return g
 
 
 def attention(q, k, v, heads: int, mask=None, keep=None):
@@ -468,27 +525,7 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
     scale = 1.0 / np.sqrt(hd)
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
     scores *= scale
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any(axis=-1).all():
-            raise ValueError("attention mask leaves a query row with no keys")
-        mask = mask[..., None, :, :]
-        try:
-            np.copyto(scores, _MASK_FILL, where=~mask)
-        except ValueError:  # the mask adds leading axes: a fresh array takes them
-            scores = np.where(mask, scores, _MASK_FILL)
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError("attention requires finite logits")
-    # the softmax runs in place: the logits' array becomes the weights. Blocked
-    # logits reach exp at the floor and are zeroed by the mask after it, so their
-    # weights are exactly 0; an attended logit more than 700 below its row's max
-    # weighs under 1e-304 instead of a denormal
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.maximum(scores, _EXP_FLOOR, out=scores)
-    weights = np.exp(scores, out=scores)
-    if mask is not None:
-        weights *= mask
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = _masked_softmax(scores, mask)
     dropped = weights if keep is None else weights * keep
 
     def grads(g, needs):
@@ -496,16 +533,106 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
         gv = merge(np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)) if needs[2] else None
         if not (needs[0] or needs[1]):
             return None, None, gv
-        gs = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
-        if keep is not None:
-            gs *= keep
-        # a blocked logit's weight is exactly 0, so its gradient is too
-        gs -= (gs * weights).sum(axis=-1, keepdims=True)
-        gs *= weights * scale
+        gs = _masked_softmax_grad(np.matmul(g_ctx, np.swapaxes(vh, -1, -2)), weights, keep, scale)
         return (merge(np.matmul(gs, kh)) if needs[0] else None,
                 merge(np.matmul(np.swapaxes(gs, -1, -2), qh)) if needs[1] else None, gv)
 
     return _op((q, k, v), merge(np.matmul(dropped, vh)), grads)
+
+
+def memory_attention(q, memory, wk, wv, bv, heads: int, mask=None, keep=None):
+    """attention(q, memory @ wk, memory @ wv + bv, heads, mask, keep), with the
+    key and value projections moved onto the queries and the context.
+
+    q is [..., Tq, D] (projected), memory [..., Tk, D], wk and wv [..., D, D]
+    of one shape and bv [..., D]; leading axes broadcast, and mask and keep
+    are as in attention. Head h scores its queries against the memory through
+    q_h wk_h^T and reads (weights @ memory) wv_h + bv_h * rowsum(weights), so
+    no [..., Tk, D] key or value array is made: with one query per memory this
+    is about D / heads times less work. The row sum keeps dropout exact.
+
+    The per-head products with wk and wv take every query of every leading
+    position the weights broadcast over as one row axis, so a stacked
+    [S, 1, D, D] weight gives S products of the shapes a plain one gives.
+    """
+    q, memory, wk, wv, bv = (_as_tensor(t) for t in (q, memory, wk, wv, bv))
+    qd, mem, wkd, wvd = q.data, memory.data, wk.data, wv.data
+    tq, d = qd.shape[-2:]
+    tk = mem.shape[-2]
+    if d % heads != 0:
+        raise ValueError("width must be divisible by heads")
+    if wkd.shape != wvd.shape:
+        raise ValueError(f"key and value weights differ in shape: {wkd.shape} vs {wvd.shape}")
+    hd = d // heads
+    lead = np.broadcast_shapes(qd.shape[:-2], mem.shape[:-2], np.shape(mask)[:-2], wkd.shape[:-2])
+    n = len(lead)
+    w_lead = (1,) * (n + 2 - wkd.ndim) + wkd.shape[:-2]
+    nb = n  # lead[:nb] are the batch axes of the weight products, the rest are rows
+    while nb and w_lead[nb - 1] == 1:
+        nb -= 1
+    batch, rows = lead[:nb], math.prod(lead[nb:]) * tq
+    # [*lead, H, Tq, X] <-> [*batch, H, *lead[nb:], Tq, X]: the head axis moves past the row axes
+    to_head = (*range(nb), n, *range(nb, n), n + 1, n + 2)
+    to_query = (*range(nb), *range(nb + 1, n + 1), nb, n + 1, n + 2)
+
+    def by_head(a):  # [*lead, H * Tq, X] -> [*batch, H, rows, X]
+        a = a.reshape(lead + (heads, tq, a.shape[-1])).transpose(to_head)
+        return a.reshape(batch + (heads, rows, a.shape[-1]))
+
+    def by_query(a):  # [*batch, H, rows, X] -> [*lead, H * Tq, X]
+        a = a.reshape(batch + (heads,) + lead[nb:] + (tq, a.shape[-1])).transpose(to_query)
+        return a.reshape(lead + (heads * tq, a.shape[-1]))
+
+    def split_w(w):  # [..., D, D] -> [*batch, H, D, D / H]
+        return w.reshape(w_lead[:nb] + (d, heads, hd)).swapaxes(-3, -2)
+
+    def merge_w(gw):  # [*batch, H, D, D / H] -> the weights' shape
+        gw = gw.swapaxes(-3, -2).reshape(batch + (d, d))
+        return _unbroadcast(gw, w_lead[:nb] + (d, d)).reshape(wkd.shape)
+
+    if qd.shape[:-2] != lead:
+        qd = np.broadcast_to(qd, lead + (tq, d))
+    qh = qd.reshape(batch + (rows, heads, hd)).swapaxes(-3, -2)             # [*batch, H, rows, hd]
+    wkh, wvh = split_w(wkd), split_w(wvd)
+    qk = by_query(np.matmul(qh, wkh.swapaxes(-1, -2)))                      # [*lead, H * Tq, D]
+    scale = 1.0 / np.sqrt(hd)
+    scores = np.matmul(qk, mem.swapaxes(-1, -2))
+    scores *= scale
+    weights = _masked_softmax(scores.reshape(lead + (heads, tq, tk)), mask)
+    dropped = weights if keep is None else weights * keep
+    dropped_q = dropped.reshape(lead + (heads * tq, tk))
+    read = by_head(np.matmul(dropped_q, mem))                                # [*batch, H, rows, D]
+    row_sum = dropped.sum(axis=-1).swapaxes(-1, -2)[..., None]               # [*lead, Tq, H, 1]
+    bv_h = bv.data.reshape(bv.data.shape[:-1] + (heads, hd))
+    ctx = row_sum * bv_h
+    ctx += np.matmul(read, wvh).swapaxes(-3, -2).reshape(lead + (tq, heads, hd))
+
+    def grads(g, needs):
+        gh = g.reshape(batch + (rows, heads, hd)).swapaxes(-3, -2)          # [*batch, H, rows, hd]
+        g4 = g.reshape(lead + (tq, heads, hd))
+        gwv = merge_w(np.matmul(read.swapaxes(-1, -2), gh)) if needs[3] else None
+        gbv = (g4 * row_sum).reshape(lead + (tq, d)) if needs[4] else None
+        if not (needs[0] or needs[1] or needs[2]):
+            return None, None, None, gwv, gbv
+        g_read = by_query(np.matmul(gh, wvh.swapaxes(-1, -2)))               # [*lead, H * Tq, D]
+        gs = np.matmul(g_read, mem.swapaxes(-1, -2))
+        gs += (g4 * bv_h).sum(axis=-1).swapaxes(-1, -2).reshape(lead + (heads * tq, 1))
+        gs = _masked_softmax_grad(gs.reshape(lead + (heads, tq, tk)), weights, keep, scale)
+        gs = gs.reshape(lead + (heads * tq, tk))
+        gmem = None
+        if needs[1]:
+            gmem = np.matmul(dropped_q.swapaxes(-1, -2), g_read)
+            gmem += np.matmul(gs.swapaxes(-1, -2), qk)
+        gq = gwk = None
+        if needs[0] or needs[2]:
+            gqk = by_head(np.matmul(gs, mem))                                 # [*batch, H, rows, D]
+            if needs[0]:
+                gq = np.matmul(gqk, wkh).swapaxes(-3, -2).reshape(lead + (tq, d))
+            if needs[2]:
+                gwk = merge_w(np.matmul(gqk.swapaxes(-1, -2), qh))
+        return gq, gmem, gwk, gwv, gbv
+
+    return _op((q, memory, wk, wv, bv), ctx.reshape(lead + (tq, d)), grads)
 
 
 def laplace_nll(locations, scales, gt, weight):

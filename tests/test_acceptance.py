@@ -93,6 +93,8 @@ def test_criterion_1_gradient_correctness():
     check("linear.x", lambda t: T.sum_(T.mul(T.linear(t, lin_w, lin_b), w5)), x)
     check("linear.w", lambda t: T.sum_(T.mul(T.linear(x, t, lin_b), w5)), lin_w)
     check("linear.b", lambda t: T.sum_(T.mul(T.linear(x, lin_w, t), w5)), lin_b)
+    check("linear.x_no_bias", lambda t: T.sum_(T.mul(T.linear(t, lin_w), w5)), x)
+    check("linear.w_no_bias", lambda t: T.sum_(T.mul(T.linear(x, t), w5)), lin_w)
     check("linear.w_stacked",
           lambda t: T.sum_(T.mul(T.linear(x, T.reshape(t, (2, 1, 4, 5)), lin_b), w25)),
           rng.uniform((2, 4, 5), -1, 1))
@@ -134,6 +136,31 @@ def test_criterion_1_gradient_correctness():
         for arg, x0 in (("q", q), ("k", kv), ("v", kv)):
             check(f"attention.{arg}{label}",
                   lambda t, arg=arg, mk=mk, kp=kp: attention_loss(mk, kp, **{arg: t}), x0)
+    # memory attention: one query per position reads a [.., 5, 4] memory, with
+    # the key and value projections plain and stacked as make_ensemble lines them up
+    mq, memory = rng.uniform((2, 3, 1, 4), -1, 1), rng.uniform((2, 3, 5, 4), -1, 1)
+    mmask = rng.uniform((3, 1, 5)) < 0.6
+    mmask[..., 0] = True
+    mkeep = (rng.uniform((2, 3, 2, 1, 5)) >= 0.2) / 0.8
+    wm = rng.uniform((2, 3, 1, 4), -1, 1)
+    plain_w = {"wk": rng.uniform((4, 4), -1, 1), "wv": rng.uniform((4, 4), -1, 1),
+               "bv": rng.uniform((4,), -1, 1)}
+    stacked_w = {"wk": rng.uniform((2, 1, 4, 4), -1, 1), "wv": rng.uniform((2, 1, 4, 4), -1, 1),
+                 "bv": rng.uniform((2, 1, 1, 4), -1, 1)}
+
+    def memory_loss(mk, kp, weights, **probe):
+        a = {"q": mq, "memory": memory, **weights, **probe}
+        return T.sum_(T.mul(T.memory_attention(a["q"], a["memory"], a["wk"], a["wv"], a["bv"],
+                                               2, mk, kp), wm))
+
+    for label, mk, kp in (("", None, None), ("_mask", mmask, None),
+                          ("_mask_keep", mmask, mkeep)):
+        for arg, x0 in (("q", mq), ("memory", memory), *plain_w.items()):
+            check(f"memory_attention.{arg}{label}",
+                  lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, plain_w, **{arg: t}), x0)
+        for arg, x0 in stacked_w.items():
+            check(f"memory_attention.{arg}_stacked{label}",
+                  lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, stacked_w, **{arg: t}), x0)
     mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
     gt = rng.uniform((2, 1, 4, 2), -2, 2)
     weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)

@@ -16,8 +16,8 @@ def tanh(x):
 
 
 def matmul(a, b):
-    """A matrix product as a linear op with zero bias."""
-    return T.linear(a, b, 0.0)
+    """A matrix product as a linear op with no bias."""
+    return T.linear(a, b)
 
 
 def test_tanh_zero_is_zero():
@@ -361,6 +361,71 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     backward(loss, tape)
     assert not np.any(vt.grad[:, 8:]) and not np.any(kt.grad[:, 8:])
     assert np.all(np.abs(vt.grad[:, 0]).sum(-1) > 0)
+
+
+def memory_attention_np(q, memory, wk, wv, bv, heads, mask, keep):
+    """Project the memory into keys and values, then attend."""
+    return attention_np(q, memory @ wk, memory @ wv + bv, heads, mask, keep)
+
+
+@pytest.mark.parametrize("q_lead,mem_lead,snapshots,mask_lead",
+                         [((2,), (2,), 0, (2,)), ((3, 2), (1, 2), 3, (2,)), ((2,), (2,), 0, (3, 2))],
+                         ids=["plain", "stacked", "mask-adds-axes"])
+@pytest.mark.parametrize("tq", [1, 3])
+def test_memory_attention_matches_numpy_oracle(q_lead, mem_lead, snapshots, mask_lead, tq):
+    rng = Rng(29)
+    heads, tk, d = 2, 4, 6
+    q, memory = rng.normal(q_lead + (tq, d)), rng.normal(mem_lead + (tk, d))
+    s = max(snapshots, 1)
+    wk, wv, bv = rng.normal((s, d, d)), rng.normal((s, d, d)), rng.normal((s, d))
+    if snapshots:  # lined up as make_ensemble does: [S, 1, D, D] and [S, 1, 1, D]
+        op_w = (wk.reshape(s, 1, d, d), wv.reshape(s, 1, d, d), bv.reshape(s, 1, 1, d))
+    else:
+        op_w = (wk[0], wv[0], bv[0])
+    mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
+    mask[..., 0] = True
+    lead = np.broadcast_shapes(q_lead, mem_lead, mask_lead)
+    keep = (rng.uniform(lead + (heads, tq, tk)) >= 0.3) / 0.7
+    bq, bm = np.broadcast_to(q, lead + q.shape[-2:]), np.broadcast_to(memory, lead + memory.shape[-2:])
+    bmask = np.broadcast_to(mask, lead + mask.shape[-2:])
+    ones = np.ones((heads, tq, tk))
+    # with a mask and dropout, then plain softmax attention
+    for mk, kp in ((mask, keep), (None, None)):
+        out = T.memory_attention(Tensor(q), Tensor(memory), *map(Tensor, op_w), heads, mk, kp).data
+        assert out.shape == np.broadcast_shapes(q_lead, mem_lead, np.shape(mk)[:-2]) + (tq, d)
+        out = np.broadcast_to(out, lead + (tq, d))
+        for i in np.ndindex(lead):
+            j = i[0] if snapshots else 0
+            want = memory_attention_np(bq[i], bm[i], wk[j], wv[j], bv[j], heads,
+                                       True if mk is None else bmask[i],
+                                       ones if kp is None else keep[i])
+            assert_rel(out[i], want)
+
+
+def test_memory_attention_ignores_blocked_memory_rows():
+    # rows of the memory blocked for every query change nothing, bit for bit,
+    # and get a gradient of exactly zero; dropout keeps the bias term live
+    rng = Rng(31)
+    heads, tk, d = 2, 12, 4
+    q, memory = rng.normal((3, 1, d)), rng.normal((3, tk, d))
+    wk, wv, bv = rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,))
+    mask = np.zeros((3, 1, tk), dtype=bool)
+    mask[..., :5] = rng.uniform((3, 1, 5)) < 0.6
+    mask[..., 0] = True
+    keep = (rng.uniform((3, heads, 1, tk)) >= 0.2) / 0.8
+    out = T.memory_attention(q, memory, wk, wv, bv, heads, mask, keep).data
+    changed = memory.copy()
+    changed[:, 5:] = rng.normal((3, tk - 5, d), std=1e3)
+    again = T.memory_attention(q, changed, wk, wv, bv, heads, mask, keep).data
+    assert again.tobytes() == out.tobytes()
+
+    mt = Tensor(changed, requires_grad=True)
+    with Tape() as tape:
+        loss = sum_(mul(T.memory_attention(q, mt, wk, wv, bv, heads, mask, keep),
+                        rng.normal((3, 1, d))))
+    backward(loss, tape)
+    assert not np.any(mt.grad[:, 5:])
+    assert np.all(np.abs(mt.grad[:, 0]).sum(-1) > 0)
 
 
 def test_attention_rejects_a_query_with_no_keys():
