@@ -10,6 +10,9 @@ carrying a model-config digest and the random generator's algorithm id. A
 digest mismatch on load exits with code 4; training divergence exits 3;
 usage errors, malformed input and a path that cannot be read or written
 exit 2; a standard output closed by its reader exits 1 without a traceback.
+A NumericalError outside training (a non-finite value inside evaluate's or
+bench's forward pass) is a fault of the program, not of its use: it is not
+reported as a usage error and exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .evaluation import (
     ablation_to_dict, bench_latency, evaluate_model, format_ablation_table,
     format_latency_table, format_metrics_table, run_ablation,
 )
-from .tensor import Rng
+from .tensor import NumericalError, Rng
 from .training import (
     DivergenceError, EnsembleConfig, SchedulerConfig, Snapshot, eligible_agents,
     make_ensemble, train,
@@ -468,6 +471,8 @@ def main(argv=None) -> int:
     except CheckpointMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CKPT_MISMATCH
+    except NumericalError:  # a ValueError, but a fault of the program, not a usage error
+        raise
     except (FormatError, OSError, ValueError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

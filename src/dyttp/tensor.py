@@ -453,36 +453,72 @@ def gelu(x):
     return _op((x,), half_x * t1, grads)
 
 
-_MASK_FILL = -1e30  # finite stand-in for blocked logits, far below any row's max
+# attention exponentiates each row's logits unshifted while its attended max
+# is at most _EXP_CEIL, clipped to +-_EXP_CEIL: no row sum can overflow and
+# no attended weight falls below exp(-600) / Tk, far above a denormal. A row
+# above the ceiling is shifted by its attended max first; one whose weights
+# sum below _ROW_SUM_FLOOR, every attended logit far below range, is
+# recomputed that way
+_EXP_CEIL = 300.0
+_ROW_SUM_FLOOR = math.exp(100.0 - _EXP_CEIL)
+
+
+def _attended_max(scores, mask):
+    """Each row's max over its attended keys, keeping the last axis."""
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
+    return scores.max(axis=-1, keepdims=True)
+
+
+def _masked_exp(scores, mask, clip: bool):
+    """exp of the logits, clipped to +-_EXP_CEIL when clip is set, times the
+    mask, in a fresh array: a blocked key weighs exactly 0, whatever its logit."""
+    if clip:
+        weights = np.clip(scores, -_EXP_CEIL, _EXP_CEIL)
+        np.exp(weights, out=weights)
+    else:
+        weights = np.exp(scores)
+    if mask is not None:
+        try:
+            weights *= mask
+        except ValueError:  # the mask adds leading axes: a fresh product takes them
+            weights = weights * mask
+    return weights
 
 
 def _masked_softmax(scores, mask):
-    """Softmax over the last axis of scores [..., H, Tq, Tk], mostly in place.
+    """Softmax over the last axis of scores [..., H, Tq, Tk].
 
     mask ([..., Tq, Tk] bool, true = attend) applies to every head and must
     leave each query at least one key; a blocked key's weight is exactly 0.
+    A row is shifted by its attended max only where exp needs it, so each
+    row's weights depend on its own logits and mask alone. An attended logit
+    clipped at -_EXP_CEIL weighs at most Tk exp(-100) of its row's largest.
     """
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError("attention mask leaves a query row with no keys")
         mask = mask[..., None, :, :]
-        try:
-            np.copyto(scores, _MASK_FILL, where=~mask)
-        except ValueError:  # the mask adds leading axes: a fresh array takes them
-            scores = np.where(mask, scores, _MASK_FILL)
-    if not np.all(np.isfinite(scores)):
+    top, bottom = scores.max(), scores.min()
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise NumericalError("attention requires finite logits")
-    # the logits' array becomes the weights. Blocked logits reach exp at the
-    # floor and are zeroed by the mask after it, so their weights are exactly 0;
-    # an attended logit more than 700 below its row's max weighs under 1e-304
-    # instead of a denormal
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.maximum(scores, _EXP_FLOOR, out=scores)
-    weights = np.exp(scores, out=scores)
-    if mask is not None:
-        weights *= mask
-    weights /= weights.sum(axis=-1, keepdims=True)
+    if top > _EXP_CEIL:  # x - 0.0 is x: rows under the ceiling stay as they are
+        row_top = _attended_max(scores, mask)
+        scores = scores - np.where(row_top > _EXP_CEIL, row_top, 0.0)
+    # clipping logits that are all in range changes none of them
+    weights = _masked_exp(scores, mask, clip=top > _EXP_CEIL or bottom < -_EXP_CEIL)
+    ones = np.ones((weights.shape[-1], 1))  # a matrix product sums rows faster than .sum
+    total = np.matmul(weights, ones)
+    low = total < _ROW_SUM_FLOOR
+    if low.any():
+        rows = np.nonzero(low[..., 0])
+        row_mask = None if mask is None else np.broadcast_to(mask, weights.shape)[rows]
+        row_scores = np.broadcast_to(scores, weights.shape)[rows]
+        weights[rows] = _masked_exp(row_scores - _attended_max(row_scores, row_mask), row_mask,
+                                    clip=True)
+        total[rows] = np.matmul(weights[rows], ones)
+    weights /= total
     return weights
 
 

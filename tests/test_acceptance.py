@@ -136,6 +136,20 @@ def test_criterion_1_gradient_correctness():
         for arg, x0 in (("q", q), ("k", kv), ("v", kv)):
             check(f"attention.{arg}{label}",
                   lambda t, arg=arg, mk=mk, kp=kp: attention_loss(mk, kp, **{arg: t}), x0)
+    # query row (0, 0) sits above the softmax's exp ceiling, so it is shifted by
+    # its max, and row (1, 2) far below range, so it is recomputed that way: the
+    # keys' channels 0 and 2 (one per head) are 1, so q's entries there move a
+    # whole row of logits
+    sq, skv = q.copy(), kv.copy()
+    skv[..., [0, 2]] = 1.0
+    sq[0, 0, [0, 2]], sq[1, 2, [0, 2]] = 900.0, -900.0
+    logits = np.stack([sq[..., c:c + 2] @ np.swapaxes(skv[..., c:c + 2], -1, -2)
+                       for c in (0, 2)]) / math.sqrt(2.0)
+    assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
+    shifted = {"q": sq, "k": skv, "v": skv}
+    for arg in shifted:
+        check(f"attention.{arg}_shifted_rows",
+              lambda t, arg=arg: attention_loss(mask, keep, **{**shifted, arg: t}), shifted[arg])
     # memory attention: one query per position reads a [.., 5, 4] memory, with
     # the key and value projections plain and stacked as make_ensemble lines them up
     mq, memory = rng.uniform((2, 3, 1, 4), -1, 1), rng.uniform((2, 3, 5, 4), -1, 1)
@@ -161,6 +175,19 @@ def test_criterion_1_gradient_correctness():
         for arg, x0 in stacked_w.items():
             check(f"memory_attention.{arg}_stacked{label}",
                   lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, stacked_w, **{arg: t}), x0)
+    # the same two rows for memory attention: memory channel 0 is 450 and wk's
+    # row 0 is 1, so q's entry sum per head moves a whole row of logits
+    smem, swk = memory.copy(), plain_w["wk"].copy()
+    smem[..., 0], swk[0] = 450.0, 1.0
+    smq = mq.copy()
+    smq[0, 0], smq[1, 2] = 1.0, -1.0
+    logits = np.stack([(smq[..., c:c + 2] @ swk[:, c:c + 2].T) @ np.swapaxes(smem, -1, -2)
+                       for c in (0, 2)]) / math.sqrt(2.0)
+    assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
+    shifted = {"q": smq, "memory": smem, "wk": swk}
+    for arg, x0 in {**plain_w, **shifted}.items():
+        check(f"memory_attention.{arg}_shifted_rows",
+              lambda t, arg=arg: memory_loss(mmask, mkeep, plain_w, **{**shifted, arg: t}), x0)
     mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
     gt = rng.uniform((2, 1, 4, 2), -2, 2)
     weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)

@@ -20,7 +20,7 @@ from dyttp.cli import (
 from dyttp.data import (
     FormatError, generate_synthetic, load_scenarios, save_scenarios, write_atomic,
 )
-from dyttp.tensor import Rng
+from dyttp.tensor import NumericalError, Rng
 
 FAST = ["--width", "16", "--heads", "2", "--modes", "2", "--dropout", "0.05",
         "--cycles", "2", "--epochs-per-cycle", "1", "--batch-size", "8"]
@@ -193,6 +193,27 @@ def test_evaluate_rejects_focal_agent_out_of_range(tmp_path, capsys):
     assert main(["evaluate", "--data", str(data), "--checkpoints", str(ckpt),
                  "--width", "16", "--heads", "2", "--modes", "2"]) == 2
     assert "focal agent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_numerical_error_in_a_forward_is_not_a_usage_error(tmp_path, monkeypatch, command):
+    # a non-finite value inside the model is a fault of the program: it leaves
+    # main with its traceback (exit 1), not as "usage, exit 2"
+    def non_finite_forward(self, scenes, rng=None):
+        raise NumericalError("attention requires finite logits")
+
+    data = gen(tmp_path, count=6)
+    cfg = ModelConfig(width=16, heads=2, modes=2)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, TrajectoryPredictor(cfg, Rng(9)).state_dict(), cfg, 0)
+    args = [command, "--data", str(data), "--width", "16", "--heads", "2", "--modes", "2"]
+    if command == "evaluate":
+        args += ["--checkpoints", str(ckpt)]
+    else:
+        args += ["--iterations", "100", "--warmup", "10", "--scenarios", "2"]
+    monkeypatch.setattr(TrajectoryPredictor, "forward", non_finite_forward)
+    with pytest.raises(NumericalError, match="finite logits"):
+        main(args)
 
 
 def test_checkpoint_roundtrip_identical_outputs(tmp_path):

@@ -335,7 +335,7 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     mask[..., :8] = rng.uniform((2, tq, 8)) < 0.3
     mask[..., 0] = True
     # in query row 0, key 1's logit sits 720 below key 0's in both heads: the
-    # oracle's weight is a denormal, the op's is under 1e-304
+    # oracle's weight is a denormal, the op's about 1e-131, its logit clipped at -300
     mask[0, 0, :] = False
     mask[0, 0, :2] = True
     q[0, 0] = [1.0, 0.0, 1.0, 0.0]
@@ -432,6 +432,75 @@ def test_attention_rejects_a_query_with_no_keys():
     x = np.ones((1, 2, 2))
     with pytest.raises(ValueError, match="no keys"):
         T.attention(x, x, x, 1, np.array([[[True, False], [False, False]]]))
+
+
+def softmax_np(scores, mask):
+    """Softmax over the last axis, each row shifted by its attended max."""
+    s = np.where(mask, scores, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_regime_logits(rng, lead, heads, tq, tk):
+    """Logits on a 1/64 grid, so the oracle's shift is exact, one regime per
+    row: in range, above the exp ceiling, every logit below -600, and mixed
+    rows that span far more than exp's range in both directions."""
+    scores = rng.uniform(lead + (heads, tq, tk), -4.0, 4.0)
+    offsets = [0.0, 150.0, -150.0, 250.0, -250.0, 320.0, 900.0, -650.0, -1000.0]
+    scores += np.resize(offsets, lead + (heads, tq))[..., None]
+    scores[..., 0, 0, :] = np.linspace(-800.0, 280.0, tk)   # unshifted, clipped below
+    scores[..., 1, 1, :] = np.linspace(-900.0, 650.0, tk)   # shifted, clipped below
+    return np.round(scores * 64.0) / 64.0
+
+
+def assert_softmax_close(got, scores, mask):
+    want = softmax_np(scores, mask)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * want.max(axis=-1, keepdims=True))
+    assert not np.any(got[~np.broadcast_to(mask, got.shape)])
+
+
+@pytest.mark.parametrize("mask_lead", [None, (2,), (3, 2)],
+                         ids=["no-mask", "mask", "mask-adds-axes"])
+def test_masked_softmax_regimes_match_row_shifted_oracle(mask_lead):
+    rng = Rng(37)
+    heads, tq, tk = 3, 5, 9
+    scores = softmax_regime_logits(rng, (2,), heads, tq, tk)
+    attended_max = scores.max(axis=-1)
+    assert attended_max.max() > 600.0 and attended_max.min() < -600.0
+    mask = None
+    if mask_lead is not None:
+        mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
+        mask[..., 0] = True
+    with np.errstate(all="raise"):
+        got = T._masked_softmax(scores.copy(), mask)
+    assert_softmax_close(got, scores, True if mask is None else mask[..., None, :, :])
+
+
+def test_masked_softmax_rows_are_independent():
+    # pushing one row's logits across either threshold, or a blocked logit far
+    # above the ceiling, leaves every other row bit-identical
+    rng = Rng(41)
+    heads, tq, tk = 3, 4, 7
+    scores = np.round(rng.uniform((2, heads, tq, tk), -4.0, 4.0) * 64.0) / 64.0
+    mask = rng.uniform((2, tq, tk)) < 0.6
+    mask[..., 0] = mask[..., 1] = True
+    mask[1, 2, -1] = False
+    with np.errstate(all="raise"):
+        base = T._masked_softmax(scores.copy(), mask)
+    row = (1, 0, 2)
+    others = np.ones(base.shape[:-1], dtype=bool)
+    others[row] = False
+    for push in ("above", "below", "blocked"):
+        pushed = scores.copy()
+        if push == "blocked":
+            pushed[row + (tk - 1,)] = 1e6
+        else:
+            pushed[row] += 700.0 if push == "above" else -700.0
+        with np.errstate(all="raise"):
+            got = T._masked_softmax(pushed.copy(), mask)
+        assert got[others].tobytes() == base[others].tobytes(), push
+        assert_softmax_close(got, pushed, mask[:, None])
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["plain", "stacked"])

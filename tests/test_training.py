@@ -648,13 +648,14 @@ def test_default_predict_training_epoch_and_ensemble_never_underflow():
     # numpy's exp runs several times slower on inputs whose result underflows;
     # attention once sent every blocked logit down that path, most of a
     # training batch's agent-agent scores. Raising on underflow catches any op
-    # that starts doing so again
+    # that starts doing so again, and raising on overflow any op whose
+    # unshifted exp or row sum leaves range
     cfg = ModelConfig()
     dense = generate_synthetic(6, Rng(3), GenConfig(max_agents=32)).all_scenarios()
     assert max(s.num_agents for s in dense) >= 16
     sparse = generate_synthetic(24, Rng(42))
     snapshots = [Snapshot(k, TrajectoryPredictor(cfg, Rng(10 + k)).state_dict()) for k in range(4)]
-    with np.errstate(under="raise"):
+    with np.errstate(under="raise", over="raise"):
         model = TrajectoryPredictor(cfg, Rng(1))
         for sc in dense:
             model.predict(sc)
