@@ -77,7 +77,31 @@ class Linear(Module):
         return T.linear(x, self.weight, self.bias)
 
 
-class DynamicTanh(Module):
+class _Norm(Module):
+    """A per-channel affine gamma * . + beta after a parameter-free map of each position."""
+
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+
+    @property
+    def channels(self) -> int:
+        return self.gamma.data.shape[-1]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self._apply(x, self.gamma, self.beta)
+
+    def normalize(self, x: Tensor) -> Tensor:
+        """The output before the affine, for a reader that folds gamma and beta into its weights."""
+        return self._apply(x, None, None)
+
+    def _apply(self, x: Tensor, gamma, beta) -> Tensor:
+        if x.shape[-1] != self.channels:
+            raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
+        return self._map(x, gamma, beta)
+
+
+class DynamicTanh(_Norm):
     """Elementwise gamma * tanh(alpha * x) + beta over the channel axis.
 
     alpha is one learnable scalar per instance; gamma and beta are
@@ -87,35 +111,21 @@ class DynamicTanh(Module):
 
     def __init__(self, channels: int, alpha_init: float = 0.5):
         self.alpha = Tensor(np.array(alpha_init), requires_grad=True)
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        super().__init__(channels)
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.data.shape[-1]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        return T.dyt(x, self.alpha, self.gamma, self.beta)
+    def _map(self, x, gamma, beta):
+        return T.dyt(x, self.alpha, gamma, beta)
 
 
-class LayerNorm(Module):
+class LayerNorm(_Norm):
     """Per-position standardization over the channel axis, then affine."""
 
     def __init__(self, channels: int, eps: float = 1e-5):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        super().__init__(channels)
         self.eps = eps
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.data.shape[-1]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+    def _map(self, x, gamma, beta):
+        return T.layer_norm(x, gamma, beta, eps=self.eps)
 
 
 def make_norm(kind: str, channels: int):
@@ -133,6 +143,7 @@ class Dropout:
         self.p = p
         # a 16-bit field k is uniform on [0, 2**16), and drops exactly when k < ceil(p * 2**16)
         self._drop_below = math.ceil(p * 65536.0)
+        self._scale = 1.0 / (1.0 - p)  # k * this has the bits of k / (1 - p) for k in {0, 1}
 
     def keep(self, shape, rng: Rng | None):
         """Inverted-dropout multipliers of `shape` drawn from rng; None without rng or when p is 0.
@@ -144,7 +155,9 @@ class Dropout:
             return None
         n = math.prod(shape)
         fields = rng.u64(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
-        return (fields >= self._drop_below).reshape(shape) / (1.0 - self.p)
+        keep = (fields >= self._drop_below).reshape(shape).astype(np.float64)
+        keep *= self._scale
+        return keep
 
     def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
         """x with inverted dropout applied, drawn from rng; x itself when rng is None."""
@@ -161,11 +174,14 @@ class MultiHeadAttention(Module):
     and output projections are Linear layers. The key projection is a bare
     [D, D] weight: a key bias b adds q . b to every logit of a query's row,
     which softmax removes, so it could never learn. Self-attention projects
-    keys and values and runs one `tensor.attention` op. A memory is read with
-    `tensor.memory_attention`, which moves the key and value projections onto
-    the queries and the context: the memory blocks have one query per agent,
-    so projecting every memory row would cost more. The dropout multipliers
-    are drawn here.
+    keys and values and runs one `tensor.attention` op. A memory comes with
+    kv_gamma and kv_beta, the affine of the norm that made it, not yet
+    applied: the keys and values are read from kv_gamma * kv_in + kv_beta.
+    It is read with `tensor.memory_attention`, which folds that affine into
+    the key and value projections and moves them onto the queries and the
+    context: the memory blocks have one query per agent, so applying the
+    affine or projecting every memory row would cost more. The dropout
+    multipliers are drawn here.
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
@@ -179,7 +195,7 @@ class MultiHeadAttention(Module):
         self.drop = Dropout(dropout)
 
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
-                 rng: Rng | None = None) -> Tensor:
+                 rng: Rng | None = None, kv_gamma=None, kv_beta=None) -> Tensor:
         q = self.wq(q_in)
         kv = q_in if kv_in is None else kv_in
         lead = np.broadcast_shapes(q.shape[:-2], kv.shape[:-2], np.shape(mask)[:-2])
@@ -188,8 +204,8 @@ class MultiHeadAttention(Module):
             k, v = T.linear(kv, self.wk), self.wv(kv)
             ctx = T.attention(q, k, v, self.heads, mask, keep)
         else:
-            ctx = T.memory_attention(q, kv, self.wk, self.wv.weight, self.wv.bias,
-                                     self.heads, mask, keep)
+            ctx = T.memory_attention(q, kv, kv_gamma, kv_beta, self.wk, self.wv.weight,
+                                     self.wv.bias, self.heads, mask, keep)
         return self.wo(ctx)
 
 
@@ -211,8 +227,11 @@ class TransformerBlock(Module):
     of from x. A cross=True block normalizes it with its own norm instance,
     `norm_kv`; any other block uses `norm_attn`, so a block whose queries are
     some positions of kv sees the keys it would see with every position
-    querying (both norms work per position). cfg is a backbone.ModelConfig;
-    the block reads its norm_kind, width, heads, ff_ratio and dropout.
+    querying (both norms work per position). The memory norm runs without its
+    affine, and its gamma and beta go to the attention, which folds them into
+    its key and value projections; the query, self-attention and feed-forward
+    norms apply theirs. cfg is a backbone.ModelConfig; the block reads its
+    norm_kind, width, heads, ff_ratio and dropout.
     """
 
     def __init__(self, cfg, rng: Rng, cross: bool = False):
@@ -226,8 +245,11 @@ class TransformerBlock(Module):
     def __call__(self, x: Tensor, kv: Tensor | None = None, mask=None,
                  rng: Rng | None = None) -> Tensor:
         h = self.norm_attn(x)
-        norm_kv = self.norm_attn if self.norm_kv is None else self.norm_kv
-        memory = None if kv is None else norm_kv(kv)
-        x = T.add(x, self.drop(self.attn(h, memory, mask, rng), rng))
+        if kv is None:
+            attended = self.attn(h, mask=mask, rng=rng)
+        else:
+            norm_kv = self.norm_attn if self.norm_kv is None else self.norm_kv
+            attended = self.attn(h, norm_kv.normalize(kv), mask, rng, norm_kv.gamma, norm_kv.beta)
+        x = T.add(x, self.drop(attended, rng))
         x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng), rng))
         return x

@@ -386,35 +386,48 @@ def linear(x, w, b=None):
     return _op((x, w, b), _add_into(np.matmul(xd, wd), b.data), grads)
 
 
-def dyt(x, alpha, gamma, beta):
-    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise."""
-    x, alpha, gamma, beta = (_as_tensor(t) for t in (x, alpha, gamma, beta))
+def dyt(x, alpha, gamma=None, beta=None):
+    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise; tanh(alpha * x)
+    when gamma and beta are None, for a caller that folds the affine into the
+    op reading the output (see memory_attention)."""
+    x, alpha = _as_tensor(x), _as_tensor(alpha)
     # asarray because numpy arithmetic on 0-d arrays returns scalars, which take no out=
     t = np.asarray(x.data * alpha.data)
     np.tanh(t, out=t)
 
+    def grad_in(g, needs):  # gradients of x and alpha from that of tanh(alpha * x)
+        d = g * (1.0 - t * t)
+        return d * alpha.data if needs[0] else None, d * x.data if needs[1] else None
+
+    if gamma is None:
+        return _op((x, alpha), t, grad_in)
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+
     def grads(g, needs):
-        d = g * gamma.data * (1.0 - t * t) if needs[0] or needs[1] else None
-        return (d * alpha.data if needs[0] else None, d * x.data if needs[1] else None,
-                g * t if needs[2] else None, g)
+        gx, galpha = grad_in(g * gamma.data, needs) if needs[0] or needs[1] else (None, None)
+        return gx, galpha, g * t if needs[2] else None, g
 
     return _op((x, alpha, gamma, beta), _add_into(np.asarray(t * gamma.data), beta.data), grads)
 
 
-def layer_norm(x, gamma, beta, eps: float):
-    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+def layer_norm(x, gamma=None, beta=None, *, eps: float):
+    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta;
+    the standardized x alone when gamma and beta are None, as in dyt."""
+    x = _as_tensor(x)
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
     xhat = centered / std
 
+    def grad_in(gh):  # the gradient of x from that of xhat
+        return (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+
+    if gamma is None:
+        return _op((x,), xhat, lambda g, needs: (grad_in(g),))
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+
     def grads(g, needs):
-        gx = None
-        if needs[0]:
-            gh = g * gamma.data
-            gx = (gh - gh.mean(axis=-1, keepdims=True)
-                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-        return gx, g * xhat if needs[1] else None, g
+        return grad_in(g * gamma.data) if needs[0] else None, g * xhat if needs[1] else None, g
 
     return _op((x, gamma, beta), xhat * gamma.data + beta.data, grads)
 
@@ -576,29 +589,44 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
     return _op((q, k, v), merge(np.matmul(dropped, vh)), grads)
 
 
-def memory_attention(q, memory, wk, wv, bv, heads: int, mask=None, keep=None):
-    """attention(q, memory @ wk, memory @ wv + bv, heads, mask, keep), with the
-    key and value projections moved onto the queries and the context.
+def memory_attention(q, memory, gamma, beta, wk, wv, bv, heads: int, mask=None, keep=None):
+    """attention(q, m @ wk, m @ wv + bv, heads, mask, keep) over the memory
+    m = gamma * memory + beta, with the affine and the key and value projections
+    moved onto the weights, the queries and the context.
 
     q is [..., Tq, D] (projected), memory [..., Tk, D], wk and wv [..., D, D]
-    of one shape and bv [..., D]; leading axes broadcast, and mask and keep
-    are as in attention. Head h scores its queries against the memory through
-    q_h wk_h^T and reads (weights @ memory) wv_h + bv_h * rowsum(weights), so
-    no [..., Tk, D] key or value array is made: with one query per memory this
-    is about D / heads times less work. The row sum keeps dropout exact.
+    of one shape, and bv, gamma and beta [..., D] (a norm's affine, one value
+    per channel, lined up like bv); leading axes broadcast, and mask and keep
+    are as in attention. The affine is folded into the projections, so no
+    [..., Tk, D] pass applies it: the rows of wk and wv are scaled by gamma,
+    the value bias is bv + beta @ wv, and beta @ wk is dropped, since it adds
+    one constant to every logit of a query's row and softmax removes it. Head
+    h then scores its queries against the memory through q_h wk_h^T and reads
+    (weights @ memory) wv_h + bv_h * rowsum(weights), so no [..., Tk, D] key
+    or value array is made either: with one query per memory this is about
+    D / heads times less work. The row sum keeps dropout exact.
 
     The per-head products with wk and wv take every query of every leading
     position the weights broadcast over as one row axis, so a stacked
-    [S, 1, D, D] weight gives S products of the shapes a plain one gives.
+    [S, 1, D, D] weight gives S products of the shapes a plain one gives;
+    beta @ wv is a [..., 1, D] @ [..., D, D] product in both cases too.
     """
-    q, memory, wk, wv, bv = (_as_tensor(t) for t in (q, memory, wk, wv, bv))
-    qd, mem, wkd, wvd = q.data, memory.data, wk.data, wv.data
+    inputs = tuple(_as_tensor(t) for t in (q, memory, gamma, beta, wk, wv, bv))
+    q, memory, gamma, beta, wk, wv, bv = inputs
+    qd, mem = q.data, memory.data
     tq, d = qd.shape[-2:]
     tk = mem.shape[-2]
     if d % heads != 0:
         raise ValueError("width must be divisible by heads")
-    if wkd.shape != wvd.shape:
-        raise ValueError(f"key and value weights differ in shape: {wkd.shape} vs {wvd.shape}")
+    if wk.shape != wv.shape:
+        raise ValueError(f"key and value weights differ in shape: {wk.shape} vs {wv.shape}")
+    # the affine as rows [..., 1, D]
+    g_row, b_row = (a.data if a.data.ndim > 1 else a.data[None] for a in (gamma, beta))
+    if g_row.shape[-2] != 1 or b_row.shape[-2] != 1:
+        raise ValueError(f"the memory's affine varies by row: {gamma.shape}, {beta.shape}")
+    g_col = g_row.swapaxes(-1, -2)                                           # [..., D, 1]
+    wkd, wvd = g_col * wk.data, g_col * wv.data
+    bvd = _add_into(np.matmul(b_row, wv.data), bv.data)                      # [..., 1, D]
     hd = d // heads
     lead = np.broadcast_shapes(qd.shape[:-2], mem.shape[:-2], np.shape(mask)[:-2], wkd.shape[:-2])
     n = len(lead)
@@ -622,7 +650,7 @@ def memory_attention(q, memory, wk, wv, bv, heads: int, mask=None, keep=None):
     def split_w(w):  # [..., D, D] -> [*batch, H, D, D / H]
         return w.reshape(w_lead[:nb] + (d, heads, hd)).swapaxes(-3, -2)
 
-    def merge_w(gw):  # [*batch, H, D, D / H] -> the weights' shape
+    def merge_w(gw):  # [*batch, H, D, D / H] -> the folded weights' shape
         gw = gw.swapaxes(-3, -2).reshape(batch + (d, d))
         return _unbroadcast(gw, w_lead[:nb] + (d, d)).reshape(wkd.shape)
 
@@ -639,36 +667,45 @@ def memory_attention(q, memory, wk, wv, bv, heads: int, mask=None, keep=None):
     dropped_q = dropped.reshape(lead + (heads * tq, tk))
     read = by_head(np.matmul(dropped_q, mem))                                # [*batch, H, rows, D]
     row_sum = dropped.sum(axis=-1).swapaxes(-1, -2)[..., None]               # [*lead, Tq, H, 1]
-    bv_h = bv.data.reshape(bv.data.shape[:-1] + (heads, hd))
+    bv_h = bvd.reshape(bvd.shape[:-1] + (heads, hd))
     ctx = row_sum * bv_h
     ctx += np.matmul(read, wvh).swapaxes(-3, -2).reshape(lead + (tq, heads, hd))
 
     def grads(g, needs):
+        # gradients of the folded weights first, then mapped back onto the inputs
+        need_wk, need_wv = needs[4] or needs[2], needs[5] or needs[2]
         gh = g.reshape(batch + (rows, heads, hd)).swapaxes(-3, -2)          # [*batch, H, rows, hd]
         g4 = g.reshape(lead + (tq, heads, hd))
-        gwv = merge_w(np.matmul(read.swapaxes(-1, -2), gh)) if needs[3] else None
-        gbv = (g4 * row_sum).reshape(lead + (tq, d)) if needs[4] else None
-        if not (needs[0] or needs[1] or needs[2]):
-            return None, None, None, gwv, gbv
-        g_read = by_query(np.matmul(gh, wvh.swapaxes(-1, -2)))               # [*lead, H * Tq, D]
-        gs = np.matmul(g_read, mem.swapaxes(-1, -2))
-        gs += (g4 * bv_h).sum(axis=-1).swapaxes(-1, -2).reshape(lead + (heads * tq, 1))
-        gs = _masked_softmax_grad(gs.reshape(lead + (heads, tq, tk)), weights, keep, scale)
-        gs = gs.reshape(lead + (heads * tq, tk))
-        gmem = None
-        if needs[1]:
-            gmem = np.matmul(dropped_q.swapaxes(-1, -2), g_read)
-            gmem += np.matmul(gs.swapaxes(-1, -2), qk)
-        gq = gwk = None
-        if needs[0] or needs[2]:
-            gqk = by_head(np.matmul(gs, mem))                                 # [*batch, H, rows, D]
-            if needs[0]:
-                gq = np.matmul(gqk, wkh).swapaxes(-3, -2).reshape(lead + (tq, d))
-            if needs[2]:
-                gwk = merge_w(np.matmul(gqk.swapaxes(-1, -2), qh))
-        return gq, gmem, gwk, gwv, gbv
+        gwv = merge_w(np.matmul(read.swapaxes(-1, -2), gh)) if need_wv else None
+        gbv = None
+        if needs[6] or needs[5] or needs[3]:
+            gbv = _unbroadcast((g4 * row_sum).reshape(lead + (tq, d)), bvd.shape)
+        gq = gmem = gwk = None
+        if needs[0] or needs[1] or need_wk:
+            g_read = by_query(np.matmul(gh, wvh.swapaxes(-1, -2)))           # [*lead, H * Tq, D]
+            gs = np.matmul(g_read, mem.swapaxes(-1, -2))
+            gs += (g4 * bv_h).sum(axis=-1).swapaxes(-1, -2).reshape(lead + (heads * tq, 1))
+            gs = _masked_softmax_grad(gs.reshape(lead + (heads, tq, tk)), weights, keep, scale)
+            gs = gs.reshape(lead + (heads * tq, tk))
+            if needs[1]:
+                gmem = np.matmul(dropped_q.swapaxes(-1, -2), g_read)
+                gmem += np.matmul(gs.swapaxes(-1, -2), qk)
+            if needs[0] or need_wk:
+                gqk = by_head(np.matmul(gs, mem))                             # [*batch, H, rows, D]
+                if needs[0]:
+                    gq = np.matmul(gqk, wkh).swapaxes(-3, -2).reshape(lead + (tq, d))
+                if need_wk:
+                    gwk = merge_w(np.matmul(gqk.swapaxes(-1, -2), qh))
+        ggamma = None
+        if needs[2]:
+            ggamma = (gwk * wk.data + gwv * wv.data).sum(axis=-1)[..., None, :]
+        return (gq, gmem, ggamma,
+                np.matmul(gbv, wv.data.swapaxes(-1, -2)) if needs[3] else None,
+                g_col * gwk if needs[4] else None,
+                g_col * gwv + b_row.swapaxes(-1, -2) * gbv if needs[5] else None,
+                gbv)
 
-    return _op((q, memory, wk, wv, bv), ctx.reshape(lead + (tq, d)), grads)
+    return _op(inputs, ctx.reshape(lead + (tq, d)), grads)
 
 
 def laplace_nll(locations, scales, gt, weight):

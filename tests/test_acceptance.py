@@ -106,6 +106,8 @@ def test_criterion_1_gradient_correctness():
     check("dyt.alpha", lambda t: T.sum_(T.mul(T.dyt(x, t, gamma, beta), w4)), alpha)
     check("dyt.gamma", lambda t: T.sum_(T.mul(T.dyt(x, alpha, t, beta), w4)), gamma)
     check("dyt.beta", lambda t: T.sum_(T.mul(T.dyt(x, alpha, gamma, t), w4)), beta)
+    check("dyt.x_no_affine", lambda t: T.sum_(T.mul(T.dyt(t, alpha), w4)), x)
+    check("dyt.alpha_no_affine", lambda t: T.sum_(T.mul(T.dyt(x, t), w4)), alpha)
     w24 = rng.uniform((2, 2, 3, 4), -1, 1)
     check("dyt.alpha_stacked",
           lambda t: T.sum_(T.mul(T.dyt(x, T.reshape(t, (2, 1, 1, 1)), gamma, beta), w24)),
@@ -113,13 +115,16 @@ def test_criterion_1_gradient_correctness():
     check("dyt.gamma_stacked",
           lambda t: T.sum_(T.mul(T.dyt(x, alpha, T.reshape(t, (2, 1, 1, 4)), beta), w24)),
           rng.uniform((2, 4), 0.5, 1.5))
-    check("layer_norm.x", lambda t: T.sum_(T.mul(T.layer_norm(t, gamma, beta, 1e-5), w4)), x)
-    check("layer_norm.gamma", lambda t: T.sum_(T.mul(T.layer_norm(x, t, beta, 1e-5), w4)), gamma)
-    check("layer_norm.beta", lambda t: T.sum_(T.mul(T.layer_norm(x, gamma, t, 1e-5), w4)), beta)
+    check("layer_norm.x", lambda t: T.sum_(T.mul(T.layer_norm(t, gamma, beta, eps=1e-5), w4)), x)
+    check("layer_norm.gamma",
+          lambda t: T.sum_(T.mul(T.layer_norm(x, t, beta, eps=1e-5), w4)), gamma)
+    check("layer_norm.beta",
+          lambda t: T.sum_(T.mul(T.layer_norm(x, gamma, t, eps=1e-5), w4)), beta)
     check("layer_norm.gamma_stacked",
-          lambda t: T.sum_(T.mul(T.layer_norm(x, T.reshape(t, (2, 1, 1, 4)), beta, 1e-5),
+          lambda t: T.sum_(T.mul(T.layer_norm(x, T.reshape(t, (2, 1, 1, 4)), beta, eps=1e-5),
                                  w24)),
           rng.uniform((2, 4), 0.5, 1.5))
+    check("layer_norm.x_no_affine", lambda t: T.sum_(T.mul(T.layer_norm(t, eps=1e-5), w4)), x)
     check("gelu", lambda t: T.sum_(T.mul(T.gelu(t), w4)), x)
     # attention: 2 heads, a mask, dropout multipliers, and [1, S, D] keys and
     # values broadcast over the queries' leading axis
@@ -150,22 +155,26 @@ def test_criterion_1_gradient_correctness():
     for arg in shifted:
         check(f"attention.{arg}_shifted_rows",
               lambda t, arg=arg: attention_loss(mask, keep, **{**shifted, arg: t}), shifted[arg])
-    # memory attention: one query per position reads a [.., 5, 4] memory, with
-    # the key and value projections plain and stacked as make_ensemble lines them up
+    # memory attention: one query per position reads a [.., 5, 4] memory through
+    # a norm's affine, with the affine and the key and value projections plain
+    # and stacked as make_ensemble lines them up
     mq, memory = rng.uniform((2, 3, 1, 4), -1, 1), rng.uniform((2, 3, 5, 4), -1, 1)
     mmask = rng.uniform((3, 1, 5)) < 0.6
     mmask[..., 0] = True
     mkeep = (rng.uniform((2, 3, 2, 1, 5)) >= 0.2) / 0.8
     wm = rng.uniform((2, 3, 1, 4), -1, 1)
-    plain_w = {"wk": rng.uniform((4, 4), -1, 1), "wv": rng.uniform((4, 4), -1, 1),
+    plain_w = {"gamma": rng.uniform((4,), 0.5, 1.5), "beta": rng.uniform((4,), -1, 1),
+               "wk": rng.uniform((4, 4), -1, 1), "wv": rng.uniform((4, 4), -1, 1),
                "bv": rng.uniform((4,), -1, 1)}
-    stacked_w = {"wk": rng.uniform((2, 1, 4, 4), -1, 1), "wv": rng.uniform((2, 1, 4, 4), -1, 1),
+    stacked_w = {"gamma": rng.uniform((2, 1, 1, 4), 0.5, 1.5),
+                 "beta": rng.uniform((2, 1, 1, 4), -1, 1),
+                 "wk": rng.uniform((2, 1, 4, 4), -1, 1), "wv": rng.uniform((2, 1, 4, 4), -1, 1),
                  "bv": rng.uniform((2, 1, 1, 4), -1, 1)}
 
     def memory_loss(mk, kp, weights, **probe):
         a = {"q": mq, "memory": memory, **weights, **probe}
-        return T.sum_(T.mul(T.memory_attention(a["q"], a["memory"], a["wk"], a["wv"], a["bv"],
-                                               2, mk, kp), wm))
+        return T.sum_(T.mul(T.memory_attention(a["q"], a["memory"], a["gamma"], a["beta"],
+                                               a["wk"], a["wv"], a["bv"], 2, mk, kp), wm))
 
     for label, mk, kp in (("", None, None), ("_mask", mmask, None),
                           ("_mask_keep", mmask, mkeep)):
@@ -175,19 +184,24 @@ def test_criterion_1_gradient_correctness():
         for arg, x0 in stacked_w.items():
             check(f"memory_attention.{arg}_stacked{label}",
                   lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, stacked_w, **{arg: t}), x0)
-    # the same two rows for memory attention: memory channel 0 is 450 and wk's
-    # row 0 is 1, so q's entry sum per head moves a whole row of logits
-    smem, swk = memory.copy(), plain_w["wk"].copy()
-    smem[..., 0], swk[0] = 450.0, 1.0
-    smq = mq.copy()
+    # the same two rows for memory attention: memory channel 0 is 450 and the
+    # row 0 of gamma * wk is 1, so q's entry sum per head moves a whole row of
+    # the op's logits (beta @ wk, a constant per row, never enters them)
+    smem, smq = memory.copy(), mq.copy()
+    smem[..., 0] = 450.0
     smq[0, 0], smq[1, 2] = 1.0, -1.0
-    logits = np.stack([(smq[..., c:c + 2] @ swk[:, c:c + 2].T) @ np.swapaxes(smem, -1, -2)
-                       for c in (0, 2)]) / math.sqrt(2.0)
-    assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
-    shifted = {"q": smq, "memory": smem, "wk": swk}
-    for arg, x0 in {**plain_w, **shifted}.items():
-        check(f"memory_attention.{arg}_shifted_rows",
-              lambda t, arg=arg: memory_loss(mmask, mkeep, plain_w, **{**shifted, arg: t}), x0)
+    for label, weights in (("", plain_w), ("_stacked", stacked_w)):
+        sw = {**weights, "gamma": weights["gamma"].copy(), "wk": weights["wk"].copy()}
+        sw["gamma"][..., 0], sw["wk"][..., 0, :] = 1.0, 1.0
+        wkf = np.swapaxes(np.atleast_2d(sw["gamma"]), -1, -2) * sw["wk"]
+        logits = np.stack([(smq[..., c:c + 2] @ np.swapaxes(wkf[..., c:c + 2], -1, -2))
+                           @ np.swapaxes(smem, -1, -2) for c in (0, 2)]) / math.sqrt(2.0)
+        assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
+        args = {"q": smq, "memory": smem, **sw} if weights is plain_w else sw
+        for arg, x0 in args.items():
+            check(f"memory_attention.{arg}{label}_shifted_rows",
+                  lambda t, arg=arg, sw=sw: memory_loss(
+                      mmask, mkeep, sw, **{"q": smq, "memory": smem, arg: t}), x0)
     mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
     gt = rng.uniform((2, 1, 4, 2), -2, 2)
     weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)

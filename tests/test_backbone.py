@@ -300,17 +300,32 @@ def _stacked_model(cfg, members):
     return inspect.getclosurevars(predict).nonlocals["model"]
 
 
+def _model_with_drawn_norms(cfg, members):
+    """A plain (members 1) or stacked model whose every norm has gamma, beta and alpha
+    drawn away from their initial 1, 0 and 0.5, each member its own, so the way a
+    norm's affine reaches attention shows in the outputs."""
+    model = (TrajectoryPredictor(cfg, Rng(59)) if members == 1
+             else _stacked_model(cfg, members))
+    rng = Rng(61)
+    ranges = {"gamma": (0.5, 1.5), "beta": (-0.5, 0.5), "alpha": (0.3, 1.0)}
+    for name, p in model.named_params():
+        low_high = ranges.get(name.rsplit(".", 1)[-1])
+        if low_high is not None:
+            p.data = np.array(rng.uniform(p.shape, *low_high))
+    return model
+
+
 @pytest.mark.parametrize("members", [1, 4])
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("kind", ["dyt", "layernorm"])
 def test_last_step_query_matches_every_step_oracle(kind, blocks, members):
-    # the stage queries only the last step in its last block; the oracle runs
-    # every step and slices. Over these 8 cases (416 arrays) the worst
-    # difference measured 1.5e-14 of the array's largest entry: a one-row
-    # matmul rounds differently from the same row of a full one
+    # the stage queries only the last step in its last block, reading the
+    # memory with its norm's affine folded into the projections; the oracle
+    # runs every step as self-attention and slices. Over these 8 cases (416
+    # arrays) the worst difference measured 3.2e-14 of the array's largest
+    # entry: a one-row matmul rounds differently from the same row of a full one
     cfg = ModelConfig(norm_kind=kind, blocks_per_stage=blocks, dropout=0.0)
-    model = (TrajectoryPredictor(cfg, Rng(59)) if members == 1
-             else _stacked_model(cfg, members))
+    model = _model_with_drawn_norms(cfg, members)
     scenes = generate_synthetic(12, Rng(42)).train[:4]
     scenes[1].agent_valid[0, -3:] = False    # a last step that is not observed
     scenes[2].agent_valid[1, :5] = False
@@ -329,9 +344,11 @@ def test_last_step_query_matches_every_step_oracle(kind, blocks, members):
             assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max(), name
 
 
-def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None):
-    """Oracle for MultiHeadAttention: project every key and value row, then attend."""
-    kv = q_in if kv_in is None else kv_in
+def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None, kv_gamma=None,
+                         kv_beta=None):
+    """Oracle for MultiHeadAttention: apply the memory's affine, project every key and
+    value row, then attend."""
+    kv = q_in if kv_in is None else T.add(T.mul(kv_in, kv_gamma), kv_beta)
     q, k, v = self.wq(q_in), T.linear(kv, self.wk), self.wv(kv)
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
     keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)
@@ -343,12 +360,12 @@ def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None):
 @pytest.mark.parametrize("kind", ["dyt", "layernorm"])
 def test_memory_blocks_match_project_then_attend(kind, members, dropout, monkeypatch):
     # the last temporal block and the agent-lane block read a memory through
-    # tensor.memory_attention; the oracle projects the memory first. Over these
-    # 8 cases (452 arrays) the worst difference measured 2.2e-14 of the array's
+    # tensor.memory_attention, its norm's affine folded into the projections;
+    # the oracle applies the affine and projects the memory first. Over these
+    # 8 cases (452 arrays) the worst difference measured 5.9e-14 of the array's
     # largest entry
     cfg = ModelConfig(norm_kind=kind, dropout=dropout)
-    model = (TrajectoryPredictor(cfg, Rng(59)) if members == 1
-             else _stacked_model(cfg, members))
+    model = _model_with_drawn_norms(cfg, members)
     scenes = generate_synthetic(12, Rng(42)).train[:4]
 
     def memory_stages(m, x, b):

@@ -279,6 +279,19 @@ def test_dropout_mask_equals_the_uniform_draw(p):
     assert a.u64(4).tolist() == b.u64(4).tolist()
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
+def test_dropout_multipliers_have_the_bits_of_a_division(p):
+    # keep scales the kept mask by a precomputed 1 / (1 - p); the bits equal the
+    # quotient of the bool mask by 1 - p, the form it replaced
+    for i, shape in enumerate([(1,), (5,), (3, 7), (20, 4, 28, 28), (2, 1, 3, 9)]):
+        got = Dropout(p).keep(shape, Rng(70 + i))
+        n = math.prod(shape)
+        fields = Rng(70 + i).u64(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
+        want = (fields >= math.ceil(p * 65536.0)).reshape(shape) / (1.0 - p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), shape
+
+
 def test_gelu_values_and_gradient():
     # reference points of the tanh-form gelu
     assert T.gelu(Tensor(0.0)).item() == 0.0

@@ -259,7 +259,7 @@ def layer_norm_np(x, g, b):
 PARAM_OPS = {
     "linear": (T.linear, lambda x, w, b: np.einsum("...i,io->...o", x, w) + b, [(5, 6), (6,)]),
     "dyt": (T.dyt, lambda x, a, g, b: g * np.tanh(a * x) + b, [(), (5,), (5,)]),
-    "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b, 1e-5), layer_norm_np, [(5,), (5,)]),
+    "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b, eps=1e-5), layer_norm_np, [(5,), (5,)]),
 }
 
 
@@ -280,6 +280,27 @@ def test_param_ops_match_numpy_oracles(name, snapshots):
     out = op(Tensor(x), *lined_up).data
     for s in range(snapshots):
         assert_rel(out[s], oracle(x, *(p[s] for p in params)))
+
+
+@pytest.mark.parametrize("name", ["dyt", "layer_norm"])
+def test_norm_ops_without_affine_equal_the_identity_affine(name):
+    # with gamma and beta None the op returns its normalized input; gamma 1 and
+    # beta 0 change no bit of it nor of the input gradients
+    op = {"dyt": lambda x, a, *affine: T.dyt(x, a, *affine),
+          "layer_norm": lambda x, a, *affine: T.layer_norm(x, *affine, eps=1e-5)}[name]
+    rng = Rng(43)
+    x, alpha, w = rng.normal((2, 3, 5)), np.array(0.7), rng.normal((2, 3, 5))
+
+    def run(*affine):
+        xt, at = Tensor(x, requires_grad=True), Tensor(alpha, requires_grad=True)
+        with Tape() as tape:
+            out = op(xt, at, *affine)
+            loss = sum_(mul(out, w))
+        backward(loss, tape)
+        return out.data, xt.grad, at.grad
+
+    for got, want in zip(run(), run(np.ones(5), np.zeros(5))):
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
 
 
 def test_gelu_matches_numpy_oracle():
@@ -363,9 +384,10 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     assert np.all(np.abs(vt.grad[:, 0]).sum(-1) > 0)
 
 
-def memory_attention_np(q, memory, wk, wv, bv, heads, mask, keep):
-    """Project the memory into keys and values, then attend."""
-    return attention_np(q, memory @ wk, memory @ wv + bv, heads, mask, keep)
+def memory_attention_np(q, memory, gamma, beta, wk, wv, bv, heads, mask, keep):
+    """Apply the affine to the memory, project it into keys and values, then attend."""
+    m = gamma * memory + beta
+    return attention_np(q, m @ wk, m @ wv + bv, heads, mask, keep)
 
 
 @pytest.mark.parametrize("q_lead,mem_lead,snapshots,mask_lead",
@@ -378,10 +400,12 @@ def test_memory_attention_matches_numpy_oracle(q_lead, mem_lead, snapshots, mask
     q, memory = rng.normal(q_lead + (tq, d)), rng.normal(mem_lead + (tk, d))
     s = max(snapshots, 1)
     wk, wv, bv = rng.normal((s, d, d)), rng.normal((s, d, d)), rng.normal((s, d))
-    if snapshots:  # lined up as make_ensemble does: [S, 1, D, D] and [S, 1, 1, D]
-        op_w = (wk.reshape(s, 1, d, d), wv.reshape(s, 1, d, d), bv.reshape(s, 1, 1, d))
+    gamma, beta = rng.uniform((s, d), 0.5, 1.5), rng.normal((s, d))
+    if snapshots:  # lined up as make_ensemble does: [S, 1, 1, D] and [S, 1, D, D]
+        op_w = (gamma.reshape(s, 1, 1, d), beta.reshape(s, 1, 1, d), wk.reshape(s, 1, d, d),
+                wv.reshape(s, 1, d, d), bv.reshape(s, 1, 1, d))
     else:
-        op_w = (wk[0], wv[0], bv[0])
+        op_w = (gamma[0], beta[0], wk[0], wv[0], bv[0])
     mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
     mask[..., 0] = True
     lead = np.broadcast_shapes(q_lead, mem_lead, mask_lead)
@@ -396,8 +420,8 @@ def test_memory_attention_matches_numpy_oracle(q_lead, mem_lead, snapshots, mask
         out = np.broadcast_to(out, lead + (tq, d))
         for i in np.ndindex(lead):
             j = i[0] if snapshots else 0
-            want = memory_attention_np(bq[i], bm[i], wk[j], wv[j], bv[j], heads,
-                                       True if mk is None else bmask[i],
+            want = memory_attention_np(bq[i], bm[i], gamma[j], beta[j], wk[j], wv[j], bv[j],
+                                       heads, True if mk is None else bmask[i],
                                        ones if kp is None else keep[i])
             assert_rel(out[i], want)
 
@@ -408,20 +432,21 @@ def test_memory_attention_ignores_blocked_memory_rows():
     rng = Rng(31)
     heads, tk, d = 2, 12, 4
     q, memory = rng.normal((3, 1, d)), rng.normal((3, tk, d))
-    wk, wv, bv = rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,))
+    w = (rng.uniform((d,), 0.5, 1.5), rng.normal((d,)),                 # gamma, beta
+         rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,)))      # wk, wv, bv
     mask = np.zeros((3, 1, tk), dtype=bool)
     mask[..., :5] = rng.uniform((3, 1, 5)) < 0.6
     mask[..., 0] = True
     keep = (rng.uniform((3, heads, 1, tk)) >= 0.2) / 0.8
-    out = T.memory_attention(q, memory, wk, wv, bv, heads, mask, keep).data
+    out = T.memory_attention(q, memory, *w, heads, mask, keep).data
     changed = memory.copy()
     changed[:, 5:] = rng.normal((3, tk - 5, d), std=1e3)
-    again = T.memory_attention(q, changed, wk, wv, bv, heads, mask, keep).data
+    again = T.memory_attention(q, changed, *w, heads, mask, keep).data
     assert again.tobytes() == out.tobytes()
 
     mt = Tensor(changed, requires_grad=True)
     with Tape() as tape:
-        loss = sum_(mul(T.memory_attention(q, mt, wk, wv, bv, heads, mask, keep),
+        loss = sum_(mul(T.memory_attention(q, mt, *w, heads, mask, keep),
                         rng.normal((3, 1, d))))
     backward(loss, tape)
     assert not np.any(mt.grad[:, 5:])
