@@ -274,8 +274,9 @@ class TrajectoryPredictor(Module):
         k, f = self.cfg.modes, self.cfg.pred_steps
         emb = enc.embeddings
         lead = emb.shape[:-3] + emb.shape[-2:-1]    # [..., A]
-        h = T.gelu(self.head_hidden(emb))
-        raw = T.reshape(self.head_out(h), lead + (k, 4 * f + 1))
+        hidden, out = self.head_hidden, self.head_out
+        raw = T.reshape(T.feedforward(emb, hidden.weight, hidden.bias, out.weight, out.bias),
+                        lead + (k, 4 * f + 1))
         offsets = T.reshape(T.getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
         locations = T.add(offsets, enc.origins[:, None, None, :])
         scale_raw = T.reshape(T.getitem(raw, (Ellipsis, slice(2 * f, 4 * f))), lead + (k, f, 2))

@@ -171,17 +171,18 @@ class MultiHeadAttention(Module):
     Queries [..., Tq, D] read keys and values [..., Tk, D]: their own
     positions, or a separate memory when kv_in is given. The mask is
     [B, Tq, Tk] and broadcasts over any axes in front of B. The query, value
-    and output projections are Linear layers. The key projection is a bare
-    [D, D] weight: a key bias b adds q . b to every logit of a query's row,
-    which softmax removes, so it could never learn. Self-attention projects
-    keys and values and runs one `tensor.attention` op. A memory comes with
-    kv_gamma and kv_beta, the affine of the norm that made it, not yet
-    applied: the keys and values are read from kv_gamma * kv_in + kv_beta.
-    It is read with `tensor.memory_attention`, which folds that affine into
-    the key and value projections and moves them onto the queries and the
-    context: the memory blocks have one query per agent, so applying the
-    affine or projecting every memory row would cost more. The dropout
-    multipliers are drawn here.
+    and output projections are Linear layers, held for their parameters: the
+    whole sublayer, projections included, is one fused op. The key projection
+    is a bare [D, D] weight: a key bias b adds q . b to every logit of a
+    query's row, which softmax removes, so it could never learn.
+    Self-attention runs `tensor.attention`. A memory comes with kv_gamma and
+    kv_beta, the affine of the norm that made it, not yet applied: the keys
+    and values are read from kv_gamma * kv_in + kv_beta. It is read with
+    `tensor.memory_attention`, which folds that affine into the key and value
+    projections and moves them onto the queries and the context: the memory
+    blocks have one query per agent, so applying the affine or projecting
+    every memory row would cost more. The dropout multipliers are drawn here,
+    only when an rng is passed.
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
@@ -196,20 +197,26 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
                  rng: Rng | None = None, kv_gamma=None, kv_beta=None) -> Tensor:
-        q = self.wq(q_in)
-        kv = q_in if kv_in is None else kv_in
-        lead = np.broadcast_shapes(q.shape[:-2], kv.shape[:-2], np.shape(mask)[:-2])
-        keep = self.drop.keep(lead + (self.heads, q.shape[-2], kv.shape[-2]), rng)
+        wq, wv, wo = self.wq, self.wv, self.wo
+        keep = None
+        if rng is not None:
+            kv = q_in if kv_in is None else kv_in
+            lead = np.broadcast_shapes(q_in.shape[:-2], wq.weight.shape[:-2], kv.shape[:-2],
+                                       np.shape(mask)[:-2])
+            keep = self.drop.keep(lead + (self.heads, q_in.shape[-2], kv.shape[-2]), rng)
         if kv_in is None:
-            k, v = T.linear(kv, self.wk), self.wv(kv)
-            ctx = T.attention(q, k, v, self.heads, mask, keep)
-        else:
-            ctx = T.memory_attention(q, kv, kv_gamma, kv_beta, self.wk, self.wv.weight,
-                                     self.wv.bias, self.heads, mask, keep)
-        return self.wo(ctx)
+            return T.attention(q_in, wq.weight, wq.bias, self.wk, wv.weight, wv.bias,
+                               wo.weight, wo.bias, self.heads, mask, keep)
+        return T.memory_attention(q_in, kv_in, kv_gamma, kv_beta, wq.weight, wq.bias, self.wk,
+                                  wv.weight, wv.bias, wo.weight, wo.bias, self.heads, mask, keep)
 
 
 class FeedForward(Module):
+    """Position-wise gelu(x @ w1 + b1) @ w2 + b2 with dropout on the hidden
+    activation, run as one `tensor.feedforward` op; lin1 and lin2 hold the
+    parameters. The dropout multipliers are drawn here, only when an rng is
+    passed."""
+
     def __init__(self, width: int, ratio: int, rng: Rng, dropout: float = 0.0):
         hidden = width * ratio
         self.lin1 = Linear(width, hidden, rng)
@@ -217,7 +224,12 @@ class FeedForward(Module):
         self.drop = Dropout(dropout)
 
     def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
-        return self.lin2(self.drop(T.gelu(self.lin1(x)), rng))
+        w1 = self.lin1.weight
+        keep = None
+        if rng is not None:  # the hidden activation's shape, that of x @ w1
+            lead = np.broadcast_shapes(x.shape[:-2], w1.shape[:-2])
+            keep = self.drop.keep(lead + x.shape[-2:-1] + w1.shape[-1:], rng)
+        return T.feedforward(x, w1, self.lin1.bias, self.lin2.weight, self.lin2.bias, keep)
 
 
 class TransformerBlock(Module):

@@ -7,9 +7,11 @@ Conventions:
   pays no tracking cost.
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
-- Each model layer is one fused op (linear, dyt, layer_norm, gelu,
-  attention, memory_attention, laplace_nll) with a hand-written backward
-  pass, so it adds one tape record.
+- Each model layer is one fused op with a hand-written backward pass, so it
+  adds one tape record: linear, the norms dyt and layer_norm, the attention
+  sublayers attention and memory_attention (input projections through output
+  projection), the feed-forward sublayer feedforward (both projections, GELU
+  and dropout) and laplace_nll.
 - Tensors are treated as immutable once created, except parameter updates
   applied between passes and gradient accumulation during a backward pass.
   Tapes are thread-local, so independent evaluations may run concurrently.
@@ -30,7 +32,7 @@ __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
     "add", "mul", "neg", "log", "softplus", "clamp_min",
     "transpose", "reshape", "getitem", "sum_", "mean", "softmax",
-    "linear", "dyt", "layer_norm", "gelu", "attention", "memory_attention",
+    "linear", "dyt", "layer_norm", "attention", "memory_attention", "feedforward",
     "laplace_nll",
 ]
 
@@ -204,6 +206,13 @@ def _op(inputs, out_data, grads):
     return out
 
 
+def _records(inputs) -> bool:
+    """Whether an op over the Tensors `inputs` adds a tape record, as _op decides;
+    an op that does not may overwrite its intermediates, since no backward pass
+    reads them."""
+    return _innermost.tape is not None and any(t.requires_grad for t in inputs)
+
+
 def _binary(a, b, out_data, da, db):
     return _op((a, b), out_data,
                lambda g, needs: (da(g) if needs[0] else None, db(g) if needs[1] else None))
@@ -363,6 +372,24 @@ def _add_into(out: np.ndarray, b) -> np.ndarray:
     return out
 
 
+def _project(xd, wd, bd=None):
+    """xd @ wd + bd as linear computes it; no add when bd is None."""
+    out = np.matmul(xd, wd)
+    return out if bd is None else _add_into(out, bd)
+
+
+def _project_grads(xd, wd, g, need_x: bool, need_w: bool):
+    """The gradients of xd and wd in xd @ wd (+ b) from g, that of the output; b's is g."""
+    gx = np.matmul(g, np.swapaxes(wd, -1, -2)) if need_x else None
+    gw = None
+    if need_w and wd.ndim == 2:
+        # one matrix product over every leading position at once
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    elif need_w:
+        gw = np.matmul(np.swapaxes(xd, -1, -2), g)
+    return gx, gw
+
+
 def linear(x, w, b=None):
     """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]; no add when b is None."""
     x, w = _as_tensor(x), _as_tensor(w)
@@ -371,19 +398,12 @@ def linear(x, w, b=None):
         raise ValueError(f"linear dimensions disagree: {xd.shape} x {wd.shape}")
 
     def grads(g, needs):
-        gx = np.matmul(g, np.swapaxes(wd, -1, -2)) if needs[0] else None
-        gw = None
-        if needs[1] and wd.ndim == 2:
-            # one matrix product over every leading position at once
-            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif needs[1]:
-            gw = np.matmul(np.swapaxes(xd, -1, -2), g)
-        return gx, gw, g
+        return (*_project_grads(xd, wd, g, needs[0], needs[1]), g)
 
     if b is None:
-        return _op((x, w), np.matmul(xd, wd), grads)
+        return _op((x, w), _project(xd, wd), grads)
     b = _as_tensor(b)
-    return _op((x, w, b), _add_into(np.matmul(xd, wd), b.data), grads)
+    return _op((x, w, b), _project(xd, wd, b.data), grads)
 
 
 def dyt(x, alpha, gamma=None, beta=None):
@@ -435,12 +455,11 @@ def layer_norm(x, gamma=None, beta=None, *, eps: float):
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(x):
-    """Tanh-form GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))) with c = sqrt(2 / pi).
-
-    Smooth, which keeps finite-difference checks tight."""
-    x = _as_tensor(x)
-    xd = x.data
+def _gelu(xd, for_backward: bool = True):
+    """Tanh-form GELU of xd, 0.5 x (1 + tanh(c (x + 0.044715 x^3))) with c = sqrt(2 / pi),
+    and a function giving the gradient of xd from that of the output. Not
+    for_backward, the function is None and xd is overwritten, which leaves one
+    fresh array of its size instead of four."""
     # in place where it keeps the association order; asarray because numpy
     # arithmetic on 0-d arrays returns scalars, which take no out=
     t = np.asarray(xd * xd)
@@ -449,9 +468,14 @@ def gelu(x):
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
+    if not for_backward:
+        t += 1.0
+        xd *= 0.5
+        t *= xd
+        return t, None
     half_x, t1 = xd * 0.5, t + 1.0
 
-    def grads(g, needs):
+    def grad(g):
         dt = 1.0 - t * t
         dt *= _GELU_C
         poly = xd * (3.0 * 0.044715)
@@ -461,9 +485,37 @@ def gelu(x):
         dt *= half_x
         dt += t1 * 0.5
         dt *= g
-        return (dt,)
+        return dt
 
-    return _op((x,), half_x * t1, grads)
+    return half_x * t1, grad
+
+
+def feedforward(x, w1, b1, w2, b2, keep=None):
+    """The feed-forward sublayer (gelu(x @ w1 + b1) * keep) @ w2 + b2 as one op.
+
+    GELU is the tanh form, smooth, which keeps finite-difference checks tight.
+    keep, when given, multiplies the hidden activation (inverted dropout drawn
+    by the caller). Weights and biases may carry leading axes, as in linear.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2 = inputs
+    xd = x.data
+    hidden = _project(xd, w1.data, b1.data)
+    act, act_grad = _gelu(hidden, _records(inputs))
+    dropped = act if keep is None else act * keep
+
+    def grads(g, needs):
+        need_hidden = needs[0] or needs[1] or needs[2]
+        g_drop, gw2 = _project_grads(dropped, w2.data, g, need_hidden, needs[3])
+        if not need_hidden:
+            return None, None, None, gw2, g
+        g_act = _unbroadcast(g_drop, dropped.shape)
+        if keep is not None:
+            g_act = _unbroadcast(g_act * keep, act.shape)
+        gh = act_grad(g_act)
+        return (*_project_grads(xd, w1.data, gh, needs[0], needs[1]), gh, gw2, g)
+
+    return _op(inputs, _project(dropped, w2.data, b2.data), grads)
 
 
 # attention exponentiates each row's logits unshifted while its attended max
@@ -546,19 +598,19 @@ def _masked_softmax_grad(g, weights, keep, scale):
     return g
 
 
-def attention(q, k, v, heads: int, mask=None, keep=None):
-    """Multi-head scaled dot-product attention over projected q, k and v.
+def _attend(qd, kd, vd, heads: int, mask, keep):
+    """Multi-head scaled dot-product attention of projected queries qd [..., Tq, D]
+    over keys kd and values vd [..., Tk, D], and a function grads(g, needs) giving
+    their gradients from g, that of the output, as in _op.
 
-    q is [..., Tq, D] and k, v are [..., Tk, D], their leading axes
-    broadcasting; each is split into `heads` heads of D / heads channels.
-    mask ([..., Tq, Tk] bool, true = attend) applies to every head and must
-    leave each query at least one key. keep, when given, multiplies the
-    [..., H, Tq, Tk] softmax weights (inverted dropout drawn by the caller).
-    The heads are merged back into [..., Tq, D]. The softmax weights are kept
-    for the backward pass, not recomputed.
+    Leading axes broadcast; each array is split into `heads` heads of D / heads
+    channels, merged back into [..., Tq, D] after. mask ([..., Tq, Tk] bool,
+    true = attend) applies to every head and must leave each query at least one
+    key. keep, when given, multiplies the [..., H, Tq, Tk] softmax weights
+    (inverted dropout drawn by the caller). The softmax weights are kept for
+    the backward pass, not recomputed.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    d = q.data.shape[-1]
+    d = qd.shape[-1]
     if d % heads != 0:
         raise ValueError("width must be divisible by heads")
     hd = d // heads
@@ -570,7 +622,7 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
         a = np.swapaxes(a, -3, -2)
         return a.reshape(a.shape[:-2] + (d,))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     scale = 1.0 / np.sqrt(hd)
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
     scores *= scale
@@ -578,26 +630,74 @@ def attention(q, k, v, heads: int, mask=None, keep=None):
     dropped = weights if keep is None else weights * keep
 
     def grads(g, needs):
+        need_q, need_k, need_v = needs
         g_ctx = split(g)
-        gv = merge(np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)) if needs[2] else None
-        if not (needs[0] or needs[1]):
+        gv = merge(np.matmul(np.swapaxes(dropped, -1, -2), g_ctx)) if need_v else None
+        if not (need_q or need_k):
             return None, None, gv
         gs = _masked_softmax_grad(np.matmul(g_ctx, np.swapaxes(vh, -1, -2)), weights, keep, scale)
-        return (merge(np.matmul(gs, kh)) if needs[0] else None,
-                merge(np.matmul(np.swapaxes(gs, -1, -2), qh)) if needs[1] else None, gv)
+        return (merge(np.matmul(gs, kh)) if need_q else None,
+                merge(np.matmul(np.swapaxes(gs, -1, -2), qh)) if need_k else None, gv)
 
-    return _op((q, k, v), merge(np.matmul(dropped, vh)), grads)
+    return merge(np.matmul(dropped, vh)), grads
 
 
-def memory_attention(q, memory, gamma, beta, wk, wv, bv, heads: int, mask=None, keep=None):
-    """attention(q, m @ wk, m @ wv + bv, heads, mask, keep) over the memory
-    m = gamma * memory + beta, with the affine and the key and value projections
-    moved onto the weights, the queries and the context.
+def attention(x, wq, bq, wk, wv, bv, wo, bo, heads: int, mask=None, keep=None):
+    """The self-attention sublayer as one op: x [..., T, D] attends over itself.
 
-    q is [..., Tq, D] (projected), memory [..., Tk, D], wk and wv [..., D, D]
+    Queries are x @ wq + bq, keys x @ wk (no bias: it would add a constant to
+    each logit row, which softmax removes) and values x @ wv + bv, each split
+    into `heads` heads. mask ([..., T, T] bool, true = attend) applies to every
+    head and must leave each query at least one key; keep, when given,
+    multiplies the [..., H, T, T] softmax weights (inverted dropout drawn by
+    the caller). The merged context is projected by wo and bo. Weights and
+    biases may carry leading axes, as in linear. The input's gradient sums the
+    value, key and query paths in that order.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, wq, bq, wk, wv, bv, wo, bo))
+    x, wq, bq, wk, wv, bv, wo, bo = inputs
+    xd = x.data
+    qd, kd, vd = (_project(xd, wq.data, bq.data), _project(xd, wk.data),
+                  _project(xd, wv.data, bv.data))
+    ctx, attend_grads = _attend(qd, kd, vd, heads, mask, keep)
+
+    def grads(g, needs):
+        need_x = needs[0]
+        need_q, need_k = need_x or needs[1] or needs[2], need_x or needs[3]
+        need_v = need_x or needs[4] or needs[5]
+        g_ctx, gwo = _project_grads(ctx, wo.data, g, need_q or need_k or need_v, needs[6])
+        if g_ctx is None:
+            return None, None, None, None, None, None, gwo, g
+        gq, gk, gv = attend_grads(_unbroadcast(g_ctx, ctx.shape), (need_q, need_k, need_v))
+        gx = gwq = gwk = gwv = None
+        if need_v:
+            gv = _unbroadcast(gv, vd.shape)
+            gx, gwv = _project_grads(xd, wv.data, gv, need_x, needs[4])
+        if need_k:
+            gxk, gwk = _project_grads(xd, wk.data, _unbroadcast(gk, kd.shape), need_x, needs[3])
+        if need_q:
+            gq = _unbroadcast(gq, qd.shape)
+            gxq, gwq = _project_grads(xd, wq.data, gq, need_x, needs[1])
+        if need_x:
+            gx = _unbroadcast(gx, xd.shape)
+            gx += _unbroadcast(gxk, xd.shape)
+            gx += _unbroadcast(gxq, xd.shape)
+        return gx, gwq, gq, gwk, gwv, gv, gwo, g
+
+    return _op(inputs, _project(ctx, wo.data, bo.data), grads)
+
+
+def _memory_read(qd, mem, gamma, beta, wk, wv, bv, heads: int, mask, keep):
+    """_attend(qd, m @ wk, m @ wv + bv, heads, mask, keep) over the memory
+    m = gamma * mem + beta, with the affine and the key and value projections
+    moved onto the weights, the queries and the context, and a function
+    grads(g, needs) giving the gradients of (qd, mem, gamma, beta, wk, wv, bv)
+    from g, that of the output, as in _op.
+
+    qd is [..., Tq, D] (projected), mem [..., Tk, D], wk and wv [..., D, D]
     of one shape, and bv, gamma and beta [..., D] (a norm's affine, one value
     per channel, lined up like bv); leading axes broadcast, and mask and keep
-    are as in attention. The affine is folded into the projections, so no
+    are as in _attend. The affine is folded into the projections, so no
     [..., Tk, D] pass applies it: the rows of wk and wv are scaled by gamma,
     the value bias is bv + beta @ wv, and beta @ wk is dropped, since it adds
     one constant to every logit of a query's row and softmax removes it. Head
@@ -611,9 +711,6 @@ def memory_attention(q, memory, gamma, beta, wk, wv, bv, heads: int, mask=None, 
     [S, 1, D, D] weight gives S products of the shapes a plain one gives;
     beta @ wv is a [..., 1, D] @ [..., D, D] product in both cases too.
     """
-    inputs = tuple(_as_tensor(t) for t in (q, memory, gamma, beta, wk, wv, bv))
-    q, memory, gamma, beta, wk, wv, bv = inputs
-    qd, mem = q.data, memory.data
     tq, d = qd.shape[-2:]
     tk = mem.shape[-2]
     if d % heads != 0:
@@ -621,12 +718,12 @@ def memory_attention(q, memory, gamma, beta, wk, wv, bv, heads: int, mask=None, 
     if wk.shape != wv.shape:
         raise ValueError(f"key and value weights differ in shape: {wk.shape} vs {wv.shape}")
     # the affine as rows [..., 1, D]
-    g_row, b_row = (a.data if a.data.ndim > 1 else a.data[None] for a in (gamma, beta))
+    g_row, b_row = (a if a.ndim > 1 else a[None] for a in (gamma, beta))
     if g_row.shape[-2] != 1 or b_row.shape[-2] != 1:
         raise ValueError(f"the memory's affine varies by row: {gamma.shape}, {beta.shape}")
     g_col = g_row.swapaxes(-1, -2)                                           # [..., D, 1]
-    wkd, wvd = g_col * wk.data, g_col * wv.data
-    bvd = _add_into(np.matmul(b_row, wv.data), bv.data)                      # [..., 1, D]
+    wkd, wvd = g_col * wk, g_col * wv
+    bvd = _add_into(np.matmul(b_row, wv), bv)                                # [..., 1, D]
     hd = d // heads
     lead = np.broadcast_shapes(qd.shape[:-2], mem.shape[:-2], np.shape(mask)[:-2], wkd.shape[:-2])
     n = len(lead)
@@ -698,14 +795,48 @@ def memory_attention(q, memory, gamma, beta, wk, wv, bv, heads: int, mask=None, 
                     gwk = merge_w(np.matmul(gqk.swapaxes(-1, -2), qh))
         ggamma = None
         if needs[2]:
-            ggamma = (gwk * wk.data + gwv * wv.data).sum(axis=-1)[..., None, :]
+            ggamma = (gwk * wk + gwv * wv).sum(axis=-1)[..., None, :]
         return (gq, gmem, ggamma,
-                np.matmul(gbv, wv.data.swapaxes(-1, -2)) if needs[3] else None,
+                np.matmul(gbv, wv.swapaxes(-1, -2)) if needs[3] else None,
                 g_col * gwk if needs[4] else None,
                 g_col * gwv + b_row.swapaxes(-1, -2) * gbv if needs[5] else None,
                 gbv)
 
-    return _op(inputs, ctx.reshape(lead + (tq, d)), grads)
+    return ctx.reshape(lead + (tq, d)), grads
+
+
+def memory_attention(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads: int,
+                     mask=None, keep=None):
+    """The attention sublayer over a memory as one op: queries x @ wq + bq
+    ([..., Tq, D]) attend over keys m @ wk and values m @ wv + bv of the memory
+    m = gamma * memory + beta ([..., Tk, D]; gamma and beta a norm's affine, one
+    value per channel), and the context is projected by wo and bo. mask
+    ([..., Tq, Tk]) and keep ([..., H, Tq, Tk]) are as in attention. The affine
+    and the key and value projections never pass over the memory: see
+    _memory_read, which also gives the shapes the weights may take.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo))
+    x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo = inputs
+    xd = x.data
+    qd = _project(xd, wq.data, bq.data)
+    ctx, read_grads = _memory_read(qd, memory.data, gamma.data, beta.data, wk.data, wv.data,
+                                   bv.data, heads, mask, keep)
+
+    def grads(g, needs):
+        need_q = needs[0] or needs[4] or needs[5]
+        read_needs = (need_q, *needs[1:4], *needs[6:9])
+        g_ctx, gwo = _project_grads(ctx, wo.data, g, any(read_needs), needs[9])
+        if g_ctx is None:
+            return (None,) * 9 + (gwo, g)
+        gq, gmem, ggamma, gbeta, gwk, gwv, gbv = read_grads(_unbroadcast(g_ctx, ctx.shape),
+                                                            read_needs)
+        gx = gwq = None
+        if need_q:
+            gq = _unbroadcast(gq, qd.shape)
+            gx, gwq = _project_grads(xd, wq.data, gq, needs[0], needs[4])
+        return gx, gmem, ggamma, gbeta, gwq, gq, gwk, gwv, gbv, gwo, g
+
+    return _op(inputs, _project(ctx, wo.data, bo.data), grads)
 
 
 def laplace_nll(locations, scales, gt, weight):

@@ -125,83 +125,123 @@ def test_criterion_1_gradient_correctness():
                                  w24)),
           rng.uniform((2, 4), 0.5, 1.5))
     check("layer_norm.x_no_affine", lambda t: T.sum_(T.mul(T.layer_norm(t, eps=1e-5), w4)), x)
-    check("gelu", lambda t: T.sum_(T.mul(T.gelu(t), w4)), x)
-    # attention: 2 heads, a mask, dropout multipliers, and [1, S, D] keys and
-    # values broadcast over the queries' leading axis
-    q, kv = rng.uniform((2, 3, 4), -1, 1), rng.uniform((1, 5, 4), -1, 1)
-    mask = rng.uniform((2, 3, 5)) < 0.6
+    # the sublayer ops: every input, with the weights plain and stacked
+    # ([S, 1, D, D] matrices, [S, 1, 1, D] vectors) and the dropout multipliers
+    # lined up with either
+    def weights(**shapes):
+        plain = {n: rng.uniform(shape, -1, 1) for n, shape in shapes.items()}
+        stacked = {n: rng.uniform((2, 1) + (1,) * (len(shape) == 1) + shape, -1, 1)
+                   for n, shape in shapes.items()}
+        return plain, stacked
+
+    def sublayer_checks(op_name, loss, plain, stacked, variants, inputs):
+        """Check every input of an op, plain and stacked, under each (label, mask,
+        plain keep, stacked keep) variant; inputs are the activations, checked plain."""
+        for label, mk, kp, skp in variants:
+            for arg, x0 in (*inputs.items(), *plain.items()):
+                check(f"{op_name}.{arg}{label}",
+                      lambda t, arg=arg, mk=mk, kp=kp: loss(plain, mk, kp, **{arg: t}), x0)
+            for arg, x0 in stacked.items():
+                check(f"{op_name}.{arg}_stacked{label}",
+                      lambda t, arg=arg, mk=mk, kp=skp: loss(stacked, mk, kp, **{arg: t}), x0)
+
+    # feed-forward: hidden width 6, with and without dropout multipliers
+    ff_plain, ff_stacked = weights(w1=(4, 6), b1=(6,), w2=(6, 4), b2=(4,))
+
+    def feedforward_loss(ws, mk, kp, **probe):
+        a = {"x": x, **ws, **probe}
+        out = T.feedforward(a["x"], a["w1"], a["b1"], a["w2"], a["b2"], kp)
+        return T.sum_(T.mul(out, w4 if ws is ff_plain else w24))
+
+    sublayer_checks("feedforward", feedforward_loss, ff_plain, ff_stacked,
+                    (("", None, None, None),
+                     ("_keep", None, (rng.uniform((2, 3, 6)) >= 0.2) / 0.8,
+                      (rng.uniform((2, 2, 3, 6)) >= 0.2) / 0.8)),
+                    {"x": x})
+    # attention: 2 heads over 3 positions, a mask, dropout multipliers
+    attention_w = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    at_plain, at_stacked = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,),
+                                   wo=(4, 4), bo=(4,))
+    mask = rng.uniform((2, 3, 3)) < 0.6
     mask[..., 0] = True
-    keep = (rng.uniform((2, 2, 3, 5)) >= 0.2) / 0.8
+    keep = (rng.uniform((2, 2, 3, 3)) >= 0.2) / 0.8
+    skeep = (rng.uniform((2, 2, 2, 3, 3)) >= 0.2) / 0.8
+    attention_variants = (("", None, None, None), ("_mask", mask, None, None),
+                          ("_mask_keep", mask, keep, skeep))
 
-    def attention_loss(mk, kp, **probe):
-        qkv = {"q": q, "k": kv, "v": kv, **probe}
-        return T.sum_(T.mul(T.attention(qkv["q"], qkv["k"], qkv["v"], 2, mk, kp), w4))
+    def attention_loss(ws, mk, kp, **probe):
+        a = {"x": x, **ws, **probe}
+        out = T.attention(a["x"], *(a[n] for n in attention_w), 2, mk, kp)
+        return T.sum_(T.mul(out, w24 if out.ndim == 4 else w4))
 
-    for label, mk, kp in (("", None, None), ("_mask", mask, None), ("_mask_keep", mask, keep)):
-        for arg, x0 in (("q", q), ("k", kv), ("v", kv)):
-            check(f"attention.{arg}{label}",
-                  lambda t, arg=arg, mk=mk, kp=kp: attention_loss(mk, kp, **{arg: t}), x0)
-    # query row (0, 0) sits above the softmax's exp ceiling, so it is shifted by
-    # its max, and row (1, 2) far below range, so it is recomputed that way: the
-    # keys' channels 0 and 2 (one per head) are 1, so q's entries there move a
-    # whole row of logits
-    sq, skv = q.copy(), kv.copy()
-    skv[..., [0, 2]] = 1.0
-    sq[0, 0, [0, 2]], sq[1, 2, [0, 2]] = 900.0, -900.0
-    logits = np.stack([sq[..., c:c + 2] @ np.swapaxes(skv[..., c:c + 2], -1, -2)
-                       for c in (0, 2)]) / math.sqrt(2.0)
-    assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
-    shifted = {"q": sq, "k": skv, "v": skv}
-    for arg in shifted:
-        check(f"attention.{arg}_shifted_rows",
-              lambda t, arg=arg: attention_loss(mask, keep, **{**shifted, arg: t}), shifted[arg])
+    sublayer_checks("attention", attention_loss, at_plain, at_stacked, attention_variants,
+                    {"x": x})
+    # every query row of batch 0 sits above the softmax's exp ceiling, so it is
+    # shifted by its max, and every row of batch 1 far below range, so it is
+    # recomputed that way: x's channel 3 is 30 in batch 0 and -30 in batch 1
+    # and reaches only the keys' channels 0 and 2 (one per head), and the
+    # queries' channels 0 and 2 are bq's 35, so the logits sit near +-740. No
+    # one input then moves a row's logits apart by more than about 130 h
+    sx = x.copy()
+    sx[0, :, 3], sx[1, :, 3] = 30.0, -30.0
+    for label, ws in (("", at_plain), ("_stacked", at_stacked)):
+        sw = {n: a.copy() for n, a in ws.items()}
+        sw["wq"][..., [0, 2]], sw["wk"][..., [0, 2]] = 0.0, 0.0
+        for name in ("wq", "wk", "wv"):
+            sw[name][..., 3, :] = 0.0
+        sw["bq"][..., [0, 2]], sw["wk"][..., 3, [0, 2]] = 35.0, 1.0
+        q, k = sx @ sw["wq"] + sw["bq"], sx @ sw["wk"]
+        logits = np.stack([q[..., c:c + 2] @ np.swapaxes(k[..., c:c + 2], -1, -2)
+                           for c in (0, 2)]) / math.sqrt(2.0)
+        assert logits[..., 0, :, :].min() > 600.0 and logits[..., 1, :, :].max() < -600.0
+        args = {"x": sx, **sw} if ws is at_plain else sw
+        for arg, x0 in args.items():
+            check(f"attention.{arg}{label}_shifted_rows",
+                  lambda t, arg=arg, sw=sw, kp=keep if ws is at_plain else skeep:
+                  attention_loss(sw, mask, kp, **{"x": sx, arg: t}), x0)
     # memory attention: one query per position reads a [.., 5, 4] memory through
-    # a norm's affine, with the affine and the key and value projections plain
-    # and stacked as make_ensemble lines them up
+    # a norm's affine
+    memory_w = ("gamma", "beta", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
     mq, memory = rng.uniform((2, 3, 1, 4), -1, 1), rng.uniform((2, 3, 5, 4), -1, 1)
     mmask = rng.uniform((3, 1, 5)) < 0.6
     mmask[..., 0] = True
     mkeep = (rng.uniform((2, 3, 2, 1, 5)) >= 0.2) / 0.8
     wm = rng.uniform((2, 3, 1, 4), -1, 1)
-    plain_w = {"gamma": rng.uniform((4,), 0.5, 1.5), "beta": rng.uniform((4,), -1, 1),
-               "wk": rng.uniform((4, 4), -1, 1), "wv": rng.uniform((4, 4), -1, 1),
-               "bv": rng.uniform((4,), -1, 1)}
-    stacked_w = {"gamma": rng.uniform((2, 1, 1, 4), 0.5, 1.5),
-                 "beta": rng.uniform((2, 1, 1, 4), -1, 1),
-                 "wk": rng.uniform((2, 1, 4, 4), -1, 1), "wv": rng.uniform((2, 1, 4, 4), -1, 1),
-                 "bv": rng.uniform((2, 1, 1, 4), -1, 1)}
+    plain_w, stacked_w = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,),
+                                 wo=(4, 4), bo=(4,))
+    plain_w.update(gamma=rng.uniform((4,), 0.5, 1.5), beta=rng.uniform((4,), -1, 1))
+    stacked_w.update(gamma=rng.uniform((2, 1, 1, 4), 0.5, 1.5),
+                     beta=rng.uniform((2, 1, 1, 4), -1, 1))
 
-    def memory_loss(mk, kp, weights, **probe):
-        a = {"q": mq, "memory": memory, **weights, **probe}
-        return T.sum_(T.mul(T.memory_attention(a["q"], a["memory"], a["gamma"], a["beta"],
-                                               a["wk"], a["wv"], a["bv"], 2, mk, kp), wm))
+    def memory_loss(ws, mk, kp, **probe):
+        a = {"x": mq, "memory": memory, **ws, **probe}
+        return T.sum_(T.mul(T.memory_attention(a["x"], a["memory"], *(a[n] for n in memory_w),
+                                               2, mk, kp), wm))
 
-    for label, mk, kp in (("", None, None), ("_mask", mmask, None),
-                          ("_mask_keep", mmask, mkeep)):
-        for arg, x0 in (("q", mq), ("memory", memory), *plain_w.items()):
-            check(f"memory_attention.{arg}{label}",
-                  lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, plain_w, **{arg: t}), x0)
-        for arg, x0 in stacked_w.items():
-            check(f"memory_attention.{arg}_stacked{label}",
-                  lambda t, arg=arg, mk=mk, kp=kp: memory_loss(mk, kp, stacked_w, **{arg: t}), x0)
-    # the same two rows for memory attention: memory channel 0 is 450 and the
-    # row 0 of gamma * wk is 1, so q's entry sum per head moves a whole row of
-    # the op's logits (beta @ wk, a constant per row, never enters them)
+    sublayer_checks("memory_attention", memory_loss, plain_w, stacked_w,
+                    (("", None, None, None), ("_mask", mmask, None, None),
+                     ("_mask_keep", mmask, mkeep, mkeep)),
+                    {"x": mq, "memory": memory})
+    # the same two rows for memory attention: wq is the identity, memory channel
+    # 0 is 450 and the row 0 of gamma * wk is 1, so x's entry sum per head moves
+    # a whole row of the op's logits (beta @ wk, a constant per row, never enters them)
     smem, smq = memory.copy(), mq.copy()
     smem[..., 0] = 450.0
     smq[0, 0], smq[1, 2] = 1.0, -1.0
-    for label, weights in (("", plain_w), ("_stacked", stacked_w)):
-        sw = {**weights, "gamma": weights["gamma"].copy(), "wk": weights["wk"].copy()}
+    for label, ws in (("", plain_w), ("_stacked", stacked_w)):
+        sw = {**ws, "gamma": ws["gamma"].copy(), "wk": ws["wk"].copy(),
+              "wq": np.broadcast_to(np.eye(4), ws["wq"].shape).copy(),
+              "bq": np.zeros(ws["bq"].shape)}
         sw["gamma"][..., 0], sw["wk"][..., 0, :] = 1.0, 1.0
         wkf = np.swapaxes(np.atleast_2d(sw["gamma"]), -1, -2) * sw["wk"]
         logits = np.stack([(smq[..., c:c + 2] @ np.swapaxes(wkf[..., c:c + 2], -1, -2))
                            @ np.swapaxes(smem, -1, -2) for c in (0, 2)]) / math.sqrt(2.0)
         assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
-        args = {"q": smq, "memory": smem, **sw} if weights is plain_w else sw
+        args = {"x": smq, "memory": smem, **sw} if ws is plain_w else sw
         for arg, x0 in args.items():
             check(f"memory_attention.{arg}{label}_shifted_rows",
                   lambda t, arg=arg, sw=sw: memory_loss(
-                      mmask, mkeep, sw, **{"q": smq, "memory": smem, arg: t}), x0)
+                      sw, mmask, mkeep, **{"x": smq, "memory": smem, arg: t}), x0)
     mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
     gt = rng.uniform((2, 1, 4, 2), -2, 2)
     weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)

@@ -92,9 +92,9 @@ def test_domain_errors():
         log(Tensor([1.0, 0.0]))
     with pytest.raises(T.NumericalError):
         softmax(Tensor([np.nan, 0.0]), axis=0)
-    x = np.ones((1, 2, 2))
-    with pytest.raises(T.NumericalError):
-        T.attention(np.full((1, 2, 2), np.inf), x, x, 1)
+    x, eye, zero = np.ones((1, 2, 2)), np.eye(2), np.zeros(2)
+    with pytest.raises(T.NumericalError):  # every query is inf
+        T.attention(x, np.full((2, 2), np.inf), zero, eye, eye, zero, eye, zero, 1)
     with pytest.raises(T.NumericalError):
         T.laplace_nll(np.zeros((1, 2, 2)), np.array([[[1.0, 0.0]] * 2]), 0.0, 1.0)
 
@@ -250,6 +250,10 @@ def gelu_np(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
 
+def feedforward_np(x, w1, b1, w2, b2, keep):
+    return (gelu_np(x @ w1 + b1) * keep) @ w2 + b2
+
+
 def layer_norm_np(x, g, b):
     centered = x - x.mean(axis=-1, keepdims=True)
     return centered / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * g + b
@@ -303,9 +307,32 @@ def test_norm_ops_without_affine_equal_the_identity_affine(name):
         assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
 
 
-def test_gelu_matches_numpy_oracle():
-    x = Rng(17).uniform((4, 6), -4.0, 4.0)
-    assert_rel(T.gelu(Tensor(x)).data, gelu_np(x))
+def lined_up(a, snapshots, rank):
+    """[S, *shape] snapshot parameters lined up as make_ensemble does: unit axes
+    after S up to rank, the rank of the activation they meet."""
+    return a.reshape((snapshots,) + (1,) * (rank - a.ndim + 1) + a.shape[1:])
+
+
+@pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
+def test_feedforward_matches_numpy_oracle(snapshots):
+    rng = Rng(17)
+    d, hidden = 5, 8
+    x = rng.uniform((2, 3, d), -2.0, 2.0)
+    s = max(snapshots, 1)
+    params = [rng.normal((s, d, hidden)), rng.normal((s, hidden)),
+              rng.normal((s, hidden, d)), rng.normal((s, d))]
+    op_params = ([lined_up(p, s, x.ndim) for p in params] if snapshots
+                 else [p[0] for p in params])
+    lead = (snapshots,) * bool(snapshots) + (2,)
+    keep = (rng.uniform(lead + (3, hidden)) >= 0.3) / 0.7
+    for kp in (keep, None):
+        out = T.feedforward(Tensor(x), *map(Tensor, op_params), kp).data
+        assert out.shape == lead + (3, d)
+        out = out.reshape((s, 2, 3, d))
+        for j in range(s):
+            want = feedforward_np(x, *(p[j] for p in params),
+                                  1.0 if kp is None else kp.reshape((s, 2, 3, hidden))[j])
+            assert_rel(out[j], want)
 
 
 def attention_np(q, k, v, heads, mask, keep):
@@ -320,30 +347,47 @@ def attention_np(q, k, v, heads, mask, keep):
     return out
 
 
-@pytest.mark.parametrize("q_lead,kv_lead,mask_lead",
-                         [((2,), (2,), (2,)), ((3, 2), (1, 2), (2,)), ((2,), (2,), (3, 2))],
+def attention_sublayer_np(x, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
+    """Project x into queries, keys and values, attend, then project the context."""
+    return attention_np(x @ wq + bq, x @ wk, x @ wv + bv, heads, mask, keep) @ wo + bo
+
+
+def attention_weights(rng, snapshots, d):
+    """wq, bq, wk, wv, bv, wo, bo of `snapshots` members (one when 0), and as the op
+    takes them: one member's, or all lined up as make_ensemble does."""
+    s = max(snapshots, 1)
+    w = [rng.normal((s,) + shape, std=0.5)
+         for shape in [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]]
+    return w, ([lined_up(a, s, 3) for a in w] if snapshots else [a[0] for a in w])
+
+
+@pytest.mark.parametrize("x_lead,snapshots,mask_lead",
+                         [((2,), 0, (2,)), ((2,), 3, (2,)), ((2,), 0, (3, 2))],
                          ids=["plain", "stacked", "mask-adds-axes"])
-def test_attention_matches_numpy_oracle(q_lead, kv_lead, mask_lead):
+def test_attention_matches_numpy_oracle(x_lead, snapshots, mask_lead):
     rng = Rng(19)
-    heads, tq, tk, d = 2, 3, 4, 6
-    q = rng.normal(q_lead + (tq, d))
-    k, v = rng.normal(kv_lead + (tk, d)), rng.normal(kv_lead + (tk, d))
-    mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
+    heads, t, d = 2, 4, 6
+    x = rng.normal(x_lead + (t, d))
+    w, op_w = attention_weights(rng, snapshots, d)
+    mask = rng.uniform(mask_lead + (t, t)) < 0.6
     mask[..., 0] = True
-    lead = np.broadcast_shapes(q_lead, kv_lead, mask_lead)
-    keep = (rng.uniform(lead + (heads, tq, tk)) >= 0.3) / 0.7
-    out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, keep).data
-    assert out.shape == lead + (tq, d)
-    bq, bk, bv = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (q, k, v))
+    out_lead = (snapshots,) * bool(snapshots) + x_lead
+    lead = np.broadcast_shapes(out_lead, mask_lead)
+    keep = (rng.uniform(lead + (heads, t, t)) >= 0.3) / 0.7
+    bx = np.broadcast_to(x, lead + x.shape[-2:])
     bm = np.broadcast_to(mask, lead + mask.shape[-2:])
-    for i in np.ndindex(lead):
-        assert_rel(out[i], attention_np(bq[i], bk[i], bv[i], heads, bm[i], keep[i]))
-    # no mask and no dropout is plain softmax attention
-    full = T.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
-    full = np.broadcast_to(full, lead + full.shape[-2:])
-    ones = np.ones((heads, tq, tk))
-    for i in np.ndindex(lead):
-        assert_rel(full[i], attention_np(bq[i], bk[i], bv[i], heads, True, ones))
+    ones = np.ones((heads, t, t))
+    # with a mask and dropout, then plain softmax attention
+    for mk, kp in ((mask, keep), (None, None)):
+        out = T.attention(Tensor(x), *map(Tensor, op_w), heads, mk, kp).data
+        assert out.shape == np.broadcast_shapes(out_lead, np.shape(mk)[:-2]) + (t, d)
+        out = np.broadcast_to(out, lead + (t, d))
+        for i in np.ndindex(lead):
+            j = i[0] if snapshots else 0
+            want = attention_sublayer_np(bx[i], *(a[j] for a in w), heads,
+                                         True if mk is None else bm[i],
+                                         ones if kp is None else keep[i])
+            assert_rel(out[i], want)
 
 
 def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
@@ -364,7 +408,7 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     k[0, 1] = [3.0 - 720.0 * math.sqrt(2.0), 0.0, 3.0 - 720.0 * math.sqrt(2.0), 0.0]
     keep = (rng.uniform((2, heads, tq, tk)) >= 0.1) / 0.9
     assert 0.8 <= 1.0 - mask.mean() <= 0.9
-    out = T.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, keep).data
+    out, _ = T._attend(q, k, v, heads, mask, keep)
     for i in range(2):
         assert_rel(out[i], attention_np(q[i], k[i], v[i], heads, mask[i], keep[i]))
 
@@ -372,22 +416,21 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     k2, v2 = k.copy(), v.copy()
     k2[:, 8:] = rng.normal((2, tk - 8, d), std=1e3)
     v2[:, 8:] = rng.normal((2, tk - 8, d), std=1e3)
-    again = T.attention(Tensor(q), Tensor(k2), Tensor(v2), heads, mask, keep).data
+    again, _ = T._attend(q, k2, v2, heads, mask, keep)
     assert again.tobytes() == out.tobytes()
 
     # and get a gradient of exactly zero
-    kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
-    with Tape() as tape:
-        loss = sum_(mul(T.attention(Tensor(q), kt, vt, heads, mask, keep), rng.normal((2, tq, d))))
-    backward(loss, tape)
-    assert not np.any(vt.grad[:, 8:]) and not np.any(kt.grad[:, 8:])
-    assert np.all(np.abs(vt.grad[:, 0]).sum(-1) > 0)
+    _, grads = T._attend(q, k, v, heads, mask, keep)
+    _, gk, gv = grads(rng.normal((2, tq, d)), (True, True, True))
+    assert not np.any(gv[:, 8:]) and not np.any(gk[:, 8:])
+    assert np.all(np.abs(gv[:, 0]).sum(-1) > 0)
 
 
-def memory_attention_np(q, memory, gamma, beta, wk, wv, bv, heads, mask, keep):
-    """Apply the affine to the memory, project it into keys and values, then attend."""
+def memory_attention_np(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
+    """Project x into queries, apply the affine to the memory, project it into keys
+    and values, attend, then project the context."""
     m = gamma * memory + beta
-    return attention_np(q, m @ wk, m @ wv + bv, heads, mask, keep)
+    return attention_np(x @ wq + bq, m @ wk, m @ wv + bv, heads, mask, keep) @ wo + bo
 
 
 @pytest.mark.parametrize("q_lead,mem_lead,snapshots,mask_lead",
@@ -397,31 +440,28 @@ def memory_attention_np(q, memory, gamma, beta, wk, wv, bv, heads, mask, keep):
 def test_memory_attention_matches_numpy_oracle(q_lead, mem_lead, snapshots, mask_lead, tq):
     rng = Rng(29)
     heads, tk, d = 2, 4, 6
-    q, memory = rng.normal(q_lead + (tq, d)), rng.normal(mem_lead + (tk, d))
+    x, memory = rng.normal(q_lead + (tq, d)), rng.normal(mem_lead + (tk, d))
     s = max(snapshots, 1)
-    wk, wv, bv = rng.normal((s, d, d)), rng.normal((s, d, d)), rng.normal((s, d))
-    gamma, beta = rng.uniform((s, d), 0.5, 1.5), rng.normal((s, d))
-    if snapshots:  # lined up as make_ensemble does: [S, 1, 1, D] and [S, 1, D, D]
-        op_w = (gamma.reshape(s, 1, 1, d), beta.reshape(s, 1, 1, d), wk.reshape(s, 1, d, d),
-                wv.reshape(s, 1, d, d), bv.reshape(s, 1, 1, d))
-    else:
-        op_w = (gamma[0], beta[0], wk[0], wv[0], bv[0])
+    w, op_w = attention_weights(rng, snapshots, d)
+    affine = [rng.uniform((s, d), 0.5, 1.5), rng.normal((s, d))]
+    w = affine + w
+    op_w = [lined_up(a, s, 3) if snapshots else a[0] for a in affine] + op_w
     mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
     mask[..., 0] = True
     lead = np.broadcast_shapes(q_lead, mem_lead, mask_lead)
     keep = (rng.uniform(lead + (heads, tq, tk)) >= 0.3) / 0.7
-    bq, bm = np.broadcast_to(q, lead + q.shape[-2:]), np.broadcast_to(memory, lead + memory.shape[-2:])
+    bx, bm = np.broadcast_to(x, lead + x.shape[-2:]), np.broadcast_to(memory, lead + memory.shape[-2:])
     bmask = np.broadcast_to(mask, lead + mask.shape[-2:])
     ones = np.ones((heads, tq, tk))
     # with a mask and dropout, then plain softmax attention
     for mk, kp in ((mask, keep), (None, None)):
-        out = T.memory_attention(Tensor(q), Tensor(memory), *map(Tensor, op_w), heads, mk, kp).data
+        out = T.memory_attention(Tensor(x), Tensor(memory), *map(Tensor, op_w), heads, mk, kp).data
         assert out.shape == np.broadcast_shapes(q_lead, mem_lead, np.shape(mk)[:-2]) + (tq, d)
         out = np.broadcast_to(out, lead + (tq, d))
         for i in np.ndindex(lead):
             j = i[0] if snapshots else 0
-            want = memory_attention_np(bq[i], bm[i], gamma[j], beta[j], wk[j], wv[j], bv[j],
-                                       heads, True if mk is None else bmask[i],
+            want = memory_attention_np(bx[i], bm[i], *(a[j] for a in w), heads,
+                                       True if mk is None else bmask[i],
                                        ones if kp is None else keep[i])
             assert_rel(out[i], want)
 
@@ -433,7 +473,9 @@ def test_memory_attention_ignores_blocked_memory_rows():
     heads, tk, d = 2, 12, 4
     q, memory = rng.normal((3, 1, d)), rng.normal((3, tk, d))
     w = (rng.uniform((d,), 0.5, 1.5), rng.normal((d,)),                 # gamma, beta
-         rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,)))      # wk, wv, bv
+         rng.normal((d, d)), rng.normal((d,)),                          # wq, bq
+         rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,)),      # wk, wv, bv
+         rng.normal((d, d)), rng.normal((d,)))                          # wo, bo
     mask = np.zeros((3, 1, tk), dtype=bool)
     mask[..., :5] = rng.uniform((3, 1, 5)) < 0.6
     mask[..., 0] = True
@@ -454,9 +496,100 @@ def test_memory_attention_ignores_blocked_memory_rows():
 
 
 def test_attention_rejects_a_query_with_no_keys():
-    x = np.ones((1, 2, 2))
+    x, eye, zero = np.ones((1, 2, 2)), np.eye(2), np.zeros(2)
     with pytest.raises(ValueError, match="no keys"):
-        T.attention(x, x, x, 1, np.array([[[True, False], [False, False]]]))
+        T.attention(x, eye, zero, eye, eye, zero, eye, zero, 1,
+                    np.array([[[True, False], [False, False]]]))
+
+
+# the tape composites the sublayer ops replaced: linear projections around one
+# record of the attention kernel, or linear, gelu, the dropout mul and linear
+
+def attention_composite(x, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
+    q, k, v = T.linear(x, wq, bq), T.linear(x, wk), T.linear(x, wv, bv)
+    ctx = T._op((q, k, v), *T._attend(q.data, k.data, v.data, heads, mask, keep))
+    return T.linear(ctx, wo, bo)
+
+
+def memory_attention_composite(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads,
+                               mask, keep):
+    args = (T.linear(x, wq, bq), memory, gamma, beta, wk, wv, bv)
+    ctx = T._op(args, *T._memory_read(*(a.data for a in args), heads, mask, keep))
+    return T.linear(ctx, wo, bo)
+
+
+def feedforward_composite(x, w1, b1, w2, b2, keep):
+    hidden = T.linear(x, w1, b1)
+    out, grad = T._gelu(hidden.data)
+    act = T._op((hidden,), out, lambda g, needs: (grad(g),))
+    return T.linear(act if keep is None else mul(act, keep), w2, b2)
+
+
+def sublayer_case(name, snapshots):
+    """The op, its composite, its input arrays and a call (op, inputs) -> output
+    for one sublayer op: width 4, 2 heads, a mask and dropout multipliers."""
+    rng = Rng(47)
+    d, heads, t, tk = 4, 2, 3, 5
+    s = max(snapshots, 1)
+    lead = (snapshots,) * bool(snapshots) + (2,)
+
+    def params(*shapes):
+        ps = [rng.uniform((s,) + shape, -1, 1) for shape in shapes]
+        return [lined_up(p, s, 3) if snapshots else p[0] for p in ps]
+
+    def keep(shape):
+        return (rng.uniform(lead + shape) >= 0.2) / 0.8
+
+    x = rng.uniform((2, t, d), -1, 1)
+    mask = rng.uniform((2, t, t)) < 0.6
+    mask[..., 0] = True
+    if name == "feedforward":
+        kp = keep((t, 2 * d))
+        return (T.feedforward, feedforward_composite,
+                [x] + params((d, 2 * d), (2 * d,), (2 * d, d), (d,)),
+                lambda op, a: op(*a, kp))
+    if name == "attention":
+        kp = keep((heads, t, t))
+        return (T.attention, attention_composite,
+                [x] + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
+                lambda op, a: op(*a, heads, mask, kp))
+    memory = rng.uniform((2, tk, d), -1, 1)
+    mmask = rng.uniform((2, t, tk)) < 0.6
+    mmask[..., 0] = True
+    kp = keep((heads, t, tk))
+    affine = [rng.uniform((s, d), 0.5, 1.5), rng.uniform((s, d), -1, 1)]
+    affine = [lined_up(a, s, 3) if snapshots else a[0] for a in affine]
+    return (T.memory_attention, memory_attention_composite,
+            [x, memory] + affine + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
+            lambda op, a: op(*a, heads, mmask, kp))
+
+
+@pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
+@pytest.mark.parametrize("name", ["attention", "memory_attention", "feedforward"])
+def test_sublayer_ops_equal_their_tape_composites(name, snapshots):
+    # one record in place of several, the same output bits, the same gradients
+    op, composite, arrays, call = sublayer_case(name, snapshots)
+    weight = None
+
+    def run(fn):
+        nonlocal weight
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = call(fn, inputs)
+            records = len(tape)
+            if weight is None:
+                weight = Rng(53).normal(out.shape)
+            loss = sum_(mul(out, weight))
+        backward(loss, tape)
+        return out.data, [t.grad for t in inputs], records
+
+    got, got_grads, got_records = run(op)
+    want, want_grads, want_records = run(composite)
+    assert got_records == 1 and want_records > 1
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert g.shape == w.shape, i
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), i
 
 
 def softmax_np(scores, mask):
