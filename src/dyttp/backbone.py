@@ -111,11 +111,8 @@ def frame_origins(scenario) -> np.ndarray:
     """Last valid observed position per agent of a Scenario or SceneBatch; zeros if never observed."""
     hist, valid = scenario.agent_histories, scenario.agent_valid
     n, t = valid.shape
-    origins = np.zeros((n, 2))
-    has = valid.any(axis=1)
     last = t - 1 - np.argmax(valid[:, ::-1], axis=1)
-    origins[has] = hist[np.arange(n)[has], last[has]]
-    return origins
+    return np.where(valid.any(axis=1)[:, None], hist[np.arange(n), last], 0.0)
 
 
 def agent_step_features(scenario) -> np.ndarray:
@@ -134,7 +131,7 @@ def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero steps within each polyline: ([S, 3] unit direction + length, [S, 2] midpoints)."""
     points = np.concatenate([np.zeros((0, 2)), *lanes])                     # [P, 2]
     lane_of = np.repeat(np.arange(len(lanes)), [len(poly) for poly in lanes])
-    d = np.diff(points, axis=0)
+    d = points[1:] - points[:-1]
     length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     keep = (lane_of[1:] == lane_of[:-1]) & (length > 0)
     feats = np.concatenate([d[keep] / length[keep, None], length[keep, None]], axis=1)
@@ -244,13 +241,14 @@ class TrajectoryPredictor(Module):
         if not has_key.any():
             return summary
         mask = near[:, None, :].copy()
-        mask[~has_key, 0, 0] = True  # placeholder key; its update is discarded below
+        mask[~has_key, 0, 0] = True  # placeholder key; the gate discards its update
+        # an agent with no lane key leaves each block as it came in, bit for bit
+        gate = None if has_key.all() else has_key.astype(np.float64)[:, None, None]
         keys = self.lane_proj(Tensor(batch.lane_feats))                      # [..., A, S_max, D]
         x = summary
         for block in self.lane_blocks:
-            x = block(x, kv=keys, mask=mask, rng=rng)
-        ind = has_key.astype(np.float64)[:, None, None]
-        return T.add(T.mul(x, ind), T.mul(summary, 1.0 - ind))
+            x = block(x, kv=keys, mask=mask, rng=rng, gate=gate)
+        return x
 
     def stage_global(self, summary: Tensor, batch: SceneBatch, rng=None) -> Tensor:
         """Summary [..., A, 1, D] in, [..., 1, A, D] out: every agent attends to its scene."""
@@ -275,13 +273,9 @@ class TrajectoryPredictor(Module):
         emb = enc.embeddings
         lead = emb.shape[:-3] + emb.shape[-2:-1]    # [..., A]
         hidden, out = self.head_hidden, self.head_out
-        raw = T.reshape(T.feedforward(emb, hidden.weight, hidden.bias, out.weight, out.bias),
-                        lead + (k, 4 * f + 1))
-        offsets = T.reshape(T.getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
-        locations = T.add(offsets, enc.origins[:, None, None, :])
-        scale_raw = T.reshape(T.getitem(raw, (Ellipsis, slice(2 * f, 4 * f))), lead + (k, f, 2))
-        scales = T.add(T.softplus(scale_raw), SCALE_FLOOR)
-        probs = T.softmax(T.getitem(raw, (Ellipsis, 4 * f)), axis=-1)
+        locations, scales, probs = T.decoder_head(emb, hidden.weight, hidden.bias, out.weight,
+                                                  out.bias, enc.origins, lead + (k, f),
+                                                  SCALE_FLOOR)
         return BatchPrediction(locations=locations, scales=scales, mode_probs=probs)
 
     def forward(self, scenes, rng=None) -> BatchPrediction:

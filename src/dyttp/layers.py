@@ -80,6 +80,9 @@ class Linear(Module):
 class _Norm(Module):
     """A per-channel affine gamma * . + beta after a parameter-free map of each position."""
 
+    alpha = None  # DynamicTanh's learnable scale
+    eps = None    # LayerNorm's epsilon
+
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
@@ -88,17 +91,15 @@ class _Norm(Module):
     def channels(self) -> int:
         return self.gamma.data.shape[-1]
 
+    @property
+    def parts(self) -> tuple:
+        """(alpha, gamma, beta, eps), the norm as the sublayer ops in `tensor` take it."""
+        return self.alpha, self.gamma, self.beta, self.eps
+
     def __call__(self, x: Tensor) -> Tensor:
-        return self._apply(x, self.gamma, self.beta)
-
-    def normalize(self, x: Tensor) -> Tensor:
-        """The output before the affine, for a reader that folds gamma and beta into its weights."""
-        return self._apply(x, None, None)
-
-    def _apply(self, x: Tensor, gamma, beta) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        return self._map(x, gamma, beta)
+        return self._map(x)
 
 
 class DynamicTanh(_Norm):
@@ -113,8 +114,8 @@ class DynamicTanh(_Norm):
         self.alpha = Tensor(np.array(alpha_init), requires_grad=True)
         super().__init__(channels)
 
-    def _map(self, x, gamma, beta):
-        return T.dyt(x, self.alpha, gamma, beta)
+    def _map(self, x):
+        return T.dyt(x, self.alpha, self.gamma, self.beta)
 
 
 class LayerNorm(_Norm):
@@ -124,8 +125,8 @@ class LayerNorm(_Norm):
         super().__init__(channels)
         self.eps = eps
 
-    def _map(self, x, gamma, beta):
-        return T.layer_norm(x, gamma, beta, eps=self.eps)
+    def _map(self, x):
+        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
 
 def make_norm(kind: str, channels: int):
@@ -155,34 +156,36 @@ class Dropout:
             return None
         n = math.prod(shape)
         fields = rng.u64(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n]
-        keep = (fields >= self._drop_below).reshape(shape).astype(np.float64)
-        keep *= self._scale
-        return keep
+        # one pass: the kept test, cast to float64 inside the multiply
+        return np.multiply(fields >= self._drop_below, self._scale).reshape(shape)
 
-    def __call__(self, x: Tensor, rng: Rng | None) -> Tensor:
-        """x with inverted dropout applied, drawn from rng; x itself when rng is None."""
-        keep = self.keep(x.shape, rng)
-        return x if keep is None else T.mul(x, keep)
+
+def _gated(keep, gate):
+    """keep times gate, either of which may be None (no multiplier)."""
+    if gate is None:
+        return keep
+    return gate if keep is None else keep * gate
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product attention with optional boolean mask (true = attend).
+    """The pre-norm attention sublayer x + attend(norm(x)) with an optional
+    boolean mask (true = attend), run as one fused op, norm included.
 
-    Queries [..., Tq, D] read keys and values [..., Tk, D]: their own
-    positions, or a separate memory when kv_in is given. The mask is
-    [B, Tq, Tk] and broadcasts over any axes in front of B. The query, value
-    and output projections are Linear layers, held for their parameters: the
-    whole sublayer, projections included, is one fused op. The key projection
-    is a bare [D, D] weight: a key bias b adds q . b to every logit of a
-    query's row, which softmax removes, so it could never learn.
-    Self-attention runs `tensor.attention`. A memory comes with kv_gamma and
-    kv_beta, the affine of the norm that made it, not yet applied: the keys
-    and values are read from kv_gamma * kv_in + kv_beta. It is read with
-    `tensor.memory_attention`, which folds that affine into the key and value
-    projections and moves them onto the queries and the context: the memory
-    blocks have one query per agent, so applying the affine or projecting
-    every memory row would cost more. The dropout multipliers are drawn here,
-    only when an rng is passed.
+    Queries come from x [..., Tq, D]; keys and values come from the same
+    positions, or from a separate memory kv [..., Tk, D] normalized by kv_norm.
+    The mask is [B, Tq, Tk] and broadcasts over any axes in front of B. norm
+    and kv_norm are the block's norm layers, held by the block and passed in.
+    The query, value and output projections are Linear layers, held for their
+    parameters. The key projection is a bare [D, D] weight: a key bias b adds
+    q . b to every logit of a query's row, which softmax removes, so it could
+    never learn. Self-attention runs `tensor.attention`. A memory is read with
+    `tensor.memory_attention`, which runs the memory norm's map over kv and
+    folds its affine into the key and value projections, moved onto the
+    queries and the context: the memory blocks have one query per agent, so
+    applying the affine or projecting every memory row would cost more. The
+    dropout multipliers, of the softmax weights and then of the sublayer's
+    output, are drawn here, only when an rng is passed; gate, when given,
+    multiplies the output too (see TransformerBlock).
     """
 
     def __init__(self, width: int, heads: int, rng: Rng, dropout: float = 0.0):
@@ -195,27 +198,32 @@ class MultiHeadAttention(Module):
         self.wo = Linear(width, width, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, q_in: Tensor, kv_in: Tensor | None = None, mask=None,
-                 rng: Rng | None = None, kv_gamma=None, kv_beta=None) -> Tensor:
+    def __call__(self, x: Tensor, norm: _Norm, kv: Tensor | None = None,
+                 kv_norm: _Norm | None = None, mask=None, rng: Rng | None = None,
+                 gate=None) -> Tensor:
         wq, wv, wo = self.wq, self.wv, self.wo
-        keep = None
+        keep = out_keep = None
         if rng is not None:
-            kv = q_in if kv_in is None else kv_in
-            lead = np.broadcast_shapes(q_in.shape[:-2], wq.weight.shape[:-2], kv.shape[:-2],
+            mem = x if kv is None else kv
+            lead = np.broadcast_shapes(x.shape[:-2], wq.weight.shape[:-2], mem.shape[:-2],
                                        np.shape(mask)[:-2])
-            keep = self.drop.keep(lead + (self.heads, q_in.shape[-2], kv.shape[-2]), rng)
-        if kv_in is None:
-            return T.attention(q_in, wq.weight, wq.bias, self.wk, wv.weight, wv.bias,
-                               wo.weight, wo.bias, self.heads, mask, keep)
-        return T.memory_attention(q_in, kv_in, kv_gamma, kv_beta, wq.weight, wq.bias, self.wk,
-                                  wv.weight, wv.bias, wo.weight, wo.bias, self.heads, mask, keep)
+            keep = self.drop.keep(lead + (self.heads, x.shape[-2], mem.shape[-2]), rng)
+            out_keep = self.drop.keep(lead + x.shape[-2:], rng)
+        out_keep = _gated(out_keep, gate)
+        if kv is None:
+            return T.attention(x, norm.parts, wq.weight, wq.bias, self.wk, wv.weight, wv.bias,
+                               wo.weight, wo.bias, self.heads, mask, keep, out_keep)
+        return T.memory_attention(x, norm.parts, kv, kv_norm.parts, wq.weight, wq.bias, self.wk,
+                                  wv.weight, wv.bias, wo.weight, wo.bias, self.heads, mask, keep,
+                                  out_keep)
 
 
 class FeedForward(Module):
-    """Position-wise gelu(x @ w1 + b1) @ w2 + b2 with dropout on the hidden
-    activation, run as one `tensor.feedforward` op; lin1 and lin2 hold the
-    parameters. The dropout multipliers are drawn here, only when an rng is
-    passed."""
+    """The pre-norm feed-forward sublayer x + gelu(h @ w1 + b1) @ w2 + b2 for
+    h = norm(x), with dropout on the hidden activation and on the output, run
+    as one `tensor.feedforward` op; lin1 and lin2 hold the parameters, and norm
+    is the block's. The dropout multipliers are drawn here, only when an rng
+    is passed; gate, when given, multiplies the output too."""
 
     def __init__(self, width: int, ratio: int, rng: Rng, dropout: float = 0.0):
         hidden = width * ratio
@@ -223,27 +231,31 @@ class FeedForward(Module):
         self.lin2 = Linear(hidden, width, rng)
         self.drop = Dropout(dropout)
 
-    def __call__(self, x: Tensor, rng: Rng | None = None) -> Tensor:
+    def __call__(self, x: Tensor, norm: _Norm, rng: Rng | None = None, gate=None) -> Tensor:
         w1 = self.lin1.weight
-        keep = None
-        if rng is not None:  # the hidden activation's shape, that of x @ w1
+        keep = out_keep = None
+        if rng is not None:  # the hidden activation's shape, that of x @ w1, then the output's
             lead = np.broadcast_shapes(x.shape[:-2], w1.shape[:-2])
             keep = self.drop.keep(lead + x.shape[-2:-1] + w1.shape[-1:], rng)
-        return T.feedforward(x, w1, self.lin1.bias, self.lin2.weight, self.lin2.bias, keep)
+            out_keep = self.drop.keep(lead + x.shape[-2:], rng)
+        return T.feedforward(x, norm.parts, w1, self.lin1.bias, self.lin2.weight, self.lin2.bias,
+                             keep, _gated(out_keep, gate))
 
 
 class TransformerBlock(Module):
-    """Pre-norm residual block: x + MHA(norm(x)); then x + FFN(norm(x)).
+    """Pre-norm residual block: x + MHA(norm(x)); then x + FFN(norm(x)), two fused ops.
 
     Given kv, the attention reads keys/values from that memory tensor instead
     of from x. A cross=True block normalizes it with its own norm instance,
     `norm_kv`; any other block uses `norm_attn`, so a block whose queries are
     some positions of kv sees the keys it would see with every position
-    querying (both norms work per position). The memory norm runs without its
-    affine, and its gamma and beta go to the attention, which folds them into
-    its key and value projections; the query, self-attention and feed-forward
-    norms apply theirs. cfg is a backbone.ModelConfig; the block reads its
-    norm_kind, width, heads, ff_ratio and dropout.
+    querying (both norms work per position). Each sublayer op runs its norm
+    itself: the block passes norm_attn (and the memory norm) to the attention
+    and norm_ffn to the feed-forward. gate ([..., Tq, 1] 0/1, or any multiplier
+    that broadcasts against the output), when given, multiplies both
+    sublayers' outputs, so a row with gate 0 leaves the block as it came in,
+    bit for bit. cfg is a backbone.ModelConfig; the block reads its norm_kind,
+    width, heads, ff_ratio and dropout.
     """
 
     def __init__(self, cfg, rng: Rng, cross: bool = False):
@@ -252,16 +264,11 @@ class TransformerBlock(Module):
         self.attn = MultiHeadAttention(cfg.width, cfg.heads, rng, cfg.dropout)
         self.norm_ffn = make_norm(cfg.norm_kind, cfg.width)
         self.ffn = FeedForward(cfg.width, cfg.ff_ratio, rng, cfg.dropout)
-        self.drop = Dropout(cfg.dropout)
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, mask=None,
-                 rng: Rng | None = None) -> Tensor:
-        h = self.norm_attn(x)
-        if kv is None:
-            attended = self.attn(h, mask=mask, rng=rng)
-        else:
-            norm_kv = self.norm_attn if self.norm_kv is None else self.norm_kv
-            attended = self.attn(h, norm_kv.normalize(kv), mask, rng, norm_kv.gamma, norm_kv.beta)
-        x = T.add(x, self.drop(attended, rng))
-        x = T.add(x, self.drop(self.ffn(self.norm_ffn(x), rng), rng))
-        return x
+                 rng: Rng | None = None, gate=None) -> Tensor:
+        kv_norm = None
+        if kv is not None:
+            kv_norm = self.norm_attn if self.norm_kv is None else self.norm_kv
+        x = self.attn(x, self.norm_attn, kv, kv_norm, mask, rng, gate)
+        return self.ffn(x, self.norm_ffn, rng, gate)

@@ -8,10 +8,14 @@ Conventions:
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
 - Each model layer is one fused op with a hand-written backward pass, so it
-  adds one tape record: linear, the norms dyt and layer_norm, the attention
-  sublayers attention and memory_attention (input projections through output
-  projection), the feed-forward sublayer feedforward (both projections, GELU
-  and dropout) and laplace_nll.
+  adds one tape record: linear, the norms dyt and layer_norm, the residual
+  sublayers attention, memory_attention and feedforward (each x plus its
+  dropped-out sublayer of norm(x), from the norm through the output
+  projection), the decoder head decoder_head (three outputs: locations,
+  scales and mode probabilities) and laplace_nll. The norms and the sublayers
+  share one norm kernel.
+- An op may have several outputs, recorded as one record whose backward pass
+  receives every output's gradient at once.
 - Tensors are treated as immutable once created, except parameter updates
   applied between passes and gradient accumulation during a backward pass.
   Tapes are thread-local, so independent evaluations may run concurrently.
@@ -30,10 +34,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
-    "add", "mul", "neg", "log", "softplus", "clamp_min",
-    "transpose", "reshape", "getitem", "sum_", "mean", "softmax",
+    "add", "mul", "neg", "log", "clamp_min",
+    "transpose", "reshape", "getitem", "sum_", "mean",
     "linear", "dyt", "layer_norm", "attention", "memory_attention", "feedforward",
-    "laplace_nll",
+    "decoder_head", "laplace_nll",
 ]
 
 
@@ -62,7 +66,7 @@ _keep_freed_memory_mapped()
 
 class NumericalError(ValueError):
     """A value outside the domain of an op or update: a non-positive log
-    argument or Laplace scale, a non-finite softmax input or attention logit,
+    argument or Laplace scale, a non-finite mode logit or attention logit,
     or a non-finite gradient. Training reports it as a divergence; other
     ValueErrors are not."""
 
@@ -116,7 +120,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (output Tensor, backward fn taking output grad)
+        self._records = []  # (output Tensor or tuple of them, backward fn taking their grads)
         self._recorded = 0
         self._used = False
         self._outer = None  # the tape this one was opened inside
@@ -134,7 +138,7 @@ class Tape:
         """Number of ops recorded, also after backward() has consumed them."""
         return self._recorded
 
-    def _record(self, out: Tensor, backward_fn):
+    def _record(self, out, backward_fn):
         self._records.append((out, backward_fn))
         self._recorded += 1
 
@@ -153,7 +157,11 @@ def backward(loss: Tensor, tape: Tape):
     records = tape._records
     while records:
         out, fn = records.pop()
-        if out.grad is not None:
+        if type(out) is tuple:  # every consumer of every output was recorded later
+            grads = tuple(o.grad for o in out)
+            if any(g is not None for g in grads):
+                fn(grads)
+        elif out.grad is not None:
             fn(out.grad)
 
 
@@ -182,20 +190,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _op(inputs, out_data, grads):
-    """out_data as the output of one tape record over the Tensors `inputs`.
+    """out_data as the output of one tape record over the Tensors `inputs`; a
+    tuple of arrays gives a tuple of outputs.
 
     grads(g, needs) returns one gradient per input given the output gradient
-    g; needs[i] says whether input i wants one, and an unwanted entry may be
-    None. Each gradient is sum-reduced to its input's shape, so inputs may
-    broadcast against each other.
+    g, or with several outputs the tuple of their gradients, None for an
+    output that got none; needs[i] says whether input i wants one, and an
+    unwanted entry may be None. Each gradient is sum-reduced to its input's
+    shape, so inputs may broadcast against each other.
     """
-    out = Tensor(out_data)
+    multi = type(out_data) is tuple
+    out = tuple(map(Tensor, out_data)) if multi else Tensor(out_data)
     tape = _innermost.tape
     if tape is None:
         return out
     needs = tuple(t.requires_grad for t in inputs)
     if any(needs):
-        out.requires_grad = True
+        for o in out if multi else (out,):
+            o.requires_grad = True
 
         def backward_fn(g):
             for t, need, gt in zip(inputs, needs, grads(g, needs)):
@@ -206,11 +218,35 @@ def _op(inputs, out_data, grads):
     return out
 
 
-def _records(inputs) -> bool:
-    """Whether an op over the Tensors `inputs` adds a tape record, as _op decides;
-    an op that does not may overwrite its intermediates, since no backward pass
-    reads them."""
-    return _innermost.tape is not None and any(t.requires_grad for t in inputs)
+def _fused(args, run):
+    """One tape record of run over args, inputs of which some may be None (absent).
+
+    run(data, records) gets each arg's array, None where absent, and whether
+    the op records (as _op decides: a tape is open and some input wants a
+    gradient; an op that does not record may overwrite its intermediates,
+    since no backward pass reads them). It returns the output, or a tuple of
+    outputs, and grads(g, needs) as in _op, whose needs and result have one
+    entry per arg, absent ones included.
+    """
+    if _innermost.tape is None:  # nothing records: one pass over args
+        out = run([a if a is None else a.data if type(a) is Tensor else np.asarray(a, np.float64)
+                   for a in args], False)[0]
+        return tuple(map(Tensor, out)) if type(out) is tuple else Tensor(out)
+    tensors = [a if a is None or type(a) is Tensor else Tensor(a) for a in args]
+    records = any(t is not None and t.requires_grad for t in tensors)
+    out, grads = run([None if t is None else t.data for t in tensors], records)
+    if not records:
+        return tuple(map(Tensor, out)) if type(out) is tuple else Tensor(out)
+    if None not in tensors:
+        return _op(tensors, out, grads)
+    present = [t is not None for t in tensors]
+
+    def present_grads(g, needs):
+        it = iter(needs)
+        full = grads(g, [p and next(it) for p in present])
+        return [gt for gt, p in zip(full, present) if p]
+
+    return _op([t for t in tensors if t is not None], out, present_grads)
 
 
 def _binary(a, b, out_data, da, db):
@@ -246,33 +282,6 @@ def log(a):
     if np.any(a.data <= 0.0):
         raise NumericalError("log of non-positive value")
     return _unary(a, np.log(a.data), lambda g: g / a.data)
-
-
-# exp's inputs are floored here, above ln(DBL_MIN) ~ -708.4: numpy's exp runs
-# several times slower on inputs whose result underflows
-_EXP_FLOOR = -700.0
-
-
-def softplus(a):
-    """log(1 + exp(a)) as max(a, 0) + log1p(exp(-|a|)), elementwise.
-
-    The floored exp term, under 1e-304, is far below the rounding of any
-    result but one of a < -700."""
-    a = _as_tensor(a)
-    t = np.abs(a.data)
-    np.negative(t, out=t)
-    np.maximum(t, _EXP_FLOOR, out=t)
-    np.exp(t, out=t)                          # exp(-|a|)
-    out_data = np.log1p(t)
-    out_data += np.maximum(a.data, 0.0)
-
-    def da(g):
-        # the sigmoid, stable on both sides: 1 / (1 + t) for a >= 0, t / (1 + t) below
-        sig = np.where(a.data >= 0.0, 1.0, t)
-        sig /= t + 1.0
-        return g * sig
-
-    return _unary(a, out_data, da)
 
 
 def clamp_min(a, floor: float):
@@ -341,41 +350,26 @@ def mean(a):
     return _unary(a, a.data.mean(), lambda g: np.broadcast_to(g, a.data.shape) / n)
 
 
-def softmax(a, axis: int = -1):
-    """Numerically stable softmax along an axis (max-subtraction)."""
-    a = _as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericalError("softmax requires finite inputs")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def da(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (g - dot) * out_data
-
-    return _unary(a, out_data, da)
-
-
 # ---------------------------------------------------------------------------
 # fused layer ops: one tape record each, with a hand-written backward pass.
 # Parameters may carry leading axes that broadcast against the activation
 # (stacked snapshots, lined up by training.make_ensemble).
 
-def _add_into(out: np.ndarray, b) -> np.ndarray:
-    """out + b, written into out; a fresh sum where b adds leading axes (a stacked
-    parameter). The try costs nothing on the usual path, where a shape check would."""
+def _into(op, out: np.ndarray, b) -> np.ndarray:
+    """op(out, b), a numpy ufunc, written into out; a fresh result where b adds
+    leading axes (a stacked parameter). The try costs nothing on the usual
+    path, where a shape check would."""
     try:
-        out += b
+        op(out, b, out=out)
     except ValueError:
-        return out + b
+        return op(out, b)
     return out
 
 
 def _project(xd, wd, bd=None):
     """xd @ wd + bd as linear computes it; no add when bd is None."""
     out = np.matmul(xd, wd)
-    return out if bd is None else _add_into(out, bd)
+    return out if bd is None else _into(np.add, out, bd)
 
 
 def _project_grads(xd, wd, g, need_x: bool, need_w: bool):
@@ -406,50 +400,102 @@ def linear(x, w, b=None):
     return _op((x, w, b), _project(xd, wd, b.data), grads)
 
 
-def dyt(x, alpha, gamma=None, beta=None):
-    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise; tanh(alpha * x)
-    when gamma and beta are None, for a caller that folds the affine into the
-    op reading the output (see memory_attention)."""
-    x, alpha = _as_tensor(x), _as_tensor(alpha)
-    # asarray because numpy arithmetic on 0-d arrays returns scalars, which take no out=
-    t = np.asarray(x.data * alpha.data)
-    np.tanh(t, out=t)
+# the norm kernel, which dyt, layer_norm and the residual sublayer ops share.
+# A norm is (alpha, gamma, beta, eps): DyT's scale alpha with eps None, or
+# LayerNorm's eps with alpha None, and the per-channel affine gamma and beta
 
-    def grad_in(g, needs):  # gradients of x and alpha from that of tanh(alpha * x)
-        d = g * (1.0 - t * t)
-        return d * alpha.data if needs[0] else None, d * x.data if needs[1] else None
+def _normalize(xd, alpha, eps):
+    """A norm's map before its affine, in a fresh array: tanh(alpha * xd) for
+    DyT, or with alpha None xd standardized over the last axis (biased variance
+    plus eps) for LayerNorm. Returns it and grad(g, need_x, need_alpha), the
+    gradients of xd and alpha from g, that of the output; alpha's is None for
+    LayerNorm."""
+    if alpha is not None:
+        # asarray because numpy arithmetic on 0-d arrays returns scalars, which take no out=
+        t = np.asarray(xd * alpha)
+        np.tanh(t, out=t)
 
-    if gamma is None:
-        return _op((x, alpha), t, grad_in)
-    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+        def dyt_grad(g, need_x, need_alpha):
+            d = g * (1.0 - t * t)
+            return d * alpha if need_x else None, d * xd if need_alpha else None
 
-    def grads(g, needs):
-        gx, galpha = grad_in(g * gamma.data, needs) if needs[0] or needs[1] else (None, None)
-        return gx, galpha, g * t if needs[2] else None, g
-
-    return _op((x, alpha, gamma, beta), _add_into(np.asarray(t * gamma.data), beta.data), grads)
-
-
-def layer_norm(x, gamma=None, beta=None, *, eps: float):
-    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta;
-    the standardized x alone when gamma and beta are None, as in dyt."""
-    x = _as_tensor(x)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        return t, dyt_grad
+    centered = xd - xd.mean(axis=-1, keepdims=True)
     std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
     xhat = centered / std
 
-    def grad_in(gh):  # the gradient of x from that of xhat
-        return (gh - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+    def layer_norm_grad(g, need_x, need_alpha):
+        return (g - g.mean(axis=-1, keepdims=True)
+                - xhat * (g * xhat).mean(axis=-1, keepdims=True)) / std, None
 
-    if gamma is None:
-        return _op((x,), xhat, lambda g, needs: (grad_in(g),))
-    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
+    return xhat, layer_norm_grad
+
+
+def _norm(xd, alpha, gamma, beta, eps, records: bool):
+    """gamma * n + beta for n = _normalize(xd, alpha, eps), and grads(g, needs)
+    giving the gradients of (xd, alpha, gamma, beta) from g, that of the
+    output, as in _op. Where the op does not record, the affine is written into
+    n, which no backward pass reads then."""
+    n, n_grad = _normalize(xd, alpha, eps)
 
     def grads(g, needs):
-        return grad_in(g * gamma.data) if needs[0] else None, g * xhat if needs[1] else None, g
+        gx, galpha = n_grad(g * gamma, needs[0], needs[1]) if needs[0] or needs[1] else (None, None)
+        return gx, galpha, g * n if needs[2] else None, g
 
-    return _op((x, gamma, beta), xhat * gamma.data + beta.data, grads)
+    scaled = np.asarray(n * gamma) if records else _into(np.multiply, n, gamma)
+    return _into(np.add, scaled, beta), grads
+
+
+def dyt(x, alpha, gamma, beta):
+    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise."""
+    return _fused((x, alpha, gamma, beta), lambda data, records: _norm(*data, None, records))
+
+
+def layer_norm(x, gamma, beta, *, eps: float):
+    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta."""
+    return _fused((x, None, gamma, beta), lambda data, records: _norm(*data, eps, records))
+
+
+def _residual(args, eps, out_keep, core):
+    """x + out_keep * core(norm(x)) as one op over args = (x, alpha, gamma, beta,
+    *weights): the frame of the residual sublayer ops.
+
+    (alpha, gamma, beta, eps) is the norm as the norm kernel takes it, applied
+    to x as dyt or layer_norm would. core(h, d, records) gets the normalized
+    x, the arrays d of args (the weights from d[4] on) and whether the op
+    records, and returns the sublayer's output and grads(g, needs) over (h,
+    *weights) as in _op. out_keep, when given, multiplies that output:
+    inverted dropout drawn by the caller, or any multiplier that broadcasts
+    against it. The multiply and the residual add run in place, in the order
+    of the composite they replaced (mul, then add), and x's gradient adds the
+    norm path's to the residual's, as that composite's tape did.
+    """
+    def run(d, records):
+        xd = d[0]
+        h, norm_grads = _norm(xd, d[1], d[2], d[3], eps, records)
+        out, core_grads = core(h, d, records)
+        sub_shape = out.shape
+        if out_keep is not None:
+            out = _into(np.multiply, out, out_keep)
+        out = _into(np.add, out, xd)
+
+        def grads(g, needs):
+            need_h = needs[0] or needs[1] or needs[2] or needs[3]
+            g_sub = g if out_keep is None else g * out_keep
+            gh, *g_rest = core_grads(_unbroadcast(g_sub, sub_shape), (need_h, *needs[4:]))
+            if not need_h:
+                return (None,) * 4 + tuple(g_rest)
+            gx, *g_norm = norm_grads(_unbroadcast(gh, h.shape), needs[:4])
+            if needs[0]:
+                # laid out as the residual gradient, as the composite's copy of it
+                # was: a later reduction over x's gradient sums in that order
+                g_res = _unbroadcast(g, xd.shape)
+                gx = np.add(g_res, _unbroadcast(gx, xd.shape), out=np.empty_like(g_res))
+            return (gx, *g_norm, *g_rest)
+
+        return out, grads
+
+    return _fused(args, run)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -490,32 +536,43 @@ def _gelu(xd, for_backward: bool = True):
     return half_x * t1, grad
 
 
-def feedforward(x, w1, b1, w2, b2, keep=None):
-    """The feed-forward sublayer (gelu(x @ w1 + b1) * keep) @ w2 + b2 as one op.
-
-    GELU is the tanh form, smooth, which keeps finite-difference checks tight.
-    keep, when given, multiplies the hidden activation (inverted dropout drawn
-    by the caller). Weights and biases may carry leading axes, as in linear.
-    """
-    inputs = tuple(_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    x, w1, b1, w2, b2 = inputs
-    xd = x.data
-    hidden = _project(xd, w1.data, b1.data)
-    act, act_grad = _gelu(hidden, _records(inputs))
-    dropped = act if keep is None else act * keep
+def _feedforward(h, w1, b1, w2, b2, keep, records: bool):
+    """(gelu(h @ w1 + b1) * keep) @ w2 + b2, and grads(g, needs) over (h, w1, b1,
+    w2, b2) as in _op. No keep means no multiply. Where the op does not
+    record, GELU runs in place over the hidden array (see _gelu)."""
+    hidden = _project(h, w1, b1)
+    act, act_grad = _gelu(hidden, records)
+    act_shape = act.shape
+    # no backward pass reads act itself, so keep may overwrite it
+    dropped = act if keep is None else _into(np.multiply, act, keep)
 
     def grads(g, needs):
         need_hidden = needs[0] or needs[1] or needs[2]
-        g_drop, gw2 = _project_grads(dropped, w2.data, g, need_hidden, needs[3])
+        g_drop, gw2 = _project_grads(dropped, w2, g, need_hidden, needs[3])
         if not need_hidden:
             return None, None, None, gw2, g
         g_act = _unbroadcast(g_drop, dropped.shape)
         if keep is not None:
-            g_act = _unbroadcast(g_act * keep, act.shape)
+            g_act = _unbroadcast(g_act * keep, act_shape)
         gh = act_grad(g_act)
-        return (*_project_grads(xd, w1.data, gh, needs[0], needs[1]), gh, gw2, g)
+        return (*_project_grads(h, w1, gh, needs[0], needs[1]), gh, gw2, g)
 
-    return _op(inputs, _project(dropped, w2.data, b2.data), grads)
+    return _project(dropped, w2, b2), grads
+
+
+def feedforward(x, norm, w1, b1, w2, b2, keep=None, out_keep=None):
+    """The feed-forward residual sublayer x + out_keep * ((gelu(h @ w1 + b1) * keep) @ w2 + b2)
+    for h = norm(x), as one op.
+
+    norm is (alpha, gamma, beta, eps): DyT's scale with eps None, or LayerNorm's
+    eps with alpha None, and the affine. GELU is the tanh form, smooth, which
+    keeps finite-difference checks tight. keep, when given, multiplies the
+    hidden activation and out_keep the sublayer's output (inverted dropout
+    drawn by the caller). Weights and biases may carry leading axes, as in
+    linear.
+    """
+    return _residual((x, *norm[:3], w1, b1, w2, b2), norm[3], out_keep,
+                     lambda h, d, records: _feedforward(h, *d[4:], keep, records))
 
 
 # attention exponentiates each row's logits unshifted while its attended max
@@ -566,7 +623,7 @@ def _masked_softmax(scores, mask):
             raise ValueError("attention mask leaves a query row with no keys")
         mask = mask[..., None, :, :]
     top, bottom = scores.max(), scores.min()
-    if not (np.isfinite(top) and np.isfinite(bottom)):
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise NumericalError("attention requires finite logits")
     if top > _EXP_CEIL:  # x - 0.0 is x: rows under the ceiling stay as they are
         row_top = _attended_max(scores, mask)
@@ -642,49 +699,56 @@ def _attend(qd, kd, vd, heads: int, mask, keep):
     return merge(np.matmul(dropped, vh)), grads
 
 
-def attention(x, wq, bq, wk, wv, bv, wo, bo, heads: int, mask=None, keep=None):
-    """The self-attention sublayer as one op: x [..., T, D] attends over itself.
-
-    Queries are x @ wq + bq, keys x @ wk (no bias: it would add a constant to
-    each logit row, which softmax removes) and values x @ wv + bv, each split
-    into `heads` heads. mask ([..., T, T] bool, true = attend) applies to every
-    head and must leave each query at least one key; keep, when given,
-    multiplies the [..., H, T, T] softmax weights (inverted dropout drawn by
-    the caller). The merged context is projected by wo and bo. Weights and
-    biases may carry leading axes, as in linear. The input's gradient sums the
-    value, key and query paths in that order.
-    """
-    inputs = tuple(_as_tensor(t) for t in (x, wq, bq, wk, wv, bv, wo, bo))
-    x, wq, bq, wk, wv, bv, wo, bo = inputs
-    xd = x.data
-    qd, kd, vd = (_project(xd, wq.data, bq.data), _project(xd, wk.data),
-                  _project(xd, wv.data, bv.data))
+def _self_attention(h, wq, bq, wk, wv, bv, wo, bo, heads: int, mask, keep):
+    """Self-attention of h [..., T, D] from its projections through the output
+    projection, and grads(g, needs) over (h, wq, bq, wk, wv, bv, wo, bo) as in
+    _op; see attention."""
+    qd, kd, vd = _project(h, wq, bq), _project(h, wk), _project(h, wv, bv)
     ctx, attend_grads = _attend(qd, kd, vd, heads, mask, keep)
 
     def grads(g, needs):
-        need_x = needs[0]
-        need_q, need_k = need_x or needs[1] or needs[2], need_x or needs[3]
-        need_v = need_x or needs[4] or needs[5]
-        g_ctx, gwo = _project_grads(ctx, wo.data, g, need_q or need_k or need_v, needs[6])
+        need_h = needs[0]
+        need_q, need_k = need_h or needs[1] or needs[2], need_h or needs[3]
+        need_v = need_h or needs[4] or needs[5]
+        g_ctx, gwo = _project_grads(ctx, wo, g, need_q or need_k or need_v, needs[6])
         if g_ctx is None:
             return None, None, None, None, None, None, gwo, g
         gq, gk, gv = attend_grads(_unbroadcast(g_ctx, ctx.shape), (need_q, need_k, need_v))
-        gx = gwq = gwk = gwv = None
+        gh = gwq = gwk = gwv = None
         if need_v:
             gv = _unbroadcast(gv, vd.shape)
-            gx, gwv = _project_grads(xd, wv.data, gv, need_x, needs[4])
+            gh, gwv = _project_grads(h, wv, gv, need_h, needs[4])
         if need_k:
-            gxk, gwk = _project_grads(xd, wk.data, _unbroadcast(gk, kd.shape), need_x, needs[3])
+            ghk, gwk = _project_grads(h, wk, _unbroadcast(gk, kd.shape), need_h, needs[3])
         if need_q:
             gq = _unbroadcast(gq, qd.shape)
-            gxq, gwq = _project_grads(xd, wq.data, gq, need_x, needs[1])
-        if need_x:
-            gx = _unbroadcast(gx, xd.shape)
-            gx += _unbroadcast(gxk, xd.shape)
-            gx += _unbroadcast(gxq, xd.shape)
-        return gx, gwq, gq, gwk, gwv, gv, gwo, g
+            ghq, gwq = _project_grads(h, wq, gq, need_h, needs[1])
+        if need_h:
+            gh = _unbroadcast(gh, h.shape)
+            gh += _unbroadcast(ghk, h.shape)
+            gh += _unbroadcast(ghq, h.shape)
+        return gh, gwq, gq, gwk, gwv, gv, gwo, g
 
-    return _op(inputs, _project(ctx, wo.data, bo.data), grads)
+    return _project(ctx, wo, bo), grads
+
+
+def attention(x, norm, wq, bq, wk, wv, bv, wo, bo, heads: int, mask=None, keep=None,
+              out_keep=None):
+    """The self-attention residual sublayer x + out_keep * attend(h) for h = norm(x),
+    as one op: h [..., T, D] attends over itself.
+
+    norm is as in feedforward. Queries are h @ wq + bq, keys h @ wk (no bias:
+    it would add a constant to each logit row, which softmax removes) and
+    values h @ wv + bv, each split into `heads` heads. mask ([..., T, T] bool,
+    true = attend) applies to every head and must leave each query at least
+    one key; keep, when given, multiplies the [..., H, T, T] softmax weights
+    and out_keep the sublayer's output (inverted dropout drawn by the caller).
+    The merged context is projected by wo and bo. Weights and biases may carry
+    leading axes, as in linear. h's gradient sums the value, key and query
+    paths in that order.
+    """
+    return _residual((x, *norm[:3], wq, bq, wk, wv, bv, wo, bo), norm[3], out_keep,
+                     lambda h, d, records: _self_attention(h, *d[4:], heads, mask, keep))
 
 
 def _memory_read(qd, mem, gamma, beta, wk, wv, bv, heads: int, mask, keep):
@@ -723,7 +787,7 @@ def _memory_read(qd, mem, gamma, beta, wk, wv, bv, heads: int, mask, keep):
         raise ValueError(f"the memory's affine varies by row: {gamma.shape}, {beta.shape}")
     g_col = g_row.swapaxes(-1, -2)                                           # [..., D, 1]
     wkd, wvd = g_col * wk, g_col * wv
-    bvd = _add_into(np.matmul(b_row, wv), bv)                                # [..., 1, D]
+    bvd = _into(np.add, np.matmul(b_row, wv), bv)                                # [..., 1, D]
     hd = d // heads
     lead = np.broadcast_shapes(qd.shape[:-2], mem.shape[:-2], np.shape(mask)[:-2], wkd.shape[:-2])
     n = len(lead)
@@ -805,38 +869,118 @@ def _memory_read(qd, mem, gamma, beta, wk, wv, bv, heads: int, mask, keep):
     return ctx.reshape(lead + (tq, d)), grads
 
 
-def memory_attention(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads: int,
-                     mask=None, keep=None):
-    """The attention sublayer over a memory as one op: queries x @ wq + bq
-    ([..., Tq, D]) attend over keys m @ wk and values m @ wv + bv of the memory
-    m = gamma * memory + beta ([..., Tk, D]; gamma and beta a norm's affine, one
-    value per channel), and the context is projected by wo and bo. mask
-    ([..., Tq, Tk]) and keep ([..., H, Tq, Tk]) are as in attention. The affine
-    and the key and value projections never pass over the memory: see
-    _memory_read, which also gives the shapes the weights may take.
-    """
-    inputs = tuple(_as_tensor(t) for t in (x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo))
-    x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo = inputs
-    xd = x.data
-    qd = _project(xd, wq.data, bq.data)
-    ctx, read_grads = _memory_read(qd, memory.data, gamma.data, beta.data, wk.data, wv.data,
-                                   bv.data, heads, mask, keep)
+def _memory_attention(h, memory, m_alpha, m_gamma, m_beta, wq, bq, wk, wv, bv, wo, bo, m_eps,
+                      heads: int, mask, keep):
+    """The read of queries h [..., Tq, D] from a memory through its norm, from
+    the query projection through the output projection, and grads(g, needs)
+    over (h, memory, m_alpha, m_gamma, m_beta, wq, bq, wk, wv, bv, wo, bo) as
+    in _op; see memory_attention."""
+    qd = _project(h, wq, bq)
+    mem, mem_grad = _normalize(memory, m_alpha, m_eps)
+    ctx, read_grads = _memory_read(qd, mem, m_gamma, m_beta, wk, wv, bv, heads, mask, keep)
 
     def grads(g, needs):
-        need_q = needs[0] or needs[4] or needs[5]
-        read_needs = (need_q, *needs[1:4], *needs[6:9])
-        g_ctx, gwo = _project_grads(ctx, wo.data, g, any(read_needs), needs[9])
+        need_q = needs[0] or needs[5] or needs[6]
+        read_needs = (need_q, needs[1] or needs[2], needs[3], needs[4], *needs[7:10])
+        g_ctx, gwo = _project_grads(ctx, wo, g, any(read_needs), needs[10])
         if g_ctx is None:
-            return (None,) * 9 + (gwo, g)
-        gq, gmem, ggamma, gbeta, gwk, gwv, gbv = read_grads(_unbroadcast(g_ctx, ctx.shape),
-                                                            read_needs)
-        gx = gwq = None
+            return (None,) * 10 + (gwo, g)
+        gq, gmem, gm_gamma, gm_beta, gwk, gwv, gbv = read_grads(
+            _unbroadcast(g_ctx, ctx.shape), read_needs)
+        gh = gwq = gm = gm_alpha = None
         if need_q:
             gq = _unbroadcast(gq, qd.shape)
-            gx, gwq = _project_grads(xd, wq.data, gq, needs[0], needs[4])
-        return gx, gmem, ggamma, gbeta, gwq, gq, gwk, gwv, gbv, gwo, g
+            gh, gwq = _project_grads(h, wq, gq, needs[0], needs[5])
+        if read_needs[1]:
+            gm, gm_alpha = mem_grad(_unbroadcast(gmem, mem.shape), needs[1], needs[2])
+        return gh, gm, gm_alpha, gm_gamma, gm_beta, gwq, gq, gwk, gwv, gbv, gwo, g
 
-    return _op(inputs, _project(ctx, wo.data, bo.data), grads)
+    return _project(ctx, wo, bo), grads
+
+
+def memory_attention(x, norm, memory, memory_norm, wq, bq, wk, wv, bv, wo, bo, heads: int,
+                     mask=None, keep=None, out_keep=None):
+    """The residual sublayer over a memory, x + out_keep * read(h) for h = norm(x),
+    as one op: queries h @ wq + bq ([..., Tq, D]) attend over keys m @ wk and
+    values m @ wv + bv of the memory m = memory_norm(memory) ([..., Tk, D]), and
+    the context is projected by wo and bo.
+
+    norm and memory_norm are as in feedforward; memory_norm's affine must be one
+    value per channel. mask ([..., Tq, Tk]), keep ([..., H, Tq, Tk]) and
+    out_keep are as in attention. The memory norm's map runs over the memory,
+    but its affine and the key and value projections never pass over it: see
+    _memory_read, which also gives the shapes the weights may take.
+    """
+    m_alpha, m_gamma, m_beta, m_eps = memory_norm
+    return _residual((x, *norm[:3], memory, m_alpha, m_gamma, m_beta, wq, bq, wk, wv, bv, wo, bo),
+                     norm[3], out_keep,
+                     lambda h, d, records: _memory_attention(h, *d[4:], m_eps, heads, mask, keep))
+
+
+# exp's inputs are floored here, above ln(DBL_MIN) ~ -708.4: numpy's exp runs
+# several times slower on inputs whose result underflows
+_EXP_FLOOR = -700.0
+
+
+def decoder_head(x, w1, b1, w2, b2, origins, shape, floor: float):
+    """The decoder head as one op with three outputs: (locations, scales, mode
+    probabilities).
+
+    raw = gelu(x @ w1 + b1) @ w2 + b2 has K * (4F + 1) entries per row and is
+    reshaped to [*lead, K, 4F + 1] for shape = (*lead, K, F). In each mode the
+    first 2F entries are offsets from origins ([..., 2], broadcast against
+    lead), the next 2F are scale logits and the last is the mode's logit.
+    locations = offsets + origins and scales = softplus(scale logits) + floor
+    are [*lead, K, F, 2], and the mode probabilities, the softmax of the mode
+    logits over K, are [*lead, K]. softplus is max(a, 0) + log1p(exp(-|a|)),
+    with exp's input floored at -700, which moves no result but one of a < -700
+    (the floored term is under 1e-304). The softmax subtracts each row's max
+    and needs finite logits.
+    """
+    *lead, k, f = shape
+    rows = (*lead, k, f, 2)
+
+    def run(data, records):
+        out, ff_grads = _feedforward(*data, None, records)
+        raw = out.reshape((*lead, k, 4 * f + 1))
+        # each origin repeated F times, [..., 2F]: added to the offsets' columns,
+        # not as [..., 1, 1, 2] to [..., K, F, 2], numpy's loop runs along 2F, not 2
+        tiled = np.repeat(origins[..., None, :], f, axis=-2).reshape(origins.shape[:-1] + (2 * f,))
+        locations = (raw[..., :2 * f] + tiled[..., None, :]).reshape(rows)
+        a = np.array(raw[..., 2 * f:4 * f])  # contiguous: three passes read it
+        t = np.abs(a)
+        np.negative(t, out=t)
+        np.maximum(t, _EXP_FLOOR, out=t)
+        np.exp(t, out=t)                          # exp(-|a|)
+        scales = np.log1p(t)
+        scales += np.maximum(a, 0.0)
+        scales += floor
+        logits = raw[..., 4 * f]
+        if not np.all(np.isfinite(logits)):
+            raise NumericalError("the mode logits must be finite")
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+
+        def grads(gs, needs):
+            g_loc, g_scale, g_prob = gs
+            # each part is added into zeros, not assigned, as the composite's
+            # slicing ops summed theirs: a gradient of -0.0 becomes 0.0
+            g_raw = np.zeros(raw.shape)
+            if g_loc is not None:
+                g_raw[..., :2 * f] += g_loc.reshape(a.shape)
+            if g_scale is not None:
+                # softplus' gradient, the sigmoid, stable on both sides:
+                # 1 / (1 + t) for a >= 0, t / (1 + t) below
+                sig = np.where(a >= 0.0, 1.0, t)
+                sig /= t + 1.0
+                g_raw[..., 2 * f:4 * f] += g_scale.reshape(a.shape) * sig
+            if g_prob is not None:
+                g_raw[..., 4 * f] += (g_prob - (g_prob * probs).sum(axis=-1, keepdims=True)) * probs
+            return ff_grads(g_raw.reshape(out.shape), needs)
+
+        return (locations, scales.reshape(rows), probs), grads
+
+    return _fused((x, w1, b1, w2, b2), run)
 
 
 def laplace_nll(locations, scales, gt, weight):

@@ -53,3 +53,47 @@ def grad_check_params(model, loss_fn, names=None, h: float = 1e-5) -> dict:
             worst = max(worst, abs(analytic[i] - fd) / max(1.0, abs(analytic[i])))
         errors[name] = worst
     return errors
+
+
+# the softmax and softplus of the decoder head as single-output tape ops, for
+# composites and oracles built from separate ops; each computes as the head does
+
+def softmax(a, axis: int = -1):
+    """Softmax along an axis, shifted by the max, as one tape op."""
+    a = a if isinstance(a, T.Tensor) else T.Tensor(a)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def grads(g, needs):
+        return ((g - (g * out).sum(axis=axis, keepdims=True)) * out,)
+
+    return T._op((a,), out, grads)
+
+
+def softplus(a):
+    """max(a, 0) + log1p(exp(-|a|)), exp's input floored at -700, as one tape op."""
+    a = a if isinstance(a, T.Tensor) else T.Tensor(a)
+    t = np.exp(np.maximum(-np.abs(a.data), -700.0))
+    out = np.log1p(t)
+    out += np.maximum(a.data, 0.0)
+
+    def grads(g, needs):
+        sig = np.where(a.data >= 0.0, 1.0, t)
+        sig /= t + 1.0
+        return (g * sig,)
+
+    return T._op((a,), out, grads)
+
+
+def head_of_raw(raw, origins=None, floor: float = 1e-6):
+    """The decoder head's (locations, scales, mode probabilities) for output-layer
+    values raw [..., K, 4F + 1], a Tensor or an array: zero weights with raw as
+    the output bias, so raw reaches the head's split unchanged."""
+    raw = raw if isinstance(raw, T.Tensor) else T.Tensor(raw)
+    *lead, k, n = raw.shape
+    lead = tuple(lead)
+    zero_rows = np.zeros(lead + (1,))
+    bias = T.reshape(raw, lead + (k * n,))
+    return T.decoder_head(zero_rows, np.zeros((1, 1)), np.zeros(1), np.zeros((1, k * n)), bias,
+                          np.zeros(2) if origins is None else origins, lead + (k, (n - 1) // 4),
+                          floor)

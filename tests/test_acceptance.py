@@ -68,7 +68,6 @@ def test_criterion_1_gradient_correctness():
     check("mul", lambda t: T.sum_(T.mul(T.mul(t, a), w)), rng.uniform((2, 4), -2, 2))
     check("log", lambda t: T.sum_(T.mul(T.log(t), w)), pos.copy())
     check("neg", lambda t: T.sum_(T.mul(T.neg(t), w)), rng.uniform((2, 4), -2, 2))
-    check("softplus", lambda t: T.sum_(T.mul(T.softplus(t), w)), rng.uniform((2, 4), -2, 2))
     check("clamp_min", lambda t: T.sum_(T.mul(T.clamp_min(t, 1.0), w)),
           rng.uniform((2, 4), 1.2, 2.0))
     check("transpose", lambda t: T.sum_(T.mul(T.transpose(t, (1, 0)), w.T)),
@@ -80,8 +79,6 @@ def test_criterion_1_gradient_correctness():
     check("sum_", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
           rng.uniform((2, 4), -2, 2))
     check("mean", lambda t: T.mean(T.mul(t, t)), rng.uniform((2, 4), -2, 2))
-    check("softmax", lambda t: T.sum_(T.mul(T.softmax(t, axis=-1), w)),
-          rng.uniform((2, 4), -2, 2))
 
     # fused ops: every input, with parameters plain and stacked as make_ensemble
     # lines them up ([S, 1, ..., *P], unit axes up to the activation's rank)
@@ -106,8 +103,6 @@ def test_criterion_1_gradient_correctness():
     check("dyt.alpha", lambda t: T.sum_(T.mul(T.dyt(x, t, gamma, beta), w4)), alpha)
     check("dyt.gamma", lambda t: T.sum_(T.mul(T.dyt(x, alpha, t, beta), w4)), gamma)
     check("dyt.beta", lambda t: T.sum_(T.mul(T.dyt(x, alpha, gamma, t), w4)), beta)
-    check("dyt.x_no_affine", lambda t: T.sum_(T.mul(T.dyt(t, alpha), w4)), x)
-    check("dyt.alpha_no_affine", lambda t: T.sum_(T.mul(T.dyt(x, t), w4)), alpha)
     w24 = rng.uniform((2, 2, 3, 4), -1, 1)
     check("dyt.alpha_stacked",
           lambda t: T.sum_(T.mul(T.dyt(x, T.reshape(t, (2, 1, 1, 1)), gamma, beta), w24)),
@@ -124,19 +119,45 @@ def test_criterion_1_gradient_correctness():
           lambda t: T.sum_(T.mul(T.layer_norm(x, T.reshape(t, (2, 1, 1, 4)), beta, eps=1e-5),
                                  w24)),
           rng.uniform((2, 4), 0.5, 1.5))
-    check("layer_norm.x_no_affine", lambda t: T.sum_(T.mul(T.layer_norm(t, eps=1e-5), w4)), x)
-    # the sublayer ops: every input, with the weights plain and stacked
-    # ([S, 1, D, D] matrices, [S, 1, 1, D] vectors) and the dropout multipliers
-    # lined up with either
+    # the sublayer ops: every input, the norms' alpha, gamma and beta included,
+    # with DyT and with LayerNorm, the weights plain and stacked ([S, 1, D, D]
+    # matrices, [S, 1, 1, D] vectors, [S, 1, 1, 1] alpha) and the dropout
+    # multipliers lined up with either
     def weights(**shapes):
         plain = {n: rng.uniform(shape, -1, 1) for n, shape in shapes.items()}
         stacked = {n: rng.uniform((2, 1) + (1,) * (len(shape) == 1) + shape, -1, 1)
                    for n, shape in shapes.items()}
         return plain, stacked
 
+    def norm_params(kind, prefix=""):
+        """A norm's parameters of `kind`, plain and stacked, named prefix + alpha, gamma, beta."""
+        plain = {prefix + "gamma": rng.uniform((4,), 0.5, 1.5),
+                 prefix + "beta": rng.uniform((4,), -1, 1)}
+        stacked = {prefix + "gamma": rng.uniform((2, 1, 1, 4), 0.5, 1.5),
+                   prefix + "beta": rng.uniform((2, 1, 1, 4), -1, 1)}
+        if kind == "dyt":
+            plain[prefix + "alpha"] = np.array(rng.uniform((), 0.3, 1.0))
+            stacked[prefix + "alpha"] = rng.uniform((2, 1, 1, 1), 0.3, 1.0)
+        return plain, stacked
+
+    def norm_of(a, prefix=""):
+        """The op's (alpha, gamma, beta, eps) from named parameters."""
+        if prefix + "alpha" in a:
+            return a[prefix + "alpha"], a[prefix + "gamma"], a[prefix + "beta"], None
+        return None, a[prefix + "gamma"], a[prefix + "beta"], 1e-5
+
+    def with_norms(kind, plain, stacked, prefixes=("",)):
+        """plain and stacked with the parameters of a norm of `kind` per prefix added."""
+        plain, stacked = dict(plain), dict(stacked)
+        for prefix in prefixes:
+            norm_plain, norm_stacked = norm_params(kind, prefix)
+            plain.update(norm_plain)
+            stacked.update(norm_stacked)
+        return plain, stacked
+
     def sublayer_checks(op_name, loss, plain, stacked, variants, inputs):
         """Check every input of an op, plain and stacked, under each (label, mask,
-        plain keep, stacked keep) variant; inputs are the activations, checked plain."""
+        plain keeps, stacked keeps) variant; inputs are the activations, checked plain."""
         for label, mk, kp, skp in variants:
             for arg, x0 in (*inputs.items(), *plain.items()):
                 check(f"{op_name}.{arg}{label}",
@@ -145,103 +166,150 @@ def test_criterion_1_gradient_correctness():
                 check(f"{op_name}.{arg}_stacked{label}",
                       lambda t, arg=arg, mk=mk, kp=skp: loss(stacked, mk, kp, **{arg: t}), x0)
 
-    # feed-forward: hidden width 6, with and without dropout multipliers
-    ff_plain, ff_stacked = weights(w1=(4, 6), b1=(6,), w2=(6, 4), b2=(4,))
+    def keeps(*shapes):
+        return tuple((rng.uniform(shape) >= 0.2) / 0.8 for shape in shapes)
+
+    # feed-forward: hidden width 6, without and with dropout multipliers of the
+    # hidden activation and of the output
+    ff_w = weights(w1=(4, 6), b1=(6,), w2=(6, 4), b2=(4,))
 
     def feedforward_loss(ws, mk, kp, **probe):
         a = {"x": x, **ws, **probe}
-        out = T.feedforward(a["x"], a["w1"], a["b1"], a["w2"], a["b2"], kp)
-        return T.sum_(T.mul(out, w4 if ws is ff_plain else w24))
+        out = T.feedforward(a["x"], norm_of(a), a["w1"], a["b1"], a["w2"], a["b2"], *kp)
+        return T.sum_(T.mul(out, w4 if out.ndim == 3 else w24))
 
-    sublayer_checks("feedforward", feedforward_loss, ff_plain, ff_stacked,
-                    (("", None, None, None),
-                     ("_keep", None, (rng.uniform((2, 3, 6)) >= 0.2) / 0.8,
-                      (rng.uniform((2, 2, 3, 6)) >= 0.2) / 0.8)),
-                    {"x": x})
+    for kind in ("dyt", "layernorm"):
+        ff_plain, ff_stacked = with_norms(kind, *ff_w)
+        sublayer_checks(f"feedforward.{kind}", feedforward_loss, ff_plain, ff_stacked,
+                        (("", None, (None, None), (None, None)),
+                         ("_keep", None, keeps((2, 3, 6), (2, 3, 4)),
+                          keeps((2, 2, 3, 6), (2, 2, 3, 4)))),
+                        {"x": x})
     # attention: 2 heads over 3 positions, a mask, dropout multipliers
     attention_w = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
-    at_plain, at_stacked = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,),
-                                   wo=(4, 4), bo=(4,))
+    at_w = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,), wo=(4, 4), bo=(4,))
     mask = rng.uniform((2, 3, 3)) < 0.6
     mask[..., 0] = True
-    keep = (rng.uniform((2, 2, 3, 3)) >= 0.2) / 0.8
-    skeep = (rng.uniform((2, 2, 2, 3, 3)) >= 0.2) / 0.8
-    attention_variants = (("", None, None, None), ("_mask", mask, None, None),
+    keep = keeps((2, 2, 3, 3), (2, 3, 4))
+    skeep = keeps((2, 2, 2, 3, 3), (2, 2, 3, 4))
+    attention_variants = (("", None, (None, None), (None, None)),
+                          ("_mask", mask, (None, None), (None, None)),
                           ("_mask_keep", mask, keep, skeep))
 
     def attention_loss(ws, mk, kp, **probe):
         a = {"x": x, **ws, **probe}
-        out = T.attention(a["x"], *(a[n] for n in attention_w), 2, mk, kp)
+        out = T.attention(a["x"], norm_of(a), *(a[n] for n in attention_w), 2, mk, *kp)
         return T.sum_(T.mul(out, w24 if out.ndim == 4 else w4))
 
-    sublayer_checks("attention", attention_loss, at_plain, at_stacked, attention_variants,
-                    {"x": x})
+    for kind in ("dyt", "layernorm"):
+        at_plain, at_stacked = with_norms(kind, *at_w)
+        sublayer_checks(f"attention.{kind}", attention_loss, at_plain, at_stacked,
+                        attention_variants, {"x": x})
     # every query row of batch 0 sits above the softmax's exp ceiling, so it is
     # shifted by its max, and every row of batch 1 far below range, so it is
-    # recomputed that way: x's channel 3 is 30 in batch 0 and -30 in batch 1
-    # and reaches only the keys' channels 0 and 2 (one per head), and the
-    # queries' channels 0 and 2 are bq's 35, so the logits sit near +-740. No
-    # one input then moves a row's logits apart by more than about 130 h
+    # recomputed that way: x's channel 3 is 30 in batch 0 and -30 in batch 1,
+    # which the DyT norm (gamma 30 and beta 0 there) keeps at about +-30, and it
+    # reaches only the keys' channels 0 and 2 (one per head); the queries'
+    # channels 0 and 2 are bq's 35, so the logits sit near +-740. No one input
+    # then moves a row's logits apart by more than about 130 h
     sx = x.copy()
     sx[0, :, 3], sx[1, :, 3] = 30.0, -30.0
-    for label, ws in (("", at_plain), ("_stacked", at_stacked)):
+    for label, ws in zip(("", "_stacked"), with_norms("dyt", *at_w)):
         sw = {n: a.copy() for n, a in ws.items()}
+        sw["alpha"][...] = 0.5
+        sw["gamma"][..., 3], sw["beta"][..., 3] = 30.0, 0.0
         sw["wq"][..., [0, 2]], sw["wk"][..., [0, 2]] = 0.0, 0.0
         for name in ("wq", "wk", "wv"):
             sw[name][..., 3, :] = 0.0
         sw["bq"][..., [0, 2]], sw["wk"][..., 3, [0, 2]] = 35.0, 1.0
-        q, k = sx @ sw["wq"] + sw["bq"], sx @ sw["wk"]
+        normed = sw["gamma"] * np.tanh(sw["alpha"] * sx) + sw["beta"]
+        q, k = normed @ sw["wq"] + sw["bq"], normed @ sw["wk"]
         logits = np.stack([q[..., c:c + 2] @ np.swapaxes(k[..., c:c + 2], -1, -2)
                            for c in (0, 2)]) / math.sqrt(2.0)
         assert logits[..., 0, :, :].min() > 600.0 and logits[..., 1, :, :].max() < -600.0
-        args = {"x": sx, **sw} if ws is at_plain else sw
+        args = {"x": sx, **sw} if not label else sw
         for arg, x0 in args.items():
             check(f"attention.{arg}{label}_shifted_rows",
-                  lambda t, arg=arg, sw=sw, kp=keep if ws is at_plain else skeep:
+                  lambda t, arg=arg, sw=sw, kp=skeep if label else keep:
                   attention_loss(sw, mask, kp, **{"x": sx, arg: t}), x0)
     # memory attention: one query per position reads a [.., 5, 4] memory through
-    # a norm's affine
-    memory_w = ("gamma", "beta", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    # its own norm
+    memory_w = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
     mq, memory = rng.uniform((2, 3, 1, 4), -1, 1), rng.uniform((2, 3, 5, 4), -1, 1)
     mmask = rng.uniform((3, 1, 5)) < 0.6
     mmask[..., 0] = True
-    mkeep = (rng.uniform((2, 3, 2, 1, 5)) >= 0.2) / 0.8
+    mkeep = keeps((2, 3, 2, 1, 5), (2, 3, 1, 4))
+    smkeep = (mkeep[0], keeps((2, 2, 3, 1, 4))[0])
     wm = rng.uniform((2, 3, 1, 4), -1, 1)
-    plain_w, stacked_w = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,),
-                                 wo=(4, 4), bo=(4,))
-    plain_w.update(gamma=rng.uniform((4,), 0.5, 1.5), beta=rng.uniform((4,), -1, 1))
-    stacked_w.update(gamma=rng.uniform((2, 1, 1, 4), 0.5, 1.5),
-                     beta=rng.uniform((2, 1, 1, 4), -1, 1))
+    wm2 = rng.uniform((2, 2, 3, 1, 4), -1, 1)
+    mem_w = weights(wq=(4, 4), bq=(4,), wk=(4, 4), wv=(4, 4), bv=(4,), wo=(4, 4), bo=(4,))
 
     def memory_loss(ws, mk, kp, **probe):
         a = {"x": mq, "memory": memory, **ws, **probe}
-        return T.sum_(T.mul(T.memory_attention(a["x"], a["memory"], *(a[n] for n in memory_w),
-                                               2, mk, kp), wm))
+        out = T.memory_attention(a["x"], norm_of(a), a["memory"], norm_of(a, "m_"),
+                                 *(a[n] for n in memory_w), 2, mk, *kp)
+        return T.sum_(T.mul(out, wm2 if out.ndim == 5 else wm))
 
-    sublayer_checks("memory_attention", memory_loss, plain_w, stacked_w,
-                    (("", None, None, None), ("_mask", mmask, None, None),
-                     ("_mask_keep", mmask, mkeep, mkeep)),
-                    {"x": mq, "memory": memory})
-    # the same two rows for memory attention: wq is the identity, memory channel
-    # 0 is 450 and the row 0 of gamma * wk is 1, so x's entry sum per head moves
-    # a whole row of the op's logits (beta @ wk, a constant per row, never enters them)
+    for kind in ("dyt", "layernorm"):
+        plain_w, stacked_w = with_norms(kind, *mem_w, prefixes=("", "m_"))
+        sublayer_checks(f"memory_attention.{kind}", memory_loss, plain_w, stacked_w,
+                        (("", None, (None, None), (None, None)),
+                         ("_mask", mmask, (None, None), (None, None)),
+                         ("_mask_keep", mmask, mkeep, smkeep)),
+                        {"x": mq, "memory": memory})
+    # the same two rows for memory attention: wq is the identity, bq 0 and the
+    # query norm's gamma 1 and beta 0, so x's rows at +-30 give queries of
+    # about +-1; memory channel 0 is 450, 1 after the memory norm's tanh, and
+    # its gamma 450 with row 0 of wk at 1 make every key channel about 450, so
+    # a query's entry sum per head moves a whole row of the op's logits
     smem, smq = memory.copy(), mq.copy()
     smem[..., 0] = 450.0
-    smq[0, 0], smq[1, 2] = 1.0, -1.0
-    for label, ws in (("", plain_w), ("_stacked", stacked_w)):
-        sw = {**ws, "gamma": ws["gamma"].copy(), "wk": ws["wk"].copy(),
-              "wq": np.broadcast_to(np.eye(4), ws["wq"].shape).copy(),
-              "bq": np.zeros(ws["bq"].shape)}
-        sw["gamma"][..., 0], sw["wk"][..., 0, :] = 1.0, 1.0
-        wkf = np.swapaxes(np.atleast_2d(sw["gamma"]), -1, -2) * sw["wk"]
-        logits = np.stack([(smq[..., c:c + 2] @ np.swapaxes(wkf[..., c:c + 2], -1, -2))
-                           @ np.swapaxes(smem, -1, -2) for c in (0, 2)]) / math.sqrt(2.0)
-        assert logits[:, 0, 0].min() > 600.0 and logits[:, 1, 2].max() < -600.0
-        args = {"x": smq, "memory": smem, **sw} if ws is plain_w else sw
+    smq[0, 0], smq[1, 2] = 30.0, -30.0
+    for label, ws in zip(("", "_stacked"), with_norms("dyt", *mem_w, prefixes=("", "m_"))):
+        sw = {**ws, "wk": ws["wk"].copy(), "wq": np.broadcast_to(np.eye(4), ws["wq"].shape).copy(),
+              "bq": np.zeros(ws["bq"].shape), "alpha": np.full(ws["alpha"].shape, 0.5),
+              "gamma": np.ones(ws["gamma"].shape), "beta": np.zeros(ws["beta"].shape),
+              "m_gamma": ws["m_gamma"].copy()}
+        sw["m_gamma"][..., 0], sw["wk"][..., 0, :] = 450.0, 1.0
+        normed = sw["gamma"] * np.tanh(sw["alpha"] * smq) + sw["beta"]
+        mem_n = np.tanh(sw["m_alpha"] * smem)
+        wkf = np.swapaxes(np.atleast_2d(sw["m_gamma"]), -1, -2) * sw["wk"]
+        logits = np.stack([(normed[..., c:c + 2] @ np.swapaxes(wkf[..., c:c + 2], -1, -2))
+                           @ np.swapaxes(mem_n, -1, -2) for c in (0, 2)]) / math.sqrt(2.0)
+        assert logits[..., 0, 0, :, :].min() > 600.0 and logits[..., 1, 2, :, :].max() < -600.0
+        args = {"x": smq, "memory": smem, **sw} if not label else sw
         for arg, x0 in args.items():
             check(f"memory_attention.{arg}{label}_shifted_rows",
-                  lambda t, arg=arg, sw=sw: memory_loss(
-                      sw, mmask, mkeep, **{"x": smq, "memory": smem, arg: t}), x0)
+                  lambda t, arg=arg, sw=sw, kp=smkeep if label else mkeep: memory_loss(
+                      sw, mmask, kp, **{"x": smq, "memory": smem, arg: t}), x0)
+    # the decoder head: 3 agents of width 4, K = 2 modes of F = 2 steps, every
+    # output in the loss
+    hx = rng.uniform((1, 3, 4), -2, 2)
+    origins = rng.uniform((3, 2), -5, 5)
+    head_plain, head_stacked = weights(w1=(4, 8), b1=(8,), w2=(8, 18), b2=(18,))
+    head_out_w = {lead: [rng.uniform(lead + (3, 2, 2, 2), -1, 1),
+                         rng.uniform(lead + (3, 2, 2, 2), -1, 1),
+                         rng.uniform(lead + (3, 2), -1, 1)] for lead in ((), (2,))}
+
+    def head_loss(ws, lead, **probe):
+        a = {"x": hx, **ws, **probe}
+        outs = T.decoder_head(a["x"], a["w1"], a["b1"], a["w2"], a["b2"], origins,
+                              lead + (3, 2, 2), 1e-6)
+        total = T.sum_(T.mul(outs[0], head_out_w[lead][0]))
+        for out, w_out in zip(outs[1:], head_out_w[lead][1:]):
+            total = T.add(total, T.sum_(T.mul(out, w_out)))
+        return total
+
+    for arg, x0 in ({"x": hx, **head_plain}).items():
+        check(f"decoder_head.{arg}", lambda t, arg=arg: head_loss(head_plain, (), **{arg: t}), x0)
+    for arg, x0 in head_stacked.items():
+        check(f"decoder_head.{arg}_stacked",
+              lambda t, arg=arg: head_loss(head_stacked, (2,), **{arg: t}), x0)
+    # scale logits far out on both sides and mode logits far apart
+    far_b2 = head_plain["b2"].copy()
+    far_b2[[4, 5, 13, 14]] = [-30.0, 30.0, -30.0, 30.0]
+    far_b2[[8, 17]] = [40.0, -40.0]
+    check("decoder_head.b2_far_logits", lambda t: head_loss(head_plain, (), b2=t), far_b2)
     mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
     gt = rng.uniform((2, 1, 4, 2), -2, 2)
     weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)

@@ -16,7 +16,7 @@ from dyttp.layers import MultiHeadAttention, swap_axes
 from dyttp.tensor import Rng, Tape, Tensor
 from dyttp.training import EnsembleConfig, Snapshot, make_ensemble
 
-from conftest import grad_check_params, permuted, translated
+from conftest import grad_check_params, permuted, softmax, translated
 
 TINY = ModelConfig(width=8, heads=2, blocks_per_stage=1, modes=2,
                    obs_steps=4, pred_steps=3, radius=50.0, dropout=0.0)
@@ -172,6 +172,35 @@ def test_decode_zero_head_predicts_origin():
             np.broadcast_to(origins[n], (TINY.modes, TINY.pred_steps, 2)))
         assert np.allclose(p.mode_probs.data, 1.0 / TINY.modes)
         assert np.all(p.scales.data > 0.0)
+
+
+def test_decode_records_one_op():
+    # the decoder head is one record with three outputs; a split shows here
+    model = TrajectoryPredictor(TINY, Rng(9))
+    enc = model.encode([tiny_scenario(10)])
+    with Tape() as tape:
+        model.decode(enc)
+    assert len(tape) == 1
+
+
+@pytest.mark.parametrize("rng_seed", [None, 5], ids=["no-dropout", "dropout"])
+def test_agent_without_lane_key_leaves_the_lane_stage_unchanged(rng_seed):
+    # an agent with no lane segment in range has gate 0 in the lane blocks: they
+    # add 0 to its summary, bit for bit, and pass its gradient through unchanged
+    cfg = ModelConfig(width=8, heads=2, modes=2, obs_steps=4, pred_steps=3, dropout=0.1)
+    model = TrajectoryPredictor(cfg, Rng(13))
+    sc = tiny_scenario(14, n_agents=3, n_lanes=2, cfg=cfg)
+    sc.agent_histories[1] += 500.0  # agent 1 is far from every lane
+    _, batch = model.embed_inputs([sc])
+    summary = Tensor(Rng(15).normal((3, 1, cfg.width)), requires_grad=True)
+    weight = Rng(16).normal((3, 1, cfg.width))
+    with Tape() as tape:
+        out = model.stage_agent_lane(summary, batch, None if rng_seed is None else Rng(rng_seed))
+        loss = T.sum_(T.mul(out, weight))
+    T.backward(loss, tape)
+    assert out.data[1].tobytes() == summary.data[1].tobytes()
+    assert not np.array_equal(out.data[[0, 2]], summary.data[[0, 2]])
+    assert np.array_equal(summary.grad[1], weight[1])
 
 
 def test_mode_probs_sum_to_one_random_params():
@@ -344,15 +373,17 @@ def test_last_step_query_matches_every_step_oracle(kind, blocks, members):
             assert np.abs(got_g - want_g).max() <= 1e-12 * np.abs(want_g).max(), name
 
 
-def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None, kv_gamma=None,
-                         kv_beta=None):
-    """Oracle for MultiHeadAttention from plain tape ops: apply the memory's affine,
-    project every key and value row, then attend head by head through a softmax
-    whose blocked logits sit 1e30 below the rest."""
-    kv = q_in if kv_in is None else T.add(T.mul(kv_in, kv_gamma), kv_beta)
-    q, k, v = self.wq(q_in), T.linear(kv, self.wk), self.wv(kv)
+def _project_then_attend(self, x, norm, kv=None, kv_norm=None, mask=None, rng=None, gate=None):
+    """Oracle for MultiHeadAttention from plain tape ops: apply the norms, the
+    memory's with its affine, project every key and value row, attend head by
+    head through a softmax whose blocked logits sit 1e30 below the rest, then
+    add the output to x after its dropout and the gate."""
+    h = norm(x)
+    kv = h if kv is None else kv_norm(kv)
+    q, k, v = self.wq(h), T.linear(kv, self.wk), self.wv(kv)
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], np.shape(mask)[:-2])
     keep = self.drop.keep(lead + (self.heads, q.shape[-2], k.shape[-2]), rng)
+    out_keep = self.drop.keep(lead + q.shape[-2:], rng)
     d = q.shape[-1]
     hd = d // self.heads
 
@@ -364,11 +395,15 @@ def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None, kv_gamma=N
     scores = T.mul(scores, 1.0 / np.sqrt(hd))
     if mask is not None:
         scores = T.add(scores, np.where(mask, 0.0, -1e30)[..., None, :, :])
-    weights = T.softmax(scores, axis=-1)
+    weights = softmax(scores, axis=-1)
     if keep is not None:
         weights = T.mul(weights, keep)
     ctx = swap_axes(T.linear(weights, split(v)), -3, -2)
-    return self.wo(T.reshape(ctx, ctx.shape[:-2] + (d,)))
+    out = self.wo(T.reshape(ctx, ctx.shape[:-2] + (d,)))
+    for multiplier in (out_keep, gate):
+        if multiplier is not None:
+            out = T.mul(out, multiplier)
+    return T.add(x, out)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -376,10 +411,11 @@ def _project_then_attend(self, q_in, kv_in=None, mask=None, rng=None, kv_gamma=N
 @pytest.mark.parametrize("kind", ["dyt", "layernorm"])
 def test_memory_blocks_match_project_then_attend(kind, members, dropout, monkeypatch):
     # the last temporal block and the agent-lane block read a memory through
-    # tensor.memory_attention, its norm's affine folded into the projections;
-    # the oracle applies the affine, projects the memory first and attends
-    # through plain tape ops. Over these 8 cases (452 arrays) the worst
-    # difference measured 5.2e-14 of the array's largest entry
+    # tensor.memory_attention, its norm's affine folded into the projections
+    # and the query norm and residual add inside the op; the oracle runs the
+    # norms, projects the memory first, attends and adds back through plain
+    # tape ops. Over these 8 cases (452 arrays) the worst difference measured
+    # 5.2e-14 of the array's largest entry
     cfg = ModelConfig(norm_kind=kind, dropout=dropout)
     model = _model_with_drawn_norms(cfg, members)
     scenes = generate_synthetic(12, Rng(42)).train[:4]

@@ -90,11 +90,13 @@ def test_make_norm_kinds():
 
 
 def test_mha_single_token_is_value_projection():
+    # one token attends only to itself: x + wo(wv(norm(x)))
     rng = Rng(5)
     mha = MultiHeadAttention(8, 2, rng)
+    norm = DynamicTanh(8)
     x = Tensor(rng.normal((1, 1, 8)))
-    out = mha(x)
-    manual = mha.wo(mha.wv(x))
+    out = mha(x, norm)
+    manual = T.add(x, mha.wo(mha.wv(norm(x))))
     assert np.allclose(out.data, manual.data, atol=1e-12)
 
 
@@ -103,7 +105,7 @@ def test_mha_identical_tokens_identical_outputs():
     mha = MultiHeadAttention(8, 2, rng)
     token = rng.normal((8,))
     x = Tensor(np.broadcast_to(token, (1, 5, 8)).copy())
-    out = mha(x).data
+    out = mha(x, LayerNorm(8)).data
     assert np.allclose(out, out[:, :1, :], atol=1e-12)
 
 
@@ -115,32 +117,34 @@ def test_mha_two_token_hand_computation():
         lin.bias.data = np.zeros(2)
     mha.wk.data = np.eye(2)
     x = np.array([[[1.0, 0.0], [0.0, 2.0]]])
-    out = mha(Tensor(x)).data
+    out = mha(Tensor(x), DynamicTanh(2, alpha_init=0.5)).data
 
-    scores = x[0] @ x[0].T / np.sqrt(2.0)
+    h = np.tanh(0.5 * x[0])  # the norm: unit gamma, zero beta
+    scores = h @ h.T / np.sqrt(2.0)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
-    expected = w @ x[0]
+    expected = x[0] + w @ h
     assert np.allclose(out[0], expected, atol=1e-12)
 
 
 def test_mha_mask_blocks_and_fully_masked_errors():
     rng = Rng(8)
     mha = MultiHeadAttention(4, 1, rng)
+    norm = DynamicTanh(4)
     x = Tensor(rng.normal((1, 3, 4)))
     mask = np.ones((1, 3, 3), dtype=bool)
     mask[0, :, 2] = False
     mask[0, 2, 2] = True
-    out_masked = mha(x, mask=mask).data
+    out_masked = mha(x, norm, mask=mask).data
     # token 2 cannot influence tokens 0/1: changing it leaves them unchanged
     bumped = x.data.copy()
     bumped[0, 2] += 1.0
-    out_bumped = mha(Tensor(bumped), mask=mask).data
+    out_bumped = mha(Tensor(bumped), norm, mask=mask).data
     assert np.allclose(out_masked[0, :2], out_bumped[0, :2], atol=1e-12)
 
     bad = np.zeros((1, 3, 3), dtype=bool)
     with pytest.raises(ValueError):
-        mha(x, mask=bad)
+        mha(x, norm, mask=bad)
 
 
 def softmax_np(s):
@@ -151,18 +155,26 @@ def softmax_np(s):
 CAUSAL = np.tril(np.ones((4, 4), dtype=bool))[None]
 
 
+# the attention sublayer's norm in the oracle test: a DyT with drawn parameters
+ORACLE_NORM = DynamicTanh(6, alpha_init=0.8)
+ORACLE_NORM.gamma.data = Rng(3).uniform((6,), 0.5, 1.5)
+ORACLE_NORM.beta.data = Rng(4).uniform((6,), -0.5, 0.5)
+
+
 def mha_np(p, x):
-    """All heads at once: [..., T, 6] tokens, 2 heads of 3 channels, CAUSAL mask."""
+    """All heads at once: [..., T, 6] tokens through ORACLE_NORM, 2 heads of 3
+    channels, CAUSAL mask, added back to x."""
     def proj(name, a):
         return a @ p[f"{name}.weight"] + p[f"{name}.bias"]
 
+    h = ORACLE_NORM.gamma.data * np.tanh(ORACLE_NORM.alpha.data * x) + ORACLE_NORM.beta.data
     # the key projection is a bare weight, with no bias
     q, k, v = (a.reshape(x.shape[:-1] + (2, 3))
-               for a in (proj("wq", x), x @ p["wk"], proj("wv", x)))
+               for a in (proj("wq", h), h @ p["wk"], proj("wv", h)))
     s = np.where(CAUSAL[..., None, :, :], np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(3.0),
                  -np.inf)
     ctx = np.einsum("...hqk,...khd->...qhd", softmax_np(s), v)
-    return proj("wo", ctx.reshape(x.shape))
+    return x + proj("wo", ctx.reshape(x.shape))
 
 
 # builder, call, oracle on one snapshot's parameters
@@ -174,8 +186,8 @@ LAYER_ORACLES = {
     "layernorm": (lambda rng: LayerNorm(6), lambda m, x: m(x),
                   lambda p, x: (x - x.mean(axis=-1, keepdims=True))
                   / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * p["gamma"] + p["beta"]),
-    "attention": (lambda rng: MultiHeadAttention(6, 2, rng), lambda m, x: m(x, mask=CAUSAL),
-                  mha_np),
+    "attention": (lambda rng: MultiHeadAttention(6, 2, rng),
+                  lambda m, x: m(x, ORACLE_NORM, mask=CAUSAL), mha_np),
 }
 
 
@@ -251,13 +263,13 @@ def test_block_grad_check(kind):
 def test_dropout_modes():
     rng = Rng(14)
     drop = Dropout(0.4)
-    x = Tensor(np.ones((200, 50)))
     # no rng means no dropout; dropout 0 ignores the rng
-    assert drop(x, None) is x
-    assert Dropout(0.0)(x, rng) is x
-    out = drop(x, rng).data
-    assert set(np.round(np.unique(out), 10)) <= {0.0, round(1 / 0.6, 10)}
-    assert abs(out.mean() - 1.0) < 0.02
+    assert drop.keep((200, 50), None) is None
+    assert Dropout(0.0).keep((200, 50), rng) is None
+    keep = drop.keep((200, 50), rng)
+    assert keep.dtype == np.float64 and keep.shape == (200, 50)
+    assert set(np.round(np.unique(keep), 10)) <= {0.0, round(1 / 0.6, 10)}
+    assert abs(keep.mean() - 1.0) < 0.02
     with pytest.raises(ValueError):
         Dropout(1.0)
 
@@ -293,17 +305,31 @@ def test_dropout_multipliers_have_the_bits_of_a_division(p):
 
 
 def test_gelu_values_and_gradient():
-    # reference points of the tanh-form gelu, through identity weights
-    eye, zero = np.eye(1), np.zeros(1)
-
+    # reference points of the tanh-form gelu, the kernel inside feedforward and
+    # the decoder head, as a one-input tape op
     def gelu(t):
-        return T.feedforward(t, eye, zero, eye, zero)
+        out, grad = T._gelu(t.data)
+        return T._op((t,), out, lambda g, needs: (grad(g),))
 
     assert gelu(Tensor([0.0])).item() == 0.0
     big = gelu(Tensor([20.0])).item()
     assert abs(big - 20.0) < 1e-6
     x = Tensor(Rng(15).uniform((6, 1), -2.0, 2.0))
     assert grad_check(lambda t: T.sum_(gelu(t)), x) < 1e-4
+
+
+@pytest.mark.parametrize("memory", [False, True], ids=["self", "memory"])
+@pytest.mark.parametrize("with_rng", [False, True], ids=["no-rng", "rng"])
+def test_block_records_one_op_per_sublayer(memory, with_rng):
+    # a block is two tape records, its attention and its feed-forward sublayer,
+    # each with its norm, dropout and residual add inside; a split shows here
+    cfg = ModelConfig(width=8, heads=2, dropout=0.1)
+    block = TransformerBlock(cfg, Rng(17), cross=memory)
+    x = Tensor(Rng(18).normal((3, 1, 8)))
+    kv = Tensor(Rng(19).normal((3, 5, 8))) if memory else None
+    with T.Tape() as tape:
+        block(x, kv=kv, rng=Rng(20) if with_rng else None)
+    assert len(tape) == 2
 
 
 def test_named_params_and_state_dict_roundtrip():

@@ -6,13 +6,37 @@ import pytest
 from dyttp import tensor as T
 from dyttp.tensor import (
     Rng, Tape, Tensor, add, backward, clamp_min, getitem, grad_check, log,
-    mean, mul, neg, reshape, softmax, softplus, sum_, transpose,
+    mean, mul, neg, reshape, sum_, transpose,
 )
+
+import conftest
+from conftest import head_of_raw
 
 
 def tanh(x):
     """tanh as DyT with unit alpha and gamma and zero beta."""
     return T.dyt(x, 1.0, 1.0, 0.0)
+
+
+def _tensor(a):
+    return a if isinstance(a, Tensor) else Tensor(a)
+
+
+def softmax(t, axis=-1):
+    """The decoder head's mode probabilities for mode logits t [..., K]: the
+    softmax over the last axis, the only one the head takes."""
+    t = _tensor(t)
+    assert axis in (-1, t.ndim - 1)
+    raw = T.linear(reshape(t, t.shape + (1,)), np.array([[0.0, 0.0, 0.0, 0.0, 1.0]]))
+    return head_of_raw(raw)[2]
+
+
+def softplus(t):
+    """The decoder head's scales for scale logits t, one per mode of one step:
+    softplus(t) plus the head's 1e-6 floor, elementwise."""
+    t = _tensor(t)
+    raw = T.linear(reshape(t, t.shape + (1,)), np.array([[0.0, 0.0, 1.0, 0.0, 0.0]]))
+    return getitem(head_of_raw(raw)[1], (Ellipsis, 0, 0))
 
 
 def matmul(a, b):
@@ -83,18 +107,23 @@ def test_softmax_sums_to_one():
 
 
 def test_softmax_rejects_non_finite():
+    raw = np.zeros((2, 5))
+    raw[0, 4] = np.inf  # the first mode's logit
     with pytest.raises(ValueError):
-        softmax(Tensor([np.inf, 0.0]), axis=0)
+        head_of_raw(raw)
 
 
 def test_domain_errors():
     with pytest.raises(T.NumericalError):
         log(Tensor([1.0, 0.0]))
+    raw = np.zeros((2, 5))
+    raw[0, 4] = np.nan
     with pytest.raises(T.NumericalError):
-        softmax(Tensor([np.nan, 0.0]), axis=0)
-    x, eye, zero = np.ones((1, 2, 2)), np.eye(2), np.zeros(2)
+        head_of_raw(raw)
+    x, eye, zero, one = np.ones((1, 2, 2)), np.eye(2), np.zeros(2), np.ones(2)
     with pytest.raises(T.NumericalError):  # every query is inf
-        T.attention(x, np.full((2, 2), np.inf), zero, eye, eye, zero, eye, zero, 1)
+        T.attention(x, (0.5, one, zero, None), np.full((2, 2), np.inf), zero, eye, eye, zero,
+                    eye, zero, 1)
     with pytest.raises(T.NumericalError):
         T.laplace_nll(np.zeros((1, 2, 2)), np.array([[[1.0, 0.0]] * 2]), 0.0, 1.0)
 
@@ -286,35 +315,48 @@ def test_param_ops_match_numpy_oracles(name, snapshots):
         assert_rel(out[s], oracle(x, *(p[s] for p in params)))
 
 
-@pytest.mark.parametrize("name", ["dyt", "layer_norm"])
-def test_norm_ops_without_affine_equal_the_identity_affine(name):
-    # with gamma and beta None the op returns its normalized input; gamma 1 and
-    # beta 0 change no bit of it nor of the input gradients
-    op = {"dyt": lambda x, a, *affine: T.dyt(x, a, *affine),
-          "layer_norm": lambda x, a, *affine: T.layer_norm(x, *affine, eps=1e-5)}[name]
-    rng = Rng(43)
-    x, alpha, w = rng.normal((2, 3, 5)), np.array(0.7), rng.normal((2, 3, 5))
-
-    def run(*affine):
-        xt, at = Tensor(x, requires_grad=True), Tensor(alpha, requires_grad=True)
-        with Tape() as tape:
-            out = op(xt, at, *affine)
-            loss = sum_(mul(out, w))
-        backward(loss, tape)
-        return out.data, xt.grad, at.grad
-
-    for got, want in zip(run(), run(np.ones(5), np.zeros(5))):
-        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
-
-
 def lined_up(a, snapshots, rank):
     """[S, *shape] snapshot parameters lined up as make_ensemble does: unit axes
     after S up to rank, the rank of the activation they meet."""
     return a.reshape((snapshots,) + (1,) * (rank - a.ndim + 1) + a.shape[1:])
 
 
+def norm_np(x, alpha, gamma, beta, eps):
+    """DyT with eps None, else LayerNorm with eps."""
+    if eps is None:
+        return gamma * np.tanh(alpha * x) + beta
+    centered = x - x.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps) * gamma + beta
+
+
+def draw_norm(rng, kind, snapshots, d):
+    """A norm of `kind` for the sublayer ops: (alpha, gamma, beta, eps) as the op
+    takes it, plain or lined up as make_ensemble does, and each member's arrays."""
+    s = max(snapshots, 1)
+    alpha = rng.uniform((s,), 0.3, 1.0) if kind == "dyt" else None
+    gamma, beta = rng.uniform((s, d), 0.5, 1.5), rng.uniform((s, d), -0.5, 0.5)
+    eps = None if kind == "dyt" else 1e-5
+    members = [(None if alpha is None else alpha[j], gamma[j], beta[j], eps) for j in range(s)]
+    if not snapshots:
+        return members[0], members
+    op_alpha = None if alpha is None else alpha.reshape((s, 1, 1, 1))
+    return (op_alpha, lined_up(gamma, s, 3), lined_up(beta, s, 3), eps), members
+
+
+def as_norm(norm):
+    """The norm with its arrays as Tensors."""
+    alpha, gamma, beta, eps = norm
+    return (None if alpha is None else Tensor(alpha), Tensor(gamma), Tensor(beta), eps)
+
+
+def member(a, j, snapshots):
+    """Member j's slice of a multiplier that leads with S when stacked (None stays None)."""
+    return None if a is None else (a.reshape((snapshots,) + a.shape[1:])[j] if snapshots else a)
+
+
 @pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
 def test_feedforward_matches_numpy_oracle(snapshots):
+    # x + out_keep * ((gelu(norm(x) @ w1 + b1) * keep) @ w2 + b2), each norm kind
     rng = Rng(17)
     d, hidden = 5, 8
     x = rng.uniform((2, 3, d), -2.0, 2.0)
@@ -325,14 +367,18 @@ def test_feedforward_matches_numpy_oracle(snapshots):
                  else [p[0] for p in params])
     lead = (snapshots,) * bool(snapshots) + (2,)
     keep = (rng.uniform(lead + (3, hidden)) >= 0.3) / 0.7
-    for kp in (keep, None):
-        out = T.feedforward(Tensor(x), *map(Tensor, op_params), kp).data
-        assert out.shape == lead + (3, d)
-        out = out.reshape((s, 2, 3, d))
-        for j in range(s):
-            want = feedforward_np(x, *(p[j] for p in params),
-                                  1.0 if kp is None else kp.reshape((s, 2, 3, hidden))[j])
-            assert_rel(out[j], want)
+    out_keep = (rng.uniform(lead + (3, d)) >= 0.3) / 0.7
+    for kind in ("dyt", "layernorm"):
+        norm, members = draw_norm(rng, kind, snapshots, d)
+        for kp, okp in ((keep, out_keep), (None, None)):
+            out = T.feedforward(Tensor(x), as_norm(norm), *map(Tensor, op_params), kp, okp).data
+            assert out.shape == lead + (3, d)
+            for j in range(s):
+                got = out[j] if snapshots else out
+                sub = feedforward_np(norm_np(x, *members[j]), *(p[j] for p in params),
+                                     1.0 if kp is None else member(kp, j, snapshots))
+                want = x + (sub if okp is None else member(okp, j, snapshots) * sub)
+                assert_rel(got, want)
 
 
 def attention_np(q, k, v, heads, mask, keep):
@@ -347,9 +393,11 @@ def attention_np(q, k, v, heads, mask, keep):
     return out
 
 
-def attention_sublayer_np(x, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
-    """Project x into queries, keys and values, attend, then project the context."""
-    return attention_np(x @ wq + bq, x @ wk, x @ wv + bv, heads, mask, keep) @ wo + bo
+def attention_sublayer_np(x, norm, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep, out_keep):
+    """Normalize x, project it into queries, keys and values, attend, project the
+    context, then add it to x after out_keep."""
+    h = norm_np(x, *norm)
+    return x + out_keep * (attention_np(h @ wq + bq, h @ wk, h @ wv + bv, heads, mask, keep) @ wo + bo)
 
 
 def attention_weights(rng, snapshots, d):
@@ -374,20 +422,24 @@ def test_attention_matches_numpy_oracle(x_lead, snapshots, mask_lead):
     out_lead = (snapshots,) * bool(snapshots) + x_lead
     lead = np.broadcast_shapes(out_lead, mask_lead)
     keep = (rng.uniform(lead + (heads, t, t)) >= 0.3) / 0.7
+    out_keep = (rng.uniform(lead + (t, d)) >= 0.3) / 0.7
     bx = np.broadcast_to(x, lead + x.shape[-2:])
     bm = np.broadcast_to(mask, lead + mask.shape[-2:])
     ones = np.ones((heads, t, t))
-    # with a mask and dropout, then plain softmax attention
-    for mk, kp in ((mask, keep), (None, None)):
-        out = T.attention(Tensor(x), *map(Tensor, op_w), heads, mk, kp).data
-        assert out.shape == np.broadcast_shapes(out_lead, np.shape(mk)[:-2]) + (t, d)
-        out = np.broadcast_to(out, lead + (t, d))
-        for i in np.ndindex(lead):
-            j = i[0] if snapshots else 0
-            want = attention_sublayer_np(bx[i], *(a[j] for a in w), heads,
-                                         True if mk is None else bm[i],
-                                         ones if kp is None else keep[i])
-            assert_rel(out[i], want)
+    for kind in ("dyt", "layernorm"):
+        norm, members = draw_norm(rng, kind, snapshots, d)
+        # with a mask and dropout, then plain softmax attention
+        for mk, kp, okp in ((mask, keep, out_keep), (None, None, None)):
+            out = T.attention(Tensor(x), as_norm(norm), *map(Tensor, op_w), heads, mk, kp, okp).data
+            assert out.shape == np.broadcast_shapes(out_lead, np.shape(mk)[:-2]) + (t, d)
+            out = np.broadcast_to(out, lead + (t, d))
+            for i in np.ndindex(lead):
+                j = i[0] if snapshots else 0
+                want = attention_sublayer_np(bx[i], members[j], *(a[j] for a in w), heads,
+                                             True if mk is None else bm[i],
+                                             ones if kp is None else keep[i],
+                                             1.0 if okp is None else out_keep[i])
+                assert_rel(out[i], want)
 
 
 def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
@@ -426,11 +478,12 @@ def test_attention_with_mostly_blocked_keys_matches_oracle_and_ignores_them():
     assert np.all(np.abs(gv[:, 0]).sum(-1) > 0)
 
 
-def memory_attention_np(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
-    """Project x into queries, apply the affine to the memory, project it into keys
-    and values, attend, then project the context."""
-    m = gamma * memory + beta
-    return attention_np(x @ wq + bq, m @ wk, m @ wv + bv, heads, mask, keep) @ wo + bo
+def memory_attention_np(x, norm, memory, memory_norm, wq, bq, wk, wv, bv, wo, bo, heads,
+                        mask, keep, out_keep):
+    """Normalize x and the memory, project them into queries, keys and values,
+    attend, project the context, then add it to x after out_keep."""
+    h, m = norm_np(x, *norm), norm_np(memory, *memory_norm)
+    return x + out_keep * (attention_np(h @ wq + bq, m @ wk, m @ wv + bv, heads, mask, keep) @ wo + bo)
 
 
 @pytest.mark.parametrize("q_lead,mem_lead,snapshots,mask_lead",
@@ -441,29 +494,32 @@ def test_memory_attention_matches_numpy_oracle(q_lead, mem_lead, snapshots, mask
     rng = Rng(29)
     heads, tk, d = 2, 4, 6
     x, memory = rng.normal(q_lead + (tq, d)), rng.normal(mem_lead + (tk, d))
-    s = max(snapshots, 1)
     w, op_w = attention_weights(rng, snapshots, d)
-    affine = [rng.uniform((s, d), 0.5, 1.5), rng.normal((s, d))]
-    w = affine + w
-    op_w = [lined_up(a, s, 3) if snapshots else a[0] for a in affine] + op_w
     mask = rng.uniform(mask_lead + (tq, tk)) < 0.6
     mask[..., 0] = True
     lead = np.broadcast_shapes(q_lead, mem_lead, mask_lead)
     keep = (rng.uniform(lead + (heads, tq, tk)) >= 0.3) / 0.7
+    out_keep = (rng.uniform(lead + (tq, d)) >= 0.3) / 0.7
     bx, bm = np.broadcast_to(x, lead + x.shape[-2:]), np.broadcast_to(memory, lead + memory.shape[-2:])
     bmask = np.broadcast_to(mask, lead + mask.shape[-2:])
     ones = np.ones((heads, tq, tk))
-    # with a mask and dropout, then plain softmax attention
-    for mk, kp in ((mask, keep), (None, None)):
-        out = T.memory_attention(Tensor(x), Tensor(memory), *map(Tensor, op_w), heads, mk, kp).data
-        assert out.shape == np.broadcast_shapes(q_lead, mem_lead, np.shape(mk)[:-2]) + (tq, d)
-        out = np.broadcast_to(out, lead + (tq, d))
-        for i in np.ndindex(lead):
-            j = i[0] if snapshots else 0
-            want = memory_attention_np(bx[i], bm[i], *(a[j] for a in w), heads,
-                                       True if mk is None else bmask[i],
-                                       ones if kp is None else keep[i])
-            assert_rel(out[i], want)
+    for kind in ("dyt", "layernorm"):
+        norm, members = draw_norm(rng, kind, snapshots, d)
+        memory_norm, memory_members = draw_norm(rng, kind, snapshots, d)
+        # with a mask and dropout, then plain softmax attention
+        for mk, kp, okp in ((mask, keep, out_keep), (None, None, None)):
+            out = T.memory_attention(Tensor(x), as_norm(norm), Tensor(memory), as_norm(memory_norm),
+                                     *map(Tensor, op_w), heads, mk, kp, okp).data
+            assert out.shape == np.broadcast_shapes(q_lead, mem_lead, np.shape(mk)[:-2]) + (tq, d)
+            out = np.broadcast_to(out, lead + (tq, d))
+            for i in np.ndindex(lead):
+                j = i[0] if snapshots else 0
+                want = memory_attention_np(bx[i], members[j], bm[i], memory_members[j],
+                                           *(a[j] for a in w), heads,
+                                           True if mk is None else bmask[i],
+                                           ones if kp is None else keep[i],
+                                           1.0 if okp is None else out_keep[i])
+                assert_rel(out[i], want)
 
 
 def test_memory_attention_ignores_blocked_memory_rows():
@@ -472,23 +528,24 @@ def test_memory_attention_ignores_blocked_memory_rows():
     rng = Rng(31)
     heads, tk, d = 2, 12, 4
     q, memory = rng.normal((3, 1, d)), rng.normal((3, tk, d))
-    w = (rng.uniform((d,), 0.5, 1.5), rng.normal((d,)),                 # gamma, beta
-         rng.normal((d, d)), rng.normal((d,)),                          # wq, bq
+    norm = (0.7, rng.uniform((d,), 0.5, 1.5), rng.normal((d,)), None)
+    memory_norm = (0.6, rng.uniform((d,), 0.5, 1.5), rng.normal((d,)), None)
+    w = (rng.normal((d, d)), rng.normal((d,)),                          # wq, bq
          rng.normal((d, d)), rng.normal((d, d)), rng.normal((d,)),      # wk, wv, bv
          rng.normal((d, d)), rng.normal((d,)))                          # wo, bo
     mask = np.zeros((3, 1, tk), dtype=bool)
     mask[..., :5] = rng.uniform((3, 1, 5)) < 0.6
     mask[..., 0] = True
     keep = (rng.uniform((3, heads, 1, tk)) >= 0.2) / 0.8
-    out = T.memory_attention(q, memory, *w, heads, mask, keep).data
+    out = T.memory_attention(q, norm, memory, memory_norm, *w, heads, mask, keep).data
     changed = memory.copy()
     changed[:, 5:] = rng.normal((3, tk - 5, d), std=1e3)
-    again = T.memory_attention(q, changed, *w, heads, mask, keep).data
+    again = T.memory_attention(q, norm, changed, memory_norm, *w, heads, mask, keep).data
     assert again.tobytes() == out.tobytes()
 
     mt = Tensor(changed, requires_grad=True)
     with Tape() as tape:
-        loss = sum_(mul(T.memory_attention(q, mt, *w, heads, mask, keep),
+        loss = sum_(mul(T.memory_attention(q, norm, mt, memory_norm, *w, heads, mask, keep),
                         rng.normal((3, 1, d))))
     backward(loss, tape)
     assert not np.any(mt.grad[:, 5:])
@@ -498,36 +555,67 @@ def test_memory_attention_ignores_blocked_memory_rows():
 def test_attention_rejects_a_query_with_no_keys():
     x, eye, zero = np.ones((1, 2, 2)), np.eye(2), np.zeros(2)
     with pytest.raises(ValueError, match="no keys"):
-        T.attention(x, eye, zero, eye, eye, zero, eye, zero, 1,
+        T.attention(x, (0.5, np.ones(2), zero, None), eye, zero, eye, eye, zero, eye, zero, 1,
                     np.array([[[True, False], [False, False]]]))
 
 
-# the tape composites the sublayer ops replaced: linear projections around one
-# record of the attention kernel, or linear, gelu, the dropout mul and linear
+# the tape composites the fused ops replaced: the norm op, linear projections
+# around one record of the attention kernel (or linear, gelu, the dropout mul
+# and linear), the residual's dropout mul and add; and the decoder head's
+# feed-forward, slicing ops, softplus and softmax
 
-def attention_composite(x, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep):
-    q, k, v = T.linear(x, wq, bq), T.linear(x, wk), T.linear(x, wv, bv)
+def norm_composite(x, norm):
+    alpha, gamma, beta, eps = norm
+    return T.dyt(x, alpha, gamma, beta) if eps is None else T.layer_norm(x, gamma, beta, eps=eps)
+
+
+def normalize_composite(x, norm):
+    """The norm's map without its affine, as one op: DyT's with unit gamma and
+    zero beta, LayerNorm's x-hat as layer_norm's grads compute it"""
+    alpha, _, _, eps = norm
+    if eps is None:
+        return T.dyt(x, alpha, 1.0, 0.0)
+    xhat, grad = T._normalize(x.data, None, eps)
+    return T._op((x,), xhat, lambda g, needs: (grad(g, True, False)[0],))
+
+
+def residual_composite(x, out, out_keep):
+    return T.add(x, out if out_keep is None else mul(out, out_keep))
+
+
+def attention_composite(x, norm, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep, out_keep):
+    h = norm_composite(x, norm)
+    q, k, v = T.linear(h, wq, bq), T.linear(h, wk), T.linear(h, wv, bv)
     ctx = T._op((q, k, v), *T._attend(q.data, k.data, v.data, heads, mask, keep))
-    return T.linear(ctx, wo, bo)
+    return residual_composite(x, T.linear(ctx, wo, bo), out_keep)
 
 
-def memory_attention_composite(x, memory, gamma, beta, wq, bq, wk, wv, bv, wo, bo, heads,
-                               mask, keep):
-    args = (T.linear(x, wq, bq), memory, gamma, beta, wk, wv, bv)
+def memory_attention_composite(x, norm, memory, memory_norm, wq, bq, wk, wv, bv, wo, bo, heads,
+                               mask, keep, out_keep):
+    args = (T.linear(norm_composite(x, norm), wq, bq), normalize_composite(memory, memory_norm),
+            memory_norm[1], memory_norm[2], wk, wv, bv)
     ctx = T._op(args, *T._memory_read(*(a.data for a in args), heads, mask, keep))
-    return T.linear(ctx, wo, bo)
+    return residual_composite(x, T.linear(ctx, wo, bo), out_keep)
 
 
-def feedforward_composite(x, w1, b1, w2, b2, keep):
+def feedforward_head_composite(x, w1, b1, w2, b2, keep=None):
     hidden = T.linear(x, w1, b1)
     out, grad = T._gelu(hidden.data)
     act = T._op((hidden,), out, lambda g, needs: (grad(g),))
     return T.linear(act if keep is None else mul(act, keep), w2, b2)
 
 
-def sublayer_case(name, snapshots):
-    """The op, its composite, its input arrays and a call (op, inputs) -> output
-    for one sublayer op: width 4, 2 heads, a mask and dropout multipliers."""
+def feedforward_composite(x, norm, w1, b1, w2, b2, keep, out_keep):
+    return residual_composite(
+        x, feedforward_head_composite(norm_composite(x, norm), w1, b1, w2, b2, keep), out_keep)
+
+
+def sublayer_case(name, snapshots, kind, shared=False):
+    """The op, its composite, its input arrays and a call (op, inputs, masked) ->
+    output for one sublayer op: width 4, 2 heads, a norm of `kind` and, when
+    masked, a mask and dropout multipliers of the attention weights or hidden
+    activation and of the output. shared: memory attention reads its memory
+    through the query norm, as a block with no norm of its own for it does."""
     rng = Rng(47)
     d, heads, t, tk = 4, 2, 3, 5
     s = max(snapshots, 1)
@@ -540,56 +628,205 @@ def sublayer_case(name, snapshots):
     def keep(shape):
         return (rng.uniform(lead + shape) >= 0.2) / 0.8
 
+    def norm_arrays():
+        arrays = params((d,), (d,))
+        arrays[0] = arrays[0] * 0.5 + 1.0                      # gamma in [0.5, 1.5]
+        if kind == "dyt":
+            alpha = rng.uniform((s,), 0.3, 1.0)
+            arrays.insert(0, alpha.reshape((s, 1, 1, 1)) if snapshots else alpha[0])
+        return arrays
+
+    def as_norm_tuple(ts):  # the op's norm from the norm's input Tensors
+        return (ts[0], ts[1], ts[2], None) if kind == "dyt" else (None, ts[0], ts[1], 1e-5)
+
+    n = 3 if kind == "dyt" else 2
     x = rng.uniform((2, t, d), -1, 1)
+    out_keep = keep((t, d))
     mask = rng.uniform((2, t, t)) < 0.6
     mask[..., 0] = True
     if name == "feedforward":
         kp = keep((t, 2 * d))
         return (T.feedforward, feedforward_composite,
-                [x] + params((d, 2 * d), (2 * d,), (2 * d, d), (d,)),
-                lambda op, a: op(*a, kp))
+                [x] + norm_arrays() + params((d, 2 * d), (2 * d,), (2 * d, d), (d,)),
+                lambda op, a, masked: op(a[0], as_norm_tuple(a[1:1 + n]), *a[1 + n:],
+                                         kp if masked else None, out_keep if masked else None))
     if name == "attention":
         kp = keep((heads, t, t))
         return (T.attention, attention_composite,
-                [x] + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
-                lambda op, a: op(*a, heads, mask, kp))
+                [x] + norm_arrays() + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
+                lambda op, a, masked: op(a[0], as_norm_tuple(a[1:1 + n]), *a[1 + n:], heads,
+                                         *((mask, kp, out_keep) if masked else (None, None, None))))
     memory = rng.uniform((2, tk, d), -1, 1)
     mmask = rng.uniform((2, t, tk)) < 0.6
     mmask[..., 0] = True
     kp = keep((heads, t, tk))
-    affine = [rng.uniform((s, d), 0.5, 1.5), rng.uniform((s, d), -1, 1)]
-    affine = [lined_up(a, s, 3) if snapshots else a[0] for a in affine]
+    # x, the query norm, the memory norm unless shared, the memory, the weights
+    norms = norm_arrays() + ([] if shared else norm_arrays())
+    at = 1 + len(norms)  # the memory's index
+
+    def call(op, a, masked):
+        norm = as_norm_tuple(a[1:1 + n])
+        memory_norm = norm if shared else as_norm_tuple(a[1 + n:at])
+        return op(a[0], norm, a[at], memory_norm, *a[at + 1:], heads,
+                  *((mmask, kp, out_keep) if masked else (None, None, None)))
+
     return (T.memory_attention, memory_attention_composite,
-            [x, memory] + affine + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
-            lambda op, a: op(*a, heads, mmask, kp))
+            [x] + norms + [memory] + params((d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)),
+            call)
+
+
+def records_output_and_grads(call, fn, arrays, masked, weight_seed=53):
+    """The tape records, output and every input gradient of call(fn, inputs, masked)
+    under a fixed projection to a scalar."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = call(fn, inputs, masked)
+        records = len(tape)
+        loss = sum_(mul(out, Rng(weight_seed).normal(out.shape)))
+    backward(loss, tape)
+    return records, out.data, [t.grad for t in inputs]
+
+
+def assert_grads_close(got, want):
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g is None) == (w is None), i
+        if w is not None:
+            assert g.shape == w.shape, i
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), i
 
 
 @pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
 @pytest.mark.parametrize("name", ["attention", "memory_attention", "feedforward"])
 def test_sublayer_ops_equal_their_tape_composites(name, snapshots):
-    # one record in place of several, the same output bits, the same gradients
-    op, composite, arrays, call = sublayer_case(name, snapshots)
-    weight = None
+    # one record in place of several, the same output bits, the same gradients:
+    # each norm kind, with and without a mask and dropout; memory attention also
+    # with its memory read through the query norm
+    for kind in ("dyt", "layernorm"):
+        for shared in ((False, True) if name == "memory_attention" else (False,)):
+            op, composite, arrays, call = sublayer_case(name, snapshots, kind, shared)
+            for masked in (True, False):
+                got_records, got, got_grads = records_output_and_grads(call, op, arrays, masked)
+                want_records, want, want_grads = records_output_and_grads(call, composite, arrays,
+                                                                          masked)
+                assert got_records == 1 and want_records > 1
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert_grads_close(got_grads, want_grads)
 
-    def run(fn):
-        nonlocal weight
+
+def decoder_head_composite(x, w1, b1, w2, b2, origins, shape, floor):
+    """The decoder head as the separate ops it replaced."""
+    *lead, k, f = shape
+    lead = tuple(lead)
+    raw = T.reshape(feedforward_head_composite(x, w1, b1, w2, b2), lead + (k, 4 * f + 1))
+    offsets = T.reshape(getitem(raw, (Ellipsis, slice(0, 2 * f))), lead + (k, f, 2))
+    locations = add(offsets, origins[..., None, None, :])
+    scale_raw = T.reshape(getitem(raw, (Ellipsis, slice(2 * f, 4 * f))), lead + (k, f, 2))
+    scales = add(conftest.softplus(scale_raw), floor)
+    probs = conftest.softmax(getitem(raw, (Ellipsis, 4 * f)), axis=-1)
+    return locations, scales, probs
+
+
+def head_case(snapshots):
+    """The head's input arrays (x [.., 1, A, D] and its weights, plain or lined up
+    as make_ensemble does), origins and output shape: width 4, 3 agents, K = 2, F = 3."""
+    rng = Rng(59)
+    d, a, k, f = 4, 3, 2, 3
+    s = max(snapshots, 1)
+    ws = [rng.uniform((s,) + shape, -1, 1) for shape in [(d, 2 * d), (2 * d,),
+                                                         (2 * d, k * (4 * f + 1)), (k * (4 * f + 1),)]]
+    ws = [lined_up(w, s, 3) if snapshots else w[0] for w in ws]
+    x = rng.uniform((1, a, d), -2, 2)
+    origins = rng.uniform((a, 2), -50, 50)
+    lead = (snapshots,) * bool(snapshots) + (a,)
+    return [x] + ws, origins, lead + (k, f)
+
+
+@pytest.mark.parametrize("snapshots", [0, 3], ids=["plain", "stacked"])
+def test_decoder_head_equals_its_tape_composite(snapshots):
+    # one record with three outputs in place of eleven ops: the same output bits
+    # and the same input gradients, whichever outputs the loss reads
+    arrays, origins, shape = head_case(snapshots)
+    rows = shape[:-1]  # [..., A, K]
+    weights = [Rng(61).normal(rows + (shape[-1], 2)), Rng(62).normal(rows + (shape[-1], 2)),
+               Rng(63).normal(rows)]
+
+    def run(fn, used):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
-            out = call(fn, inputs)
+            outs = fn(*inputs, origins, shape, 1e-6)
             records = len(tape)
-            if weight is None:
-                weight = Rng(53).normal(out.shape)
-            loss = sum_(mul(out, weight))
+            loss = Tensor(0.0)
+            for i in used:
+                loss = add(loss, sum_(mul(outs[i], weights[i])))
         backward(loss, tape)
-        return out.data, [t.grad for t in inputs], records
+        return records, [o.data for o in outs], [t.grad for t in inputs]
 
-    got, got_grads, got_records = run(op)
-    want, want_grads, want_records = run(composite)
-    assert got_records == 1 and want_records > 1
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
-        assert g.shape == w.shape, i
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), i
+    for used in ((0, 1, 2), (2, 0), (1,), (0,), (2,)):
+        got_records, got, got_grads = run(T.decoder_head, used)
+        want_records, want, want_grads = run(decoder_head_composite, used)
+        assert got_records == 1 and want_records > 1
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert_grads_close(got_grads, want_grads)
+
+
+def test_decoder_head_softplus_and_softmax_far_out():
+    # scale logits far out on both sides stay finite, their gradient is the
+    # sigmoid; mode logits 1000 apart keep a finite softmax
+    raw = np.zeros((1, 2, 5))
+    raw[0, :, 2:4] = [[-800.0, -700.5], [700.5, 800.0]]
+    raw[0, :, 4] = [1000.0, 0.0]
+    rt = Tensor(raw, requires_grad=True)
+    with Tape() as tape:
+        _, scales, probs = head_of_raw(rt)
+        loss = add(sum_(scales), sum_(mul(probs, np.array([1.0, -1.0]))))
+    backward(loss, tape)
+    assert np.array_equal(scales.data[0, :, 0], [[1e-6, 1e-6], [700.5 + 1e-6, 800.0 + 1e-6]])
+    assert np.array_equal(probs.data, [[1.0, 0.0]])
+    assert np.all(np.isfinite(rt.grad))
+    assert rt.grad[0, 1, 3] == 1.0 and 0.0 < rt.grad[0, 0, 2] < 1e-300
+
+
+def test_multi_output_record_replays_once_with_every_gradient():
+    # one record with two outputs: its backward runs once, after every consumer
+    # of either output, with None for an output nothing read; the outputs can be
+    # consumed in either order, and a record none of whose outputs is read is skipped
+    calls = []
+
+    def twice_and_thrice(x):
+        def grads(gs, needs):
+            calls.append(tuple(g is None for g in gs))
+            g2, g3 = gs
+            total = np.zeros_like(x.data)
+            if g2 is not None:
+                total += 2.0 * g2
+            if g3 is not None:
+                total += 3.0 * g3
+            return (total,)
+
+        return T._op((x,), (x.data * 2.0, x.data * 3.0), grads)
+
+    cases = {(0,): [10.0, 10.0], (1,): [21.0, 21.0], (0, 1): [31.0, 31.0], (1, 0): [31.0, 31.0],
+             (0, 1, 0): [41.0, 41.0]}
+    for used, want in cases.items():
+        calls.clear()
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with Tape() as tape:
+            outs = twice_and_thrice(x)
+            loss = Tensor(0.0)
+            for i in used:
+                loss = add(loss, sum_(mul(outs[i], (5.0, 7.0)[i])))
+            assert len(tape) == 1 + 3 * len(used)
+        backward(loss, tape)
+        assert np.array_equal(x.grad, want), used
+        assert calls == [(0 not in used, 1 not in used)], used
+    calls.clear()
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    with Tape() as tape:
+        twice_and_thrice(x)
+        loss = sum_(mul(x, 4.0))
+    backward(loss, tape)
+    assert calls == [] and np.array_equal(x.grad, [4.0])
 
 
 def softmax_np(scores, mask):

@@ -15,6 +15,8 @@ from dyttp.training import (
     regression_nll, select_best_mode, total_loss, train,
 )
 
+from conftest import head_of_raw
+
 SMALL = ModelConfig(width=16, heads=2, blocks_per_stage=1, modes=2, dropout=0.0)
 FAST_SCHED = SchedulerConfig(cycle_length=1, num_cycles=2)
 
@@ -247,15 +249,15 @@ def test_every_parameter_of_a_default_model_gets_a_gradient(kind):
     assert not duplicated, duplicated
 
 
-def test_default_training_step_records_67_tape_ops():
+def test_default_training_step_records_28_tape_ops():
     # README quotes this count: an op added to or fused out of the step shows here.
-    # Each attention and feed-forward sublayer, projections and dropout included,
-    # and the decoder head's feed-forward are one record each
+    # Each residual sublayer (norm, projections, dropout and residual add) is one
+    # record, and so is the decoder head with its three outputs
     model = TrajectoryPredictor(ModelConfig(), Rng(1))
     batch = generate_synthetic(12, Rng(42)).train[:8]
     with Tape() as tape:
         total_loss(model, batch, rng=Rng(2))
-    assert len(tape) == 67
+    assert len(tape) == 28
 
 
 def test_default_training_step_takes_51330_dropout_draws():
@@ -664,10 +666,12 @@ def test_default_predict_training_epoch_and_ensemble_never_underflow():
         ensemble = make_ensemble(snapshots, cfg, EnsembleConfig())
         for sc in sparse.val:
             ensemble(sc)
-        # softplus floors exp's input too, far out on both sides
-        x = Tensor(np.array([-800.0, -700.5, 0.0, 700.5, 800.0]), requires_grad=True)
+        # the decoder head's softplus floors exp's input too, far out on both sides
+        raw = np.zeros((1, 5, 5))
+        raw[0, :, 2] = [-800.0, -700.5, 0.0, 700.5, 800.0]  # each mode's x scale logit
+        x = Tensor(raw, requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_(T.softplus(x))
+            loss = T.sum_(head_of_raw(x)[1])
         T.backward(loss, tape)
     assert loss.item() > 1500.0 and np.all(np.isfinite(x.grad))
     assert len(result.records) == 1 and math.isfinite(result.records[0]["train_loss"])
