@@ -170,6 +170,9 @@ def resolve_configs(args) -> tuple[ModelConfig, SchedulerConfig, dict]:
         "lam": _pick(getattr(args, "lam", None), file_doc.get("lambda"), 1.0),
         "batch_size": _pick(getattr(args, "batch_size", None), file_doc.get("batch_size"), 8),
     }
+    if type(extras["batch_size"]) is not int or extras["batch_size"] < 1:
+        raise ValueError(f"--batch-size (batch_size) must be an integer >= 1, "
+                         f"got {extras['batch_size']!r}")
     return model_cfg, sched_cfg, extras
 
 
@@ -453,6 +456,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen-data" and args.count < 1:
         parser.error("--count must be >= 1")
+    if args.command == "bench" and args.scenarios < 1:
+        parser.error("--scenarios must be >= 1")
     used, ensemble = getattr(args, "snapshots_used", None), getattr(args, "ensemble", "off")
     if used is not None and used < 1:
         parser.error("--snapshots-used must be >= 1")

@@ -78,7 +78,8 @@ class Linear(Module):
 
 
 class _Norm(Module):
-    """A per-channel affine gamma * . + beta after a parameter-free map of each position."""
+    """A per-channel affine gamma * . + beta after a map of each position: tensor.norm
+    with this norm's parts."""
 
     alpha = None  # DynamicTanh's learnable scale
     eps = None    # LayerNorm's epsilon
@@ -99,7 +100,7 @@ class _Norm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        return self._map(x)
+        return T.norm(x, self.parts)
 
 
 class DynamicTanh(_Norm):
@@ -114,9 +115,6 @@ class DynamicTanh(_Norm):
         self.alpha = Tensor(np.array(alpha_init), requires_grad=True)
         super().__init__(channels)
 
-    def _map(self, x):
-        return T.dyt(x, self.alpha, self.gamma, self.beta)
-
 
 class LayerNorm(_Norm):
     """Per-position standardization over the channel axis, then affine."""
@@ -124,9 +122,6 @@ class LayerNorm(_Norm):
     def __init__(self, channels: int, eps: float = 1e-5):
         super().__init__(channels)
         self.eps = eps
-
-    def _map(self, x):
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
 
 def make_norm(kind: str, channels: int):

@@ -8,12 +8,13 @@ Conventions:
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
 - Each model layer is one fused op with a hand-written backward pass, so it
-  adds one tape record: linear, the norms dyt and layer_norm, the residual
+  adds one tape record: linear, norm (DyT or LayerNorm), the residual
   sublayers attention, memory_attention and feedforward (each x plus its
   dropped-out sublayer of norm(x), from the norm through the output
-  projection), the decoder head decoder_head (three outputs: locations,
-  scales and mode probabilities) and laplace_nll. The norms and the sublayers
-  share one norm kernel.
+  projection) and the decoder head decoder_head (three outputs: locations,
+  scales and mode probabilities). norm and the sublayers share one norm
+  kernel. Each loss term is one op too: laplace_nll and mode_ce, each the
+  mean of its term over the scored agents.
 - An op may have several outputs, recorded as one record whose backward pass
   receives every output's gradient at once.
 - Tensors are treated as immutable once created, except parameter updates
@@ -34,10 +35,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check",
-    "add", "mul", "neg", "log", "clamp_min",
-    "transpose", "reshape", "getitem", "sum_", "mean",
-    "linear", "dyt", "layer_norm", "attention", "memory_attention", "feedforward",
-    "decoder_head", "laplace_nll",
+    "add", "mul", "transpose", "reshape", "getitem",
+    "linear", "norm", "attention", "memory_attention", "feedforward",
+    "decoder_head", "laplace_nll", "mode_ce",
 ]
 
 
@@ -65,10 +65,9 @@ _keep_freed_memory_mapped()
 
 
 class NumericalError(ValueError):
-    """A value outside the domain of an op or update: a non-positive log
-    argument or Laplace scale, a non-finite mode logit or attention logit,
-    or a non-finite gradient. Training reports it as a divergence; other
-    ValueErrors are not."""
+    """A value outside the domain of an op or update: a non-positive Laplace
+    scale, a non-finite mode logit or attention logit, or a non-finite
+    gradient. Training reports it as a divergence; other ValueErrors are not."""
 
 
 class Tensor:
@@ -272,25 +271,6 @@ def mul(a, b):
     return _binary(a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
 
 
-def neg(a):
-    a = _as_tensor(a)
-    return _unary(a, -a.data, lambda g: -g)
-
-
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise NumericalError("log of non-positive value")
-    return _unary(a, np.log(a.data), lambda g: g / a.data)
-
-
-def clamp_min(a, floor: float):
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
-    a = _as_tensor(a)
-    keep = a.data > floor
-    return _unary(a, np.maximum(a.data, floor), lambda g: g * keep)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -326,28 +306,6 @@ def getitem(a, idx):
         return z
 
     return _unary(a, np.array(a.data[idx]), da)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-def sum_(a, axis=None):
-    a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis)
-
-    def da(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape)
-
-    return _unary(a, out_data, da)
-
-
-def mean(a):
-    """Mean over every element."""
-    a = _as_tensor(a)
-    n = a.data.size
-    return _unary(a, a.data.mean(), lambda g: np.broadcast_to(g, a.data.shape) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +358,7 @@ def linear(x, w, b=None):
     return _op((x, w, b), _project(xd, wd, b.data), grads)
 
 
-# the norm kernel, which dyt, layer_norm and the residual sublayer ops share.
+# the norm kernel, which norm and the residual sublayer ops share.
 # A norm is (alpha, gamma, beta, eps): DyT's scale alpha with eps None, or
 # LayerNorm's eps with alpha None, and the per-channel affine gamma and beta
 
@@ -446,29 +404,27 @@ def _norm(xd, alpha, gamma, beta, eps, records: bool):
     return _into(np.add, scaled, beta), grads
 
 
-def dyt(x, alpha, gamma, beta):
-    """DynamicTanh: gamma * tanh(alpha * x) + beta, elementwise."""
-    return _fused((x, alpha, gamma, beta), lambda data, records: _norm(*data, None, records))
-
-
-def layer_norm(x, gamma, beta, *, eps: float):
-    """Standardize over the last axis (biased variance plus eps), then gamma * . + beta."""
-    return _fused((x, None, gamma, beta), lambda data, records: _norm(*data, eps, records))
+def norm(x, parts):
+    """gamma * n + beta for parts = (alpha, gamma, beta, eps): n = tanh(alpha * x),
+    elementwise, for DyT (eps None), or with alpha None x standardized over the
+    last axis (biased variance plus eps) for LayerNorm."""
+    alpha, gamma, beta, eps = parts
+    return _fused((x, alpha, gamma, beta), lambda data, records: _norm(*data, eps, records))
 
 
 def _residual(args, eps, out_keep, core):
     """x + out_keep * core(norm(x)) as one op over args = (x, alpha, gamma, beta,
     *weights): the frame of the residual sublayer ops.
 
-    (alpha, gamma, beta, eps) is the norm as the norm kernel takes it, applied
-    to x as dyt or layer_norm would. core(h, d, records) gets the normalized
-    x, the arrays d of args (the weights from d[4] on) and whether the op
-    records, and returns the sublayer's output and grads(g, needs) over (h,
-    *weights) as in _op. out_keep, when given, multiplies that output:
-    inverted dropout drawn by the caller, or any multiplier that broadcasts
-    against it. The multiply and the residual add run in place, in the order
-    of the composite they replaced (mul, then add), and x's gradient adds the
-    norm path's to the residual's, as that composite's tape did.
+    (alpha, gamma, beta, eps) is the norm, applied to x as norm applies it.
+    core(h, d, records) gets the normalized x, the arrays d of args (the
+    weights from d[4] on) and whether the op records, and returns the
+    sublayer's output and grads(g, needs) over (h, *weights) as in _op.
+    out_keep, when given, multiplies that output: inverted dropout drawn by
+    the caller, or any multiplier that broadcasts against it. The multiply
+    and the residual add run in place, in the order of the composite they
+    replaced (mul, then add), and x's gradient adds the norm path's to the
+    residual's, as that composite's tape did.
     """
     def run(d, records):
         xd = d[0]
@@ -983,13 +939,30 @@ def decoder_head(x, w1, b1, w2, b2, origins, shape, floor: float):
     return _fused((x, w1, b1, w2, b2), run)
 
 
-def laplace_nll(locations, scales, gt, weight):
-    """Weighted Laplace negative log-likelihood, summed over the last three axes.
+def _row_mean(per_row, rows):
+    """The mean of per_row [A] over the n rows the boolean mask rows picks, and a
+    function giving per_row's gradient from the mean's g: g / n there, 0 elsewhere."""
+    rows = np.asarray(rows, dtype=bool)
+    n = int(rows.sum())
+    if not n:
+        raise ValueError("the loss needs at least one scored row")
+
+    def grad(g):
+        g_rows = np.zeros(per_row.shape)
+        g_rows[rows] = g / n
+        return g_rows
+
+    return per_row[rows].mean(), grad
+
+
+def laplace_nll(locations, scales, gt, weight, rows):
+    """Weighted Laplace negative log-likelihood: each agent's sum over (K, F, 2),
+    averaged over the agents the boolean mask rows [A] picks.
 
     Each element adds weight * (log(2 b) + |gt - mu| / b) for location mu and
-    scale b, so [..., K, F, 2] inputs give [...]. gt and weight are arrays
-    that broadcast against locations and get no gradient. Every scale must be
-    strictly positive.
+    scale b, both [A, K, F, 2]. gt and weight are arrays that broadcast
+    against locations and get no gradient. Every scale must be strictly
+    positive.
     """
     locations, scales = _as_tensor(locations), _as_tensor(scales)
     b = scales.data
@@ -998,13 +971,30 @@ def laplace_nll(locations, scales, gt, weight):
     diff = locations.data - gt
     ratio = np.abs(diff) / b
     terms = np.log(b * 2.0) + ratio
+    value, row_grad = _row_mean((terms * weight).sum(axis=(1, 2, 3)), rows)
 
     def grads(g, needs):
-        gb = g[..., None, None, None] * weight / b
+        gb = row_grad(g)[:, None, None, None] * weight / b
         return (gb * np.sign(diff) if needs[0] else None,
                 gb * (1.0 - ratio) if needs[1] else None)
 
-    return _op((locations, scales), (terms * weight).sum(axis=(-3, -2, -1)), grads)
+    return _op((locations, scales), value, grads)
+
+
+def mode_ce(probs, onehot, rows, floor: float):
+    """-log(max(p, floor)) for each agent's chosen mode probability p = sum_k
+    probs * onehot (both [A, K]; onehot gets no gradient, nor probs where p <=
+    floor), averaged over the agents the boolean mask rows [A] picks."""
+    probs = _as_tensor(probs)
+    p = (probs.data * onehot).sum(axis=1)
+    keep = p > floor
+    clamped = np.maximum(p, floor)
+    value, row_grad = _row_mean(-np.log(clamped), rows)
+
+    def grads(g, needs):
+        return ((-row_grad(g) / clamped * keep)[:, None] * onehot,)
+
+    return _op((probs,), value, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ class LossBreakdown:
 
 
 def _one_hot(modes, k: int) -> np.ndarray:
+    """[A, K] rows of 0/1, one 1 at each agent's mode; all zeros for mode -1."""
     return (np.arange(k) == np.asarray(modes)[:, None]).astype(np.float64)
 
 
@@ -80,22 +81,25 @@ def select_best_mode(locations, gt, valid_mask) -> np.ndarray:
 
 
 def regression_nll(locations: Tensor, scales: Tensor, gt, valid_mask, modes) -> Tensor:
-    """[A] Laplace NLL of each agent's mode `modes[a]`, summed over valid steps
-    and both coordinates.
+    """The mean over scored agents of the Laplace NLL of each agent's mode
+    `modes[a]`, summed over valid steps and both coordinates. An agent whose
+    mode is -1 is not scored.
 
     Each term is log(2b) + |y - mu| / b; the chosen mode and the valid steps
-    enter as a 0/1 weight, so the other modes get exactly zero gradient.
+    enter as a 0/1 weight, so the other modes and unscored agents get exactly
+    zero gradient.
     """
     gt = np.asarray(gt, dtype=np.float64)
     valid = np.asarray(valid_mask, dtype=np.float64)
     weight = _one_hot(modes, locations.shape[1])[:, :, None, None] * valid[:, None, :, None]
-    return T.laplace_nll(locations, scales, gt[:, None], weight)
+    return T.laplace_nll(locations, scales, gt[:, None], weight, np.asarray(modes) >= 0)
 
 
 def classification_ce(mode_probs: Tensor, modes) -> Tensor:
-    """[A] -log p of each agent's mode `modes[a]`, p clamped at 1e-12."""
-    p = T.sum_(T.mul(mode_probs, _one_hot(modes, mode_probs.shape[1])), axis=1)
-    return T.neg(T.log(T.clamp_min(p, CE_PROB_FLOOR)))
+    """The mean over scored agents of -log p of each agent's mode `modes[a]`, p
+    clamped at 1e-12. An agent whose mode is -1 is not scored."""
+    return T.mode_ce(mode_probs, _one_hot(modes, mode_probs.shape[1]), np.asarray(modes) >= 0,
+                     CE_PROB_FLOOR)
 
 
 def eligible_agents(s: Scenario) -> np.ndarray:
@@ -120,12 +124,12 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
         raise ValueError("batch contains no agents eligible for the loss")
     pred = model.forward(scenarios, rng if training else None)
     gt = np.concatenate([s.agent_futures for s in scenarios])
-    valid = np.concatenate([s.future_valid for s in scenarios]) & eligible[:, None]
-    modes = np.zeros(len(eligible), dtype=np.int64)
+    valid = np.concatenate([s.future_valid for s in scenarios])
+    modes = np.full(len(eligible), -1)
     modes[eligible] = select_best_mode(pred.locations.data[eligible], gt[eligible],
                                        valid[eligible])
-    reg = T.mean(T.getitem(regression_nll(pred.locations, pred.scales, gt, valid, modes), eligible))
-    cls = T.mean(T.getitem(classification_ce(pred.mode_probs, modes), eligible))
+    reg = regression_nll(pred.locations, pred.scales, gt, valid, modes)
+    cls = classification_ce(pred.mode_probs, modes)
     total = T.add(reg, T.mul(cls, lam))
     return LossBreakdown(total=total, reg=reg, cls=cls)
 

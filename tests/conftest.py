@@ -1,4 +1,5 @@
-"""Helpers shared by the test modules: scene transforms and a parameter gradient check."""
+"""Helpers shared by the test modules: scene transforms, a parameter gradient
+check and a scalar probe of a tape op's output."""
 
 import numpy as np
 
@@ -21,6 +22,15 @@ def permuted(sc: Scenario, order) -> Scenario:
     return Scenario(sc.agent_histories[order], sc.agent_valid[order],
                     sc.agent_futures[order], sc.future_valid[order],
                     [l.copy() for l in sc.lanes], focal, sc.scenario_id)
+
+
+def weighted_sum(y, w=1.0):
+    """sum(y * w) as a [1, 1] Tensor, on the tape when one is open: y flattened
+    to one row times w, broadcast to y's shape, as one column. y's gradient is
+    w, exactly."""
+    y = y if isinstance(y, T.Tensor) else T.Tensor(y)
+    column = np.broadcast_to(np.asarray(w, dtype=np.float64), y.shape).reshape(-1, 1)
+    return T.linear(T.reshape(y, (1, -1)), column)
 
 
 def grad_check_params(model, loss_fn, names=None, h: float = 1e-5) -> dict:

@@ -30,7 +30,7 @@ from dyttp.training import (
     make_ensemble, regression_nll, select_best_mode, total_loss, train,
 )
 
-from conftest import grad_check_params
+from conftest import grad_check_params, weighted_sum
 
 
 def ok(n, text):
@@ -61,24 +61,17 @@ def test_criterion_1_gradient_correctness():
     def check(name, f, x):
         worst[name] = grad_check(f, Tensor(x), h=h)
 
+    # each output reaches a scalar through weighted_sum, a reshape and a linear
     a = rng.uniform((2, 4), -2.0, 2.0)
-    pos = rng.uniform((2, 4), 0.2, 2.0)
     w = rng.uniform((2, 4), -1.0, 1.0)
-    check("add", lambda t: T.sum_(T.mul(T.add(t, a), w)), rng.uniform((2, 4), -2, 2))
-    check("mul", lambda t: T.sum_(T.mul(T.mul(t, a), w)), rng.uniform((2, 4), -2, 2))
-    check("log", lambda t: T.sum_(T.mul(T.log(t), w)), pos.copy())
-    check("neg", lambda t: T.sum_(T.mul(T.neg(t), w)), rng.uniform((2, 4), -2, 2))
-    check("clamp_min", lambda t: T.sum_(T.mul(T.clamp_min(t, 1.0), w)),
-          rng.uniform((2, 4), 1.2, 2.0))
-    check("transpose", lambda t: T.sum_(T.mul(T.transpose(t, (1, 0)), w.T)),
+    check("add", lambda t: weighted_sum(T.add(t, a), w), rng.uniform((2, 4), -2, 2))
+    check("mul", lambda t: weighted_sum(T.mul(t, a), w), rng.uniform((2, 4), -2, 2))
+    check("transpose", lambda t: weighted_sum(T.transpose(t, (1, 0)), w.T),
           rng.uniform((2, 4), -2, 2))
-    check("reshape", lambda t: T.sum_(T.mul(T.reshape(t, (4, 2)), 1.5)),
+    check("reshape", lambda t: weighted_sum(T.reshape(t, (4, 2)), 1.5),
           rng.uniform((2, 4), -2, 2))
-    check("getitem", lambda t: T.sum_(T.getitem(t, (slice(None), 1))),
+    check("getitem", lambda t: weighted_sum(T.getitem(t, (slice(None), 1))),
           rng.uniform((2, 4), -2, 2))
-    check("sum_", lambda t: T.sum_(T.mul(T.sum_(t, axis=1), np.ones(2))),
-          rng.uniform((2, 4), -2, 2))
-    check("mean", lambda t: T.mean(T.mul(t, t)), rng.uniform((2, 4), -2, 2))
 
     # fused ops: every input, with parameters plain and stacked as make_ensemble
     # lines them up ([S, 1, ..., *P], unit axes up to the activation's rank)
@@ -87,37 +80,36 @@ def test_criterion_1_gradient_correctness():
     lin_w, lin_b = rng.uniform((4, 5), -1, 1), rng.uniform((5,), -1, 1)
     w5 = rng.uniform((2, 3, 5), -1, 1)
     w25 = rng.uniform((2, 2, 3, 5), -1, 1)
-    check("linear.x", lambda t: T.sum_(T.mul(T.linear(t, lin_w, lin_b), w5)), x)
-    check("linear.w", lambda t: T.sum_(T.mul(T.linear(x, t, lin_b), w5)), lin_w)
-    check("linear.b", lambda t: T.sum_(T.mul(T.linear(x, lin_w, t), w5)), lin_b)
-    check("linear.x_no_bias", lambda t: T.sum_(T.mul(T.linear(t, lin_w), w5)), x)
-    check("linear.w_no_bias", lambda t: T.sum_(T.mul(T.linear(x, t), w5)), lin_w)
+    check("linear.x", lambda t: weighted_sum(T.linear(t, lin_w, lin_b), w5), x)
+    check("linear.w", lambda t: weighted_sum(T.linear(x, t, lin_b), w5), lin_w)
+    check("linear.b", lambda t: weighted_sum(T.linear(x, lin_w, t), w5), lin_b)
+    check("linear.x_no_bias", lambda t: weighted_sum(T.linear(t, lin_w), w5), x)
+    check("linear.w_no_bias", lambda t: weighted_sum(T.linear(x, t), w5), lin_w)
     check("linear.w_stacked",
-          lambda t: T.sum_(T.mul(T.linear(x, T.reshape(t, (2, 1, 4, 5)), lin_b), w25)),
+          lambda t: weighted_sum(T.linear(x, T.reshape(t, (2, 1, 4, 5)), lin_b), w25),
           rng.uniform((2, 4, 5), -1, 1))
     check("linear.b_stacked",
-          lambda t: T.sum_(T.mul(T.linear(x, lin_w, T.reshape(t, (2, 1, 1, 5))), w25)),
+          lambda t: weighted_sum(T.linear(x, lin_w, T.reshape(t, (2, 1, 1, 5))), w25),
           rng.uniform((2, 5), -1, 1))
     alpha, gamma, beta = np.array(0.7), rng.uniform((4,), 0.5, 1.5), rng.uniform((4,), -1, 1)
-    check("dyt.x", lambda t: T.sum_(T.mul(T.dyt(t, alpha, gamma, beta), w4)), x)
-    check("dyt.alpha", lambda t: T.sum_(T.mul(T.dyt(x, t, gamma, beta), w4)), alpha)
-    check("dyt.gamma", lambda t: T.sum_(T.mul(T.dyt(x, alpha, t, beta), w4)), gamma)
-    check("dyt.beta", lambda t: T.sum_(T.mul(T.dyt(x, alpha, gamma, t), w4)), beta)
+    check("norm.dyt.x", lambda t: weighted_sum(T.norm(t, (alpha, gamma, beta, None)), w4), x)
+    check("norm.dyt.alpha", lambda t: weighted_sum(T.norm(x, (t, gamma, beta, None)), w4), alpha)
+    check("norm.dyt.gamma", lambda t: weighted_sum(T.norm(x, (alpha, t, beta, None)), w4), gamma)
+    check("norm.dyt.beta", lambda t: weighted_sum(T.norm(x, (alpha, gamma, t, None)), w4), beta)
     w24 = rng.uniform((2, 2, 3, 4), -1, 1)
-    check("dyt.alpha_stacked",
-          lambda t: T.sum_(T.mul(T.dyt(x, T.reshape(t, (2, 1, 1, 1)), gamma, beta), w24)),
+    check("norm.dyt.alpha_stacked",
+          lambda t: weighted_sum(T.norm(x, (T.reshape(t, (2, 1, 1, 1)), gamma, beta, None)), w24),
           rng.uniform((2,), 0.3, 1.0))
-    check("dyt.gamma_stacked",
-          lambda t: T.sum_(T.mul(T.dyt(x, alpha, T.reshape(t, (2, 1, 1, 4)), beta), w24)),
+    check("norm.dyt.gamma_stacked",
+          lambda t: weighted_sum(T.norm(x, (alpha, T.reshape(t, (2, 1, 1, 4)), beta, None)), w24),
           rng.uniform((2, 4), 0.5, 1.5))
-    check("layer_norm.x", lambda t: T.sum_(T.mul(T.layer_norm(t, gamma, beta, eps=1e-5), w4)), x)
-    check("layer_norm.gamma",
-          lambda t: T.sum_(T.mul(T.layer_norm(x, t, beta, eps=1e-5), w4)), gamma)
-    check("layer_norm.beta",
-          lambda t: T.sum_(T.mul(T.layer_norm(x, gamma, t, eps=1e-5), w4)), beta)
-    check("layer_norm.gamma_stacked",
-          lambda t: T.sum_(T.mul(T.layer_norm(x, T.reshape(t, (2, 1, 1, 4)), beta, eps=1e-5),
-                                 w24)),
+    check("norm.layer_norm.x", lambda t: weighted_sum(T.norm(t, (None, gamma, beta, 1e-5)), w4), x)
+    check("norm.layer_norm.gamma",
+          lambda t: weighted_sum(T.norm(x, (None, t, beta, 1e-5)), w4), gamma)
+    check("norm.layer_norm.beta",
+          lambda t: weighted_sum(T.norm(x, (None, gamma, t, 1e-5)), w4), beta)
+    check("norm.layer_norm.gamma_stacked",
+          lambda t: weighted_sum(T.norm(x, (None, T.reshape(t, (2, 1, 1, 4)), beta, 1e-5)), w24),
           rng.uniform((2, 4), 0.5, 1.5))
     # the sublayer ops: every input, the norms' alpha, gamma and beta included,
     # with DyT and with LayerNorm, the weights plain and stacked ([S, 1, D, D]
@@ -176,7 +168,7 @@ def test_criterion_1_gradient_correctness():
     def feedforward_loss(ws, mk, kp, **probe):
         a = {"x": x, **ws, **probe}
         out = T.feedforward(a["x"], norm_of(a), a["w1"], a["b1"], a["w2"], a["b2"], *kp)
-        return T.sum_(T.mul(out, w4 if out.ndim == 3 else w24))
+        return weighted_sum(out, w4 if out.ndim == 3 else w24)
 
     for kind in ("dyt", "layernorm"):
         ff_plain, ff_stacked = with_norms(kind, *ff_w)
@@ -199,7 +191,7 @@ def test_criterion_1_gradient_correctness():
     def attention_loss(ws, mk, kp, **probe):
         a = {"x": x, **ws, **probe}
         out = T.attention(a["x"], norm_of(a), *(a[n] for n in attention_w), 2, mk, *kp)
-        return T.sum_(T.mul(out, w24 if out.ndim == 4 else w4))
+        return weighted_sum(out, w24 if out.ndim == 4 else w4)
 
     for kind in ("dyt", "layernorm"):
         at_plain, at_stacked = with_norms(kind, *at_w)
@@ -248,7 +240,7 @@ def test_criterion_1_gradient_correctness():
         a = {"x": mq, "memory": memory, **ws, **probe}
         out = T.memory_attention(a["x"], norm_of(a), a["memory"], norm_of(a, "m_"),
                                  *(a[n] for n in memory_w), 2, mk, *kp)
-        return T.sum_(T.mul(out, wm2 if out.ndim == 5 else wm))
+        return weighted_sum(out, wm2 if out.ndim == 5 else wm)
 
     for kind in ("dyt", "layernorm"):
         plain_w, stacked_w = with_norms(kind, *mem_w, prefixes=("", "m_"))
@@ -295,9 +287,9 @@ def test_criterion_1_gradient_correctness():
         a = {"x": hx, **ws, **probe}
         outs = T.decoder_head(a["x"], a["w1"], a["b1"], a["w2"], a["b2"], origins,
                               lead + (3, 2, 2), 1e-6)
-        total = T.sum_(T.mul(outs[0], head_out_w[lead][0]))
+        total = weighted_sum(outs[0], head_out_w[lead][0])
         for out, w_out in zip(outs[1:], head_out_w[lead][1:]):
-            total = T.add(total, T.sum_(T.mul(out, w_out)))
+            total = T.add(total, weighted_sum(out, w_out))
         return total
 
     for arg, x0 in ({"x": hx, **head_plain}).items():
@@ -310,13 +302,20 @@ def test_criterion_1_gradient_correctness():
     far_b2[[4, 5, 13, 14]] = [-30.0, 30.0, -30.0, 30.0]
     far_b2[[8, 17]] = [40.0, -40.0]
     check("decoder_head.b2_far_logits", lambda t: head_loss(head_plain, (), b2=t), far_b2)
-    mu, scale = rng.uniform((2, 3, 4, 2), -2, 2), rng.uniform((2, 3, 4, 2), 0.3, 2.0)
-    gt = rng.uniform((2, 1, 4, 2), -2, 2)
-    weight = rng.uniform((2, 3, 4, 1), 0.0, 1.0)
-    check("laplace_nll.locations",
-          lambda t: T.sum_(T.mul(T.laplace_nll(t, scale, gt, weight), np.array([0.7, -1.3]))), mu)
-    check("laplace_nll.scales",
-          lambda t: T.sum_(T.mul(T.laplace_nll(mu, t, gt, weight), np.array([0.7, -1.3]))), scale)
+    # the loss ops: 3 agents, K = 3, F = 4, agent 1 not scored
+    mu, scale = rng.uniform((3, 3, 4, 2), -2, 2), rng.uniform((3, 3, 4, 2), 0.3, 2.0)
+    gt = rng.uniform((3, 1, 4, 2), -2, 2)
+    weight = rng.uniform((3, 3, 4, 1), 0.0, 1.0)
+    scored = np.array([True, False, True])
+    check("laplace_nll.locations", lambda t: T.laplace_nll(t, scale, gt, weight, scored), mu)
+    check("laplace_nll.scales", lambda t: T.laplace_nll(mu, t, gt, weight, scored), scale)
+    # agent 1's mode probability 0.02 is clamped at the floor 0.1, agent 2 is
+    # marked -1: an all-zero one-hot row, not scored
+    probs = rng.uniform((4, 3), 0.2, 0.9)
+    probs[1, 0] = 0.02
+    onehot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    check("mode_ce.probs",
+          lambda t: T.mode_ce(t, onehot, np.array([True, True, False, True]), 0.1), probs)
 
     # a new op cannot skip this criterion
     not_ops = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}

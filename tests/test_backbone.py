@@ -16,7 +16,7 @@ from dyttp.layers import MultiHeadAttention, swap_axes
 from dyttp.tensor import Rng, Tape, Tensor
 from dyttp.training import EnsembleConfig, Snapshot, make_ensemble
 
-from conftest import grad_check_params, permuted, softmax, translated
+from conftest import grad_check_params, permuted, softmax, translated, weighted_sum
 
 TINY = ModelConfig(width=8, heads=2, blocks_per_stage=1, modes=2,
                    obs_steps=4, pred_steps=3, radius=50.0, dropout=0.0)
@@ -196,7 +196,7 @@ def test_agent_without_lane_key_leaves_the_lane_stage_unchanged(rng_seed):
     weight = Rng(16).normal((3, 1, cfg.width))
     with Tape() as tape:
         out = model.stage_agent_lane(summary, batch, None if rng_seed is None else Rng(rng_seed))
-        loss = T.sum_(T.mul(out, weight))
+        loss = weighted_sum(out, weight)
     T.backward(loss, tape)
     assert out.data[1].tobytes() == summary.data[1].tobytes()
     assert not np.array_equal(out.data[[0, 2]], summary.data[[0, 2]])
@@ -274,9 +274,9 @@ def test_backbone_grad_check_subset_of_params():
 
     def loss_fn():
         pred = model.forward([sc])
-        total = T.sum_(T.mul(T.getitem(pred.locations, 0), w_loc))
-        total = T.add(total, T.sum_(T.mul(T.getitem(pred.scales, 0), w_sc)))
-        return T.add(total, T.sum_(T.mul(T.getitem(pred.mode_probs, 0), w_pr)))
+        total = weighted_sum(T.getitem(pred.locations, 0), w_loc)
+        total = T.add(total, weighted_sum(T.getitem(pred.scales, 0), w_sc))
+        return T.add(total, weighted_sum(T.getitem(pred.mode_probs, 0), w_pr))
 
     picked = ["input_proj.weight", "pos_embed", "social_blocks.0.attn.wq.weight",
               "lane_blocks.0.norm_kv.alpha", "head_out.bias", "head_hidden.weight"]
@@ -315,7 +315,7 @@ def _temporal_output_and_grads(model, scenes, stage):
         tokens, batch = model.embed_inputs(scenes)
         out = stage(model, model.stage_agent_agent(tokens, batch), batch)
         weights = Rng(5).normal(out.shape)
-        loss = T.sum_(T.mul(out, weights))
+        loss = weighted_sum(out, weights)
     T.backward(loss, tape)
     grads = {n: None if p.grad is None else p.grad.copy() for n, p in model.named_params()}
     model.zero_grad()

@@ -507,6 +507,37 @@ def test_ignored_ensemble_flags_are_a_usage_error(tmp_path, capsys, command, che
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, size", [
+    ("flag", "0"), ("flag", "-1"), ("config", 0), ("config", -1), ("config", 2.5), ("config", "8"),
+])
+def test_bad_batch_size_is_a_usage_error_before_any_write(tmp_path, capsys, source, size):
+    data = gen(tmp_path, count=6)
+    run = tmp_path / "run"
+    flags = [f for f in FAST if f not in ("--batch-size", "8")]
+    if source == "flag":
+        flags += ["--batch-size", size]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batch_size": size}))
+        flags += ["--config", str(config)]
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--batch-size" in err and "batch_size" in err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("scenarios", ["0", "-2"])
+def test_bench_scenarios_below_one_is_a_usage_error(tmp_path, capsys, scenarios):
+    argv, out = _ensemble_argv(tmp_path, "bench", [], checkpoints=False)
+    argv[argv.index("--scenarios") + 1] = scenarios
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--scenarios" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--data", "--config"])
 @pytest.mark.parametrize("command", ["train", "evaluate", "bench"])
 def test_directory_as_input_file_is_usage_error(tmp_path, capsys, command, flag):

@@ -5,17 +5,16 @@ import pytest
 
 from dyttp import tensor as T
 from dyttp.tensor import (
-    Rng, Tape, Tensor, add, backward, clamp_min, getitem, grad_check, log,
-    mean, mul, neg, reshape, sum_, transpose,
+    Rng, Tape, Tensor, add, backward, getitem, grad_check, mul, reshape, transpose,
 )
 
 import conftest
-from conftest import head_of_raw
+from conftest import head_of_raw, weighted_sum
 
 
 def tanh(x):
     """tanh as DyT with unit alpha and gamma and zero beta."""
-    return T.dyt(x, 1.0, 1.0, 0.0)
+    return T.norm(x, (1.0, 1.0, 0.0, None))
 
 
 def _tensor(a):
@@ -83,8 +82,16 @@ def test_matmul_dimension_mismatch():
 
 
 def test_reduce_examples():
-    assert mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
-    assert sum_(Tensor(np.zeros(5))).item() == 0.0
+    # each loss op averages its per-agent term over the picked rows alone
+    mu = np.zeros((3, 1, 1, 2))
+    mu[1] = 1.0  # 2 * (log(2 * 0.5) + 1 / 0.5) = 4
+    mu[2] = 9.0  # not picked
+    half = np.full((3, 1, 1, 2), 0.5)
+    assert T.laplace_nll(mu, half, 0.0, 1.0, [True, True, False]).item() == 2.0
+    probs, onehot = np.array([[0.25, 0.75]] * 3), np.eye(2)[[0, 0, 1]]
+    assert T.mode_ce(probs, onehot, [True, True, False], 1e-12).item() == -math.log(0.25)
+    with pytest.raises(ValueError, match="at least one scored row"):
+        T.mode_ce(probs, onehot, [False] * 3, 1e-12)
 
 
 def test_softmax_uniform_and_stability():
@@ -114,8 +121,6 @@ def test_softmax_rejects_non_finite():
 
 
 def test_domain_errors():
-    with pytest.raises(T.NumericalError):
-        log(Tensor([1.0, 0.0]))
     raw = np.zeros((2, 5))
     raw[0, 4] = np.nan
     with pytest.raises(T.NumericalError):
@@ -125,13 +130,13 @@ def test_domain_errors():
         T.attention(x, (0.5, one, zero, None), np.full((2, 2), np.inf), zero, eye, eye, zero,
                     eye, zero, 1)
     with pytest.raises(T.NumericalError):
-        T.laplace_nll(np.zeros((1, 2, 2)), np.array([[[1.0, 0.0]] * 2]), 0.0, 1.0)
+        T.laplace_nll(np.zeros((1, 1, 2, 2)), np.array([[[[1.0, 0.0]] * 2]]), 0.0, 1.0, [True])
 
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     with Tape() as tape:
-        loss = sum_(x)
+        loss = weighted_sum(x)
     backward(loss, tape)
     assert np.array_equal(x.grad, np.ones(3))
 
@@ -139,7 +144,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        loss = sum_(mul(x, x))
+        loss = weighted_sum(mul(x, x))
     backward(loss, tape)
     assert np.array_equal(x.grad, [2.0, 4.0])
 
@@ -147,7 +152,7 @@ def test_backward_square():
 def test_backward_fanout_accumulates():
     x = Tensor(np.ones(4), requires_grad=True)
     with Tape() as tape:
-        loss = sum_(add(x, x))
+        loss = weighted_sum(add(x, x))
     backward(loss, tape)
     assert np.array_equal(x.grad, 2.0 * np.ones(4))
 
@@ -163,7 +168,7 @@ def test_backward_requires_scalar():
 def test_tape_single_use():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape() as tape:
-        loss = sum_(x)
+        loss = weighted_sum(x)
     backward(loss, tape)
     with pytest.raises(RuntimeError):
         backward(loss, tape)
@@ -179,7 +184,7 @@ def test_broadcast_backward_unbroadcasts():
     w = Tensor(np.array([2.0]), requires_grad=True)
     x = Tensor(np.arange(6.0).reshape(2, 3))
     with Tape() as tape:
-        loss = sum_(mul(x, w))
+        loss = weighted_sum(mul(x, w))
     backward(loss, tape)
     assert w.grad.shape == (1,)
     assert w.grad[0] == x.data.sum()
@@ -188,7 +193,7 @@ def test_broadcast_backward_unbroadcasts():
 def test_getitem_backward_scatters():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with Tape() as tape:
-        loss = sum_(getitem(x, (slice(None), 2)))
+        loss = weighted_sum(getitem(x, (slice(None), 2)))
     backward(loss, tape)
     expected = np.zeros((3, 4))
     expected[:, 2] = 1.0
@@ -198,7 +203,8 @@ def test_getitem_backward_scatters():
 def test_getitem_backward_masks_assign():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     with Tape() as tape:
-        loss = add(sum_(getitem(x, 1)), sum_(getitem(x, np.array([True, False, True]))))
+        loss = add(weighted_sum(getitem(x, 1)),
+                   weighted_sum(getitem(x, np.array([True, False, True]))))
     backward(loss, tape)
     assert np.array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
@@ -217,7 +223,7 @@ def test_grad_check_exact_for_linear():
     w = np.array([0.3, -1.2, 2.5, 0.0])
 
     def f(x):
-        return sum_(mul(x, w))
+        return weighted_sum(x, w)
 
     err = grad_check(f, Tensor(np.array([1.0, 2.0, 3.0, 4.0])), h=1e-5)
     assert err < 1e-9
@@ -226,16 +232,14 @@ def test_grad_check_exact_for_linear():
 def test_grad_check_tanh_sum():
     rng = Rng(11)
     x = Tensor(rng.uniform((8,), -1.0, 1.0))
-    err = grad_check(lambda t: sum_(tanh(t)), x, h=1e-5)
+    err = grad_check(lambda t: weighted_sum(tanh(t)), x, h=1e-5)
     assert err < 1e-6
 
 
 # explicit ids, so a case's test name does not change when another case is
 # added or removed
 UNARY_CASES = [
-    pytest.param("log", log, (0.2, 2.0), id="log-log-rng_range2"),
     pytest.param("softplus", softplus, (-2.0, 2.0), id="softplus-softplus-rng_range4"),
-    pytest.param("neg", neg, (-2.0, 2.0), id="neg-neg-rng_range6"),
 ]
 
 
@@ -244,22 +248,24 @@ def test_grad_check_unary_ops(name, fn, rng_range):
     rng = Rng(sum(map(ord, name)))
     x = Tensor(rng.uniform((2, 5), *rng_range))
     w = rng.uniform((2, 5), -1.0, 1.0)
-    err = grad_check(lambda t: sum_(mul(fn(t), w)), x)
+    err = grad_check(lambda t: weighted_sum(fn(t), w), x)
     assert err < 1e-4, name
 
 
 def test_grad_check_binary_and_reductions():
     rng = Rng(23)
     a_fixed = rng.uniform((3, 4), 0.5, 2.0)
+    onehot, scales = np.eye(4)[[1, 3, 0]], rng.uniform((3, 1, 2, 2), 0.5, 2.0)
 
     cases = {
-        "add": lambda t: sum_(add(t, a_fixed)),
-        "mul": lambda t: sum_(mul(t, a_fixed)),
-        "mean": lambda t: mean(mul(t, t)),
-        "softmax": lambda t: sum_(mul(softmax(t, axis=-1), a_fixed)),
-        "clamp_min": lambda t: sum_(clamp_min(t, 1.0)),
-        "transpose": lambda t: sum_(mul(transpose(t, (1, 0)), a_fixed.T)),
-        "reshape": lambda t: sum_(mul(reshape(t, (4, 3)), 1.5)),
+        "add": lambda t: weighted_sum(add(t, a_fixed)),
+        "mul": lambda t: weighted_sum(mul(t, a_fixed)),
+        "laplace_nll": lambda t: T.laplace_nll(reshape(t, (3, 1, 2, 2)), scales, 1.0, 1.0,
+                                               [True, False, True]),
+        "mode_ce": lambda t: T.mode_ce(t, onehot, [True, True, False], 1e-12),
+        "softmax": lambda t: weighted_sum(softmax(t, axis=-1), a_fixed),
+        "transpose": lambda t: weighted_sum(transpose(t, (1, 0)), a_fixed.T),
+        "reshape": lambda t: weighted_sum(reshape(t, (4, 3)), 1.5),
     }
     for name, f in cases.items():
         x = Tensor(rng.uniform((3, 4), 0.6, 1.9))
@@ -291,8 +297,9 @@ def layer_norm_np(x, g, b):
 # op, its oracle on one snapshot's parameters, the parameter shapes
 PARAM_OPS = {
     "linear": (T.linear, lambda x, w, b: np.einsum("...i,io->...o", x, w) + b, [(5, 6), (6,)]),
-    "dyt": (T.dyt, lambda x, a, g, b: g * np.tanh(a * x) + b, [(), (5,), (5,)]),
-    "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b, eps=1e-5), layer_norm_np, [(5,), (5,)]),
+    "dyt": (lambda x, a, g, b: T.norm(x, (a, g, b, None)),
+            lambda x, a, g, b: g * np.tanh(a * x) + b, [(), (5,), (5,)]),
+    "layer_norm": (lambda x, g, b: T.norm(x, (None, g, b, 1e-5)), layer_norm_np, [(5,), (5,)]),
 }
 
 
@@ -545,8 +552,8 @@ def test_memory_attention_ignores_blocked_memory_rows():
 
     mt = Tensor(changed, requires_grad=True)
     with Tape() as tape:
-        loss = sum_(mul(T.memory_attention(q, norm, mt, memory_norm, *w, heads, mask, keep),
-                        rng.normal((3, 1, d))))
+        loss = weighted_sum(T.memory_attention(q, norm, mt, memory_norm, *w, heads, mask, keep),
+                            rng.normal((3, 1, d)))
     backward(loss, tape)
     assert not np.any(mt.grad[:, 5:])
     assert np.all(np.abs(mt.grad[:, 0]).sum(-1) > 0)
@@ -565,16 +572,15 @@ def test_attention_rejects_a_query_with_no_keys():
 # feed-forward, slicing ops, softplus and softmax
 
 def norm_composite(x, norm):
-    alpha, gamma, beta, eps = norm
-    return T.dyt(x, alpha, gamma, beta) if eps is None else T.layer_norm(x, gamma, beta, eps=eps)
+    return T.norm(x, norm)
 
 
 def normalize_composite(x, norm):
     """The norm's map without its affine, as one op: DyT's with unit gamma and
-    zero beta, LayerNorm's x-hat as layer_norm's grads compute it"""
+    zero beta, LayerNorm's x-hat as norm's grads compute it"""
     alpha, _, _, eps = norm
     if eps is None:
-        return T.dyt(x, alpha, 1.0, 0.0)
+        return T.norm(x, (alpha, 1.0, 0.0, None))
     xhat, grad = T._normalize(x.data, None, eps)
     return T._op((x,), xhat, lambda g, needs: (grad(g, True, False)[0],))
 
@@ -682,7 +688,7 @@ def records_output_and_grads(call, fn, arrays, masked, weight_seed=53):
     with Tape() as tape:
         out = call(fn, inputs, masked)
         records = len(tape)
-        loss = sum_(mul(out, Rng(weight_seed).normal(out.shape)))
+        loss = weighted_sum(out, Rng(weight_seed).normal(out.shape))
     backward(loss, tape)
     return records, out.data, [t.grad for t in inputs]
 
@@ -757,7 +763,7 @@ def test_decoder_head_equals_its_tape_composite(snapshots):
             records = len(tape)
             loss = Tensor(0.0)
             for i in used:
-                loss = add(loss, sum_(mul(outs[i], weights[i])))
+                loss = add(loss, weighted_sum(outs[i], weights[i]))
         backward(loss, tape)
         return records, [o.data for o in outs], [t.grad for t in inputs]
 
@@ -779,7 +785,7 @@ def test_decoder_head_softplus_and_softmax_far_out():
     rt = Tensor(raw, requires_grad=True)
     with Tape() as tape:
         _, scales, probs = head_of_raw(rt)
-        loss = add(sum_(scales), sum_(mul(probs, np.array([1.0, -1.0]))))
+        loss = add(weighted_sum(scales), weighted_sum(probs, np.array([1.0, -1.0])))
     backward(loss, tape)
     assert np.array_equal(scales.data[0, :, 0], [[1e-6, 1e-6], [700.5 + 1e-6, 800.0 + 1e-6]])
     assert np.array_equal(probs.data, [[1.0, 0.0]])
@@ -815,7 +821,7 @@ def test_multi_output_record_replays_once_with_every_gradient():
             outs = twice_and_thrice(x)
             loss = Tensor(0.0)
             for i in used:
-                loss = add(loss, sum_(mul(outs[i], (5.0, 7.0)[i])))
+                loss = add(loss, weighted_sum(outs[i], (5.0, 7.0)[i]))
             assert len(tape) == 1 + 3 * len(used)
         backward(loss, tape)
         assert np.array_equal(x.grad, want), used
@@ -824,7 +830,7 @@ def test_multi_output_record_replays_once_with_every_gradient():
     x = Tensor(np.array([1.0]), requires_grad=True)
     with Tape() as tape:
         twice_and_thrice(x)
-        loss = sum_(mul(x, 4.0))
+        loss = weighted_sum(x, 4.0)
     backward(loss, tape)
     assert calls == [] and np.array_equal(x.grad, [4.0])
 
@@ -898,20 +904,42 @@ def test_masked_softmax_rows_are_independent():
         assert_softmax_close(got, pushed, mask[:, None])
 
 
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["plain", "stacked"])
-def test_laplace_nll_matches_numpy_oracle(lead):
+@pytest.mark.parametrize("rows", [[True] * 4, [True, False, True, True]], ids=["plain", "rows"])
+def test_laplace_nll_matches_numpy_oracle(rows):
     rng = Rng(21)
     a, k, f = 4, 3, 5
-    mu = rng.normal(lead + (a, k, f, 2))
-    b = rng.uniform(lead + (a, k, f, 2), 0.2, 2.0)
+    mu = rng.normal((a, k, f, 2))
+    b = rng.uniform((a, k, f, 2), 0.2, 2.0)
     gt = rng.normal((a, 1, f, 2))
     weight = rng.uniform((a, k, f, 1)) < 0.5
-    out = T.laplace_nll(Tensor(mu), Tensor(b), gt, weight).data
-    want = np.zeros(lead + (a,))
-    for i in np.ndindex(want.shape):
-        terms = weight[i[-1]] * (np.log(2.0 * b[i]) + np.abs(gt[i[-1]] - mu[i]) / b[i])
-        want[i] = terms.sum()
-    assert_rel(out, want)
+    mt, bt = Tensor(mu, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = T.laplace_nll(mt, bt, gt, weight, rows)
+    backward(out, tape)
+    picked = np.flatnonzero(rows)
+    terms = weight * (np.log(2.0 * b) + np.abs(gt - mu) / b)
+    want = np.mean([terms[i].sum() for i in picked])
+    assert abs(out.item() - want) <= 1e-12 * abs(want)
+    # each picked agent's weighted terms, over the number picked
+    on = np.isin(np.arange(a), picked)[:, None, None, None] * weight / len(picked)
+    assert_rel(mt.grad, on * np.sign(mu - gt) / b)
+    assert_rel(bt.grad, on * (1.0 - np.abs(gt - mu) / b) / b)
+
+
+def test_mode_ce_matches_numpy_oracle():
+    # row 1 is not picked; row 2's chosen probability sits under the floor, so
+    # it scores -log(floor) and passes no gradient
+    probs = np.array([[0.2, 0.8], [0.6, 0.4], [1e-14, 1.0], [0.3, 0.7]])
+    onehot = np.eye(2)[[1, 0, 0, 1]]
+    pt = Tensor(probs, requires_grad=True)
+    with Tape() as tape:
+        out = T.mode_ce(pt, onehot, [True, False, True, True], 1e-12)
+    backward(out, tape)
+    want = -(math.log(0.8) + math.log(1e-12) + math.log(0.7)) / 3.0
+    assert abs(out.item() - want) <= 1e-15 * want
+    grad = np.zeros((4, 2))
+    grad[0, 1], grad[3, 1] = -1.0 / (3.0 * 0.8), -1.0 / (3.0 * 0.7)
+    assert np.abs(pt.grad - grad).max() <= 1e-15
 
 
 def test_gradient_accumulation_split_batch():
@@ -921,7 +949,7 @@ def test_gradient_accumulation_split_batch():
     xb = rng.normal((5, 4))
 
     def loss_of(x_np):
-        return sum_(mul(matmul(Tensor(x_np), reshape(w, (4, 1))), 1.0))
+        return weighted_sum(matmul(Tensor(x_np), reshape(w, (4, 1))), 1.0)
 
     with Tape() as tape:
         whole = add(loss_of(np.concatenate([xa, xb])), 0.0)
@@ -1015,7 +1043,7 @@ def test_nested_tape_records_into_the_innermost():
         add(x, 1.0)
         with Tape() as inner:
             mul(x, 2.0)
-        neg(x)
+        reshape(x, (3, 1))
     assert (len(outer), len(inner)) == (2, 1)
     add(x, 1.0)  # no tape open: nothing records
     assert (len(outer), len(inner)) == (2, 1)
@@ -1034,7 +1062,7 @@ def test_tapes_are_thread_local():
         x = Tensor(rng.normal((16,)), requires_grad=True)
         for _ in range(50):
             with Tape() as tape:
-                loss = sum_(mul(softplus(x), x))
+                loss = weighted_sum(mul(softplus(x), x))
             backward(loss, tape)
         results[tag] = (x.grad.copy(), loss.item())
 

@@ -15,7 +15,7 @@ from dyttp.training import (
     regression_nll, select_best_mode, total_loss, train,
 )
 
-from conftest import head_of_raw
+from conftest import head_of_raw, weighted_sum
 
 SMALL = ModelConfig(width=16, heads=2, blocks_per_stage=1, modes=2, dropout=0.0)
 FAST_SCHED = SchedulerConfig(cycle_length=1, num_cycles=2)
@@ -109,17 +109,18 @@ def test_regression_nll_respects_mask():
 
 
 def test_regression_nll_each_agent_and_other_modes_ignored():
-    # two agents in one call: each row is that agent's own mode, the other mode's
-    # (large) residual never enters
+    # two agents in one call: each scores its own mode, the other mode's (large)
+    # residual never enters, and the result is the mean of the two
     f = 3
     gt = np.zeros((2, f, 2))
     loc = np.zeros((2, 2, f, 2))
     loc[0, 1] = 50.0
     loc[1, 0] = 50.0
+    loc[1, 1, -1] = 1.0  # agent 1's own mode: 2 * (log(2 * 0.5) + 1 / 0.5) = 4
     scales = np.full_like(loc, 0.5)
     nll = regression_nll(Tensor(loc), Tensor(scales), gt, np.ones((2, f), dtype=bool), [0, 1])
-    assert nll.shape == (2,)
-    assert np.all(np.abs(nll.data) < 1e-12)
+    assert nll.shape == ()
+    assert abs(nll.item() - 2.0) < 1e-12
 
 
 def test_select_best_mode_rules():
@@ -158,7 +159,36 @@ def test_classification_ce_values():
     assert abs(ce_of_one([0.5, 0.5], 0) - math.log(2.0)) < 1e-12
 
     both = classification_ce(Tensor(np.array([[0.5, 0.5], [0.25, 0.75]])), [1, 0])
-    assert np.allclose(both.data, [math.log(2.0), math.log(4.0)], rtol=0, atol=1e-12)
+    assert both.shape == ()
+    assert abs(both.item() - (math.log(2.0) + math.log(4.0)) / 2.0) < 1e-12
+
+
+def test_agent_with_mode_minus_one_is_not_scored():
+    # an agent marked -1 moves neither loss term by a bit and gets exactly zero
+    # gradient, whatever its predictions
+    rng = Rng(8)
+    f = 4
+    loc, scales = rng.normal((3, 2, f, 2)), rng.uniform((3, 2, f, 2), 0.3, 2.0)
+    probs, gt = rng.uniform((3, 2), 0.1, 0.9), rng.normal((3, f, 2))
+    valid = np.ones((3, f), dtype=bool)
+    valid[0, -1] = False
+
+    def terms(rows):
+        tensors = [Tensor(a[rows], requires_grad=True) for a in (loc, scales, probs)]
+        modes = np.array([1, 0, -1])[rows]
+        with Tape() as tape:
+            reg = regression_nll(tensors[0], tensors[1], gt[rows], valid[rows], modes)
+            cls = classification_ce(tensors[2], modes)
+            total = T.add(reg, cls)
+        T.backward(total, tape)
+        return reg.item(), cls.item(), [t.grad for t in tensors]
+
+    reg, cls, grads = terms(slice(None))
+    reg_scored, cls_scored, grads_scored = terms(slice(0, 2))
+    assert reg == reg_scored and cls == cls_scored
+    for g, g_scored in zip(grads, grads_scored):
+        assert np.array_equal(g[:2], g_scored)
+        assert not np.any(g[2])
 
 
 def test_classification_ce_clamps_zero():
@@ -249,15 +279,40 @@ def test_every_parameter_of_a_default_model_gets_a_gradient(kind):
     assert not duplicated, duplicated
 
 
-def test_default_training_step_records_28_tape_ops():
+def test_default_training_step_records_20_tape_ops():
     # README quotes this count: an op added to or fused out of the step shows here.
     # Each residual sublayer (norm, projections, dropout and residual add) is one
-    # record, and so is the decoder head with its three outputs
+    # record, and so are the decoder head with its three outputs and each loss term
     model = TrajectoryPredictor(ModelConfig(), Rng(1))
     batch = generate_synthetic(12, Rng(42)).train[:8]
     with Tape() as tape:
         total_loss(model, batch, rng=Rng(2))
-    assert len(tape) == 28
+    assert len(tape) == 20
+
+
+def test_total_loss_adds_four_records_after_the_forward(monkeypatch):
+    # one op per loss term, then mul and add to combine them: a loss split into
+    # more ops again shows here at once
+    model = TrajectoryPredictor(SMALL, Rng(1))
+    calls, marks = [], []
+    for name in T.__all__:
+        fn = getattr(T, name)
+        if not isinstance(fn, type):
+            monkeypatch.setattr(T, name, lambda *a, _fn=fn, _name=name, **kw: (
+                calls.append(_name), _fn(*a, **kw))[1])
+    forward = model.forward
+
+    def forward_then_mark(*args, **kwargs):
+        pred = forward(*args, **kwargs)
+        marks.append((len(tape), len(calls)))
+        return pred
+
+    monkeypatch.setattr(model, "forward", forward_then_mark)
+    with Tape() as tape:
+        total_loss(model, _tiny_split().train[:2], lam=0.5, training=False)
+    (records, ops), = marks
+    assert len(tape) - records == 4
+    assert calls[ops:] == ["laplace_nll", "mode_ce", "mul", "add"]
 
 
 def test_default_training_step_takes_51330_dropout_draws():
@@ -671,7 +726,7 @@ def test_default_predict_training_epoch_and_ensemble_never_underflow():
         raw[0, :, 2] = [-800.0, -700.5, 0.0, 700.5, 800.0]  # each mode's x scale logit
         x = Tensor(raw, requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_(head_of_raw(x)[1])
+            loss = weighted_sum(head_of_raw(x)[1])
         T.backward(loss, tape)
     assert loss.item() > 1500.0 and np.all(np.isfinite(x.grad))
     assert len(result.records) == 1 and math.isfinite(result.records[0]["train_loss"])
