@@ -5,6 +5,11 @@ Conventions:
   float32 (see the checkpoint writer); that precision boundary is deliberate.
 - Gradients are recorded only while a Tape is active, so plain inference
   pays no tracking cost.
+- Every op goes through one constructor, _op(args, run): run computes the
+  op's output and its backward pass from the args' arrays, and _op reads
+  plain arrays and numbers as float64, runs it once, wraps its outputs as
+  Tensors and records it on the innermost tape only where some arg wants a
+  gradient. An absent arg (None), an array or a number wants none.
 - Broadcasting follows trailing-dimension (right-aligned) rules only;
   there are no implicit reshapes.
 - Each model layer is one fused op with a hand-written backward pass, so it
@@ -88,10 +93,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.data.shape}")
@@ -171,10 +172,6 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum-reduce a gradient back to the pre-broadcast shape."""
     if g.shape == tuple(shape):
@@ -188,104 +185,75 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _op(inputs, out_data, grads):
-    """out_data as the output of one tape record over the Tensors `inputs`; a
-    tuple of arrays gives a tuple of outputs.
+def _op(args, run):
+    """run over args as one op: one tape record where a tape is open and some
+    arg wants a gradient. Every op goes through here.
 
-    grads(g, needs) returns one gradient per input given the output gradient
-    g, or with several outputs the tuple of their gradients, None for an
-    output that got none; needs[i] says whether input i wants one, and an
-    unwanted entry may be None. Each gradient is sum-reduced to its input's
-    shape, so inputs may broadcast against each other.
+    args are Tensors, or arrays or numbers (read as float64 arrays, which want
+    no gradient), or None for an absent input. run(data, records) gets each
+    arg's array, None where absent, and whether the op records; an op that
+    does not record may overwrite its intermediates, since no backward pass
+    reads them. It returns the output, or a tuple of outputs, and
+    grads(g, needs), which gives one gradient per arg from g, that of the
+    output, or with several outputs the tuple of their gradients, None for an
+    output that got none. needs[i] says whether arg i wants a gradient (never
+    an absent one), and an unwanted entry may be None. Each gradient is
+    sum-reduced to its arg's shape, so args may broadcast against each other.
     """
-    multi = type(out_data) is tuple
-    out = tuple(map(Tensor, out_data)) if multi else Tensor(out_data)
     tape = _innermost.tape
-    if tape is None:
-        return out
-    needs = tuple(t.requires_grad for t in inputs)
-    if any(needs):
+    data = [a.data if type(a) is Tensor else a if a is None else np.asarray(a, np.float64)
+            for a in args]
+    needs = () if tape is None else tuple(type(a) is Tensor and a.requires_grad for a in args)
+    records = any(needs)
+    out, grads = run(data, records)
+    multi = type(out) is tuple
+    out = tuple(map(Tensor, out)) if multi else Tensor(out)
+    if records:
         for o in out if multi else (out,):
             o.requires_grad = True
 
         def backward_fn(g):
-            for t, need, gt in zip(inputs, needs, grads(g, needs)):
+            for a, need, ga in zip(args, needs, grads(g, needs)):
                 if need:
-                    _accumulate(t, _unbroadcast(gt, t.data.shape))
+                    _accumulate(a, _unbroadcast(ga, a.data.shape))
 
         tape._record(out, backward_fn)
     return out
-
-
-def _fused(args, run):
-    """One tape record of run over args, inputs of which some may be None (absent).
-
-    run(data, records) gets each arg's array, None where absent, and whether
-    the op records (as _op decides: a tape is open and some input wants a
-    gradient; an op that does not record may overwrite its intermediates,
-    since no backward pass reads them). It returns the output, or a tuple of
-    outputs, and grads(g, needs) as in _op, whose needs and result have one
-    entry per arg, absent ones included.
-    """
-    if _innermost.tape is None:  # nothing records: one pass over args
-        out = run([a if a is None else a.data if type(a) is Tensor else np.asarray(a, np.float64)
-                   for a in args], False)[0]
-        return tuple(map(Tensor, out)) if type(out) is tuple else Tensor(out)
-    tensors = [a if a is None or type(a) is Tensor else Tensor(a) for a in args]
-    records = any(t is not None and t.requires_grad for t in tensors)
-    out, grads = run([None if t is None else t.data for t in tensors], records)
-    if not records:
-        return tuple(map(Tensor, out)) if type(out) is tuple else Tensor(out)
-    if None not in tensors:
-        return _op(tensors, out, grads)
-    present = [t is not None for t in tensors]
-
-    def present_grads(g, needs):
-        it = iter(needs)
-        full = grads(g, [p and next(it) for p in present])
-        return [gt for gt, p in zip(full, present) if p]
-
-    return _op([t for t in tensors if t is not None], out, present_grads)
-
-
-def _binary(a, b, out_data, da, db):
-    return _op((a, b), out_data,
-               lambda g, needs: (da(g) if needs[0] else None, db(g) if needs[1] else None))
-
-
-def _unary(a, out_data, da):
-    return _op((a,), out_data, lambda g, needs: (da(g),))
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+    return _op((a, b), lambda d, records: (d[0] + d[1], lambda g, needs: (g, g)))
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-    return _binary(a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
+    def run(d, records):
+        ad, bd = d
+        return ad * bd, lambda g, needs: (g * bd if needs[0] else None,
+                                          g * ad if needs[1] else None)
+
+    return _op((a, b), run)
 
 
 # ---------------------------------------------------------------------------
 # shape ops
 
 def transpose(a, axes):
-    a = _as_tensor(a)
     axes = tuple(axes)
     # plain Python: for a handful of axes, np.argsort costs more than the transpose
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return _unary(a, np.transpose(a.data, axes), lambda g: np.transpose(g, inverse))
+    return _op((a,), lambda d, records: (np.transpose(d[0], axes),
+                                         lambda g, needs: (np.transpose(g, inverse),)))
 
 
 def reshape(a, shape):
-    a = _as_tensor(a)
-    old = a.data.shape
-    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(old))
+    def run(d, records):
+        old = d[0].shape
+        return d[0].reshape(shape), lambda g, needs: (g.reshape(old),)
+
+    return _op((a,), run)
 
 
 def getitem(a, idx):
@@ -298,14 +266,16 @@ def getitem(a, idx):
     for part in idx if isinstance(idx, tuple) else (idx,):
         if isinstance(part, list) or (isinstance(part, np.ndarray) and part.dtype.kind in "iu"):
             raise TypeError(f"getitem takes no integer-array or list index, got {part!r}")
-    a = _as_tensor(a)
 
-    def da(g):
-        z = np.zeros_like(a.data)
-        z[idx] = g
-        return z
+    def run(d, records):
+        def grads(g, needs):
+            z = np.zeros_like(d[0])
+            z[idx] = g
+            return (z,)
 
-    return _unary(a, np.array(a.data[idx]), da)
+        return np.array(d[0][idx]), grads
+
+    return _op((a,), run)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +314,17 @@ def _project_grads(xd, wd, g, need_x: bool, need_w: bool):
 
 def linear(x, w, b=None):
     """x @ w + b: [..., Din] x [Din, Dout] + [Dout] -> [..., Dout]; no add when b is None."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    xd, wd = x.data, w.data
-    if xd.shape[-1] != wd.shape[-2]:
-        raise ValueError(f"linear dimensions disagree: {xd.shape} x {wd.shape}")
+    def run(d, records):
+        xd, wd, bd = d
+        if xd.shape[-1] != wd.shape[-2]:
+            raise ValueError(f"linear dimensions disagree: {xd.shape} x {wd.shape}")
 
-    def grads(g, needs):
-        return (*_project_grads(xd, wd, g, needs[0], needs[1]), g)
+        def grads(g, needs):
+            return (*_project_grads(xd, wd, g, needs[0], needs[1]), g)
 
-    if b is None:
-        return _op((x, w), _project(xd, wd), grads)
-    b = _as_tensor(b)
-    return _op((x, w, b), _project(xd, wd, b.data), grads)
+        return _project(xd, wd, bd), grads
+
+    return _op((x, w, b), run)
 
 
 # the norm kernel, which norm and the residual sublayer ops share.
@@ -409,7 +378,7 @@ def norm(x, parts):
     elementwise, for DyT (eps None), or with alpha None x standardized over the
     last axis (biased variance plus eps) for LayerNorm."""
     alpha, gamma, beta, eps = parts
-    return _fused((x, alpha, gamma, beta), lambda data, records: _norm(*data, eps, records))
+    return _op((x, alpha, gamma, beta), lambda data, records: _norm(*data, eps, records))
 
 
 def _residual(args, eps, out_keep, core):
@@ -451,7 +420,7 @@ def _residual(args, eps, out_keep, core):
 
         return out, grads
 
-    return _fused(args, run)
+    return _op(args, run)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -936,7 +905,7 @@ def decoder_head(x, w1, b1, w2, b2, origins, shape, floor: float):
 
         return (locations, scales.reshape(rows), probs), grads
 
-    return _fused((x, w1, b1, w2, b2), run)
+    return _op((x, w1, b1, w2, b2), run)
 
 
 def _row_mean(per_row, rows):
@@ -964,37 +933,41 @@ def laplace_nll(locations, scales, gt, weight, rows):
     against locations and get no gradient. Every scale must be strictly
     positive.
     """
-    locations, scales = _as_tensor(locations), _as_tensor(scales)
-    b = scales.data
-    if np.any(b <= 0.0):
-        raise NumericalError("Laplace NLL needs strictly positive scales")
-    diff = locations.data - gt
-    ratio = np.abs(diff) / b
-    terms = np.log(b * 2.0) + ratio
-    value, row_grad = _row_mean((terms * weight).sum(axis=(1, 2, 3)), rows)
+    def run(d, records):
+        mu, b = d
+        if np.any(b <= 0.0):
+            raise NumericalError("Laplace NLL needs strictly positive scales")
+        diff = mu - gt
+        ratio = np.abs(diff) / b
+        terms = np.log(b * 2.0) + ratio
+        value, row_grad = _row_mean((terms * weight).sum(axis=(1, 2, 3)), rows)
 
-    def grads(g, needs):
-        gb = row_grad(g)[:, None, None, None] * weight / b
-        return (gb * np.sign(diff) if needs[0] else None,
-                gb * (1.0 - ratio) if needs[1] else None)
+        def grads(g, needs):
+            gb = row_grad(g)[:, None, None, None] * weight / b
+            return (gb * np.sign(diff) if needs[0] else None,
+                    gb * (1.0 - ratio) if needs[1] else None)
 
-    return _op((locations, scales), value, grads)
+        return value, grads
+
+    return _op((locations, scales), run)
 
 
 def mode_ce(probs, onehot, rows, floor: float):
     """-log(max(p, floor)) for each agent's chosen mode probability p = sum_k
     probs * onehot (both [A, K]; onehot gets no gradient, nor probs where p <=
     floor), averaged over the agents the boolean mask rows [A] picks."""
-    probs = _as_tensor(probs)
-    p = (probs.data * onehot).sum(axis=1)
-    keep = p > floor
-    clamped = np.maximum(p, floor)
-    value, row_grad = _row_mean(-np.log(clamped), rows)
+    def run(d, records):
+        p = (d[0] * onehot).sum(axis=1)
+        keep = p > floor
+        clamped = np.maximum(p, floor)
+        value, row_grad = _row_mean(-np.log(clamped), rows)
 
-    def grads(g, needs):
-        return ((-row_grad(g) / clamped * keep)[:, None] * onehot,)
+        def grads(g, needs):
+            return ((-row_grad(g) / clamped * keep)[:, None] * onehot,)
 
-    return _op((probs,), value, grads)
+        return value, grads
+
+    return _op((probs,), run)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,13 @@ class LossBreakdown:
 
 
 def _one_hot(modes, k: int) -> np.ndarray:
-    """[A, K] rows of 0/1, one 1 at each agent's mode; all zeros for mode -1."""
-    return (np.arange(k) == np.asarray(modes)[:, None]).astype(np.float64)
+    """[A, K] rows of 0/1, one 1 at each agent's mode; all zeros for mode -1.
+    A mode that is not an integer in [-1, K) raises ValueError."""
+    modes = np.asarray(modes)
+    bad = ~((modes >= -1) & (modes < k) & (modes == np.floor(modes)))
+    if bad.any():
+        raise ValueError(f"mode {modes[bad][0].item()!r} is not an integer in [-1, {k})")
+    return (np.arange(k) == modes[:, None]).astype(np.float64)
 
 
 def select_best_mode(locations, gt, valid_mask) -> np.ndarray:
@@ -159,7 +164,9 @@ class AdamW:
             self.names, self.spans = names, list(zip([0] + ends[:-1], ends))
             self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
         elif names != self.names:
-            raise ValueError("AdamW.step needs the same parameters, in the same order, every step")
+            # a fault of the caller's code, not of its input: not a ValueError, which
+            # the command line reports as a usage error
+            raise RuntimeError("AdamW.step needs the same parameters, in the same order, every step")
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
                             for p in params])
         if not np.isfinite(g).all():

@@ -77,7 +77,7 @@ def softmax(a, axis: int = -1):
     def grads(g, needs):
         return ((g - (g * out).sum(axis=axis, keepdims=True)) * out,)
 
-    return T._op((a,), out, grads)
+    return T._op((a,), lambda d, records: (out, grads))
 
 
 def softplus(a):
@@ -92,7 +92,7 @@ def softplus(a):
         sig /= t + 1.0
         return (g * sig,)
 
-    return T._op((a,), out, grads)
+    return T._op((a,), lambda d, records: (out, grads))
 
 
 def head_of_raw(raw, origins=None, floor: float = 1e-6):

@@ -582,7 +582,7 @@ def normalize_composite(x, norm):
     if eps is None:
         return T.norm(x, (alpha, 1.0, 0.0, None))
     xhat, grad = T._normalize(x.data, None, eps)
-    return T._op((x,), xhat, lambda g, needs: (grad(g, True, False)[0],))
+    return T._op((x,), lambda d, records: (xhat, lambda g, needs: (grad(g, True, False)[0],)))
 
 
 def residual_composite(x, out, out_keep):
@@ -592,7 +592,7 @@ def residual_composite(x, out, out_keep):
 def attention_composite(x, norm, wq, bq, wk, wv, bv, wo, bo, heads, mask, keep, out_keep):
     h = norm_composite(x, norm)
     q, k, v = T.linear(h, wq, bq), T.linear(h, wk), T.linear(h, wv, bv)
-    ctx = T._op((q, k, v), *T._attend(q.data, k.data, v.data, heads, mask, keep))
+    ctx = T._op((q, k, v), lambda d, records: T._attend(*d, heads, mask, keep))
     return residual_composite(x, T.linear(ctx, wo, bo), out_keep)
 
 
@@ -600,14 +600,14 @@ def memory_attention_composite(x, norm, memory, memory_norm, wq, bq, wk, wv, bv,
                                mask, keep, out_keep):
     args = (T.linear(norm_composite(x, norm), wq, bq), normalize_composite(memory, memory_norm),
             memory_norm[1], memory_norm[2], wk, wv, bv)
-    ctx = T._op(args, *T._memory_read(*(a.data for a in args), heads, mask, keep))
+    ctx = T._op(args, lambda d, records: T._memory_read(*d, heads, mask, keep))
     return residual_composite(x, T.linear(ctx, wo, bo), out_keep)
 
 
 def feedforward_head_composite(x, w1, b1, w2, b2, keep=None):
     hidden = T.linear(x, w1, b1)
     out, grad = T._gelu(hidden.data)
-    act = T._op((hidden,), out, lambda g, needs: (grad(g),))
+    act = T._op((hidden,), lambda d, records: (out, lambda g, needs: (grad(g),)))
     return T.linear(act if keep is None else mul(act, keep), w2, b2)
 
 
@@ -776,6 +776,98 @@ def test_decoder_head_equals_its_tape_composite(snapshots):
         assert_grads_close(got_grads, want_grads)
 
 
+NOT_OPS = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}
+OP_CASES = [
+    "add", "mul", "transpose", "reshape", "getitem", "linear", "linear-nobias",
+    "norm-dyt", "norm-layernorm",
+    *(f"{name}-{kind}-{layout}-{masked}"
+      for name in ("attention", "memory_attention", "feedforward") for kind in ("dyt", "layernorm")
+      for layout in ("plain", "stacked") for masked in ("masked", "unmasked")),
+    "decoder_head-plain", "decoder_head-stacked", "laplace_nll", "mode_ce",
+]
+
+
+def op_case(case):
+    """(call, arrays) for one of OP_CASES: call(inputs) runs the op named before
+    the case's first '-' on one input per array."""
+    rng = Rng(67)
+
+    def u(*shape, low=-1.0):
+        return rng.uniform(shape, low, 1.0)
+
+    name, *variant = case.split("-")
+    if name in ("attention", "memory_attention", "feedforward"):
+        kind, layout, masked = variant
+        _, _, arrays, call = sublayer_case(name, 3 if layout == "stacked" else 0, kind)
+        return (lambda a: call(getattr(T, name), a, masked == "masked")), arrays
+    if name == "decoder_head":
+        arrays, origins, shape = head_case(3 if variant == ["stacked"] else 0)
+        return (lambda a: T.decoder_head(*a, origins, shape, 1e-6)), arrays
+    if name in ("add", "mul"):
+        return (lambda a: getattr(T, name)(*a)), [u(2, 3), u(3)]
+    if name == "transpose":
+        return (lambda a: transpose(a[0], (2, 0, 1))), [u(2, 3, 4)]
+    if name == "reshape":
+        return (lambda a: reshape(a[0], (3, 2))), [u(2, 3)]
+    if name == "getitem":
+        return (lambda a: getitem(a[0], (slice(1, None), 2))), [u(3, 4)]
+    if name == "linear":
+        return (lambda a: T.linear(*a)), [u(2, 3), u(3, 4)] + ([] if variant else [u(4)])
+    if case == "norm-dyt":
+        return (lambda a: T.norm(a[0], (a[1], a[2], a[3], None))), [u(2, 3, 4), 0.7, u(4), u(4)]
+    if case == "norm-layernorm":
+        return (lambda a: T.norm(a[0], (None, a[1], a[2], 1e-5))), [u(2, 3, 4), u(4), u(4)]
+    if name == "laplace_nll":
+        gt, rows = u(3, 1, 4, 2), np.array([True, False, True])
+        return ((lambda a: T.laplace_nll(*a, gt, np.ones((3, 2, 4, 2)), rows)),
+                [u(3, 2, 4, 2), u(3, 2, 4, 2, low=0.2)])
+    assert name == "mode_ce"
+    onehot, rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([True, True, False])
+    return (lambda a: T.mode_ce(a[0], onehot, rows, 0.1)), [u(3, 2, low=0.0)]
+
+
+def test_op_cases_cover_every_op():
+    assert {case.split("-")[0] for case in OP_CASES} == set(T.__all__) - NOT_OPS
+
+
+@pytest.mark.parametrize("case", OP_CASES)
+def test_every_op_gives_the_same_bits_whether_or_not_it_records(case):
+    # with no tape, with a tape that no input needs and with a tape that one
+    # input needs, an op takes three paths through _op, and the layer ops
+    # overwrite their intermediates where nothing records: the same output
+    # bits each time, the inputs untouched, and one record only in the last
+    call, arrays = op_case(case)
+    before = [np.array(a, dtype=np.float64).tobytes() for a in arrays]
+    outputs = []
+    for wants_grad, tape_open, records in ((True, False, 0), (False, True, 0), (True, True, 1)):
+        inputs = [Tensor(a, requires_grad=wants_grad and i == 0) for i, a in enumerate(arrays)]
+        if tape_open:
+            with Tape() as tape:
+                out = call(inputs)
+            assert len(tape) == records
+        else:
+            out = call(inputs)
+        outs = out if type(out) is tuple else (out,)
+        assert all(o.requires_grad == bool(records) for o in outs)
+        outputs.append([(o.shape, o.data.tobytes()) for o in outs])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [np.array(a, dtype=np.float64).tobytes() for a in arrays] == before
+
+
+def test_linear_without_bias_records_once_and_gives_w_its_gradient():
+    # the absent bias wants no gradient: w gets x^T g all the same, from one record
+    x = Rng(71).uniform((2, 3, 4), -1.0, 1.0)
+    w = Tensor(Rng(72).uniform((4, 5), -1.0, 1.0), requires_grad=True)
+    g = Rng(73).normal((2, 3, 5))
+    with Tape() as tape:
+        y = T.linear(x, w)
+        assert len(tape) == 1
+        loss = weighted_sum(y, g)
+    backward(loss, tape)
+    assert np.array_equal(y.data, x @ w.data)
+    assert np.array_equal(w.grad, x.reshape(-1, 4).T @ g.reshape(-1, 5))
+
+
 def test_decoder_head_softplus_and_softmax_far_out():
     # scale logits far out on both sides stay finite, their gradient is the
     # sigmoid; mode logits 1000 apart keep a finite softmax
@@ -810,7 +902,7 @@ def test_multi_output_record_replays_once_with_every_gradient():
                 total += 3.0 * g3
             return (total,)
 
-        return T._op((x,), (x.data * 2.0, x.data * 3.0), grads)
+        return T._op((x,), lambda d, records: ((x.data * 2.0, x.data * 3.0), grads))
 
     cases = {(0,): [10.0, 10.0], (1,): [21.0, 21.0], (0, 1): [31.0, 31.0], (1, 0): [31.0, 31.0],
              (0, 1, 0): [41.0, 41.0]}
@@ -1107,9 +1199,33 @@ def test_every_op_has_a_library_caller():
         used.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases)
-    not_ops = {"Tensor", "Tape", "Rng", "NumericalError", "backward", "grad_check"}
-    unused = set(T.__all__) - not_ops - used
+    unused = set(T.__all__) - NOT_OPS - used
     assert not unused, f"ops no library module calls: {sorted(unused)}"
+
+
+def test_one_function_records_and_no_op_builds_its_own_output():
+    # every op reaches the tape through _op, which alone wraps outputs and
+    # records: a second op constructor, or an op that builds its output Tensor
+    # itself, fails here
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(T.__file__).read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [m for node in tree.body if isinstance(node, ast.ClassDef)
+                  for m in node.body if isinstance(m, ast.FunctionDef)]
+
+    def calls(fn, test):
+        return any(isinstance(n, ast.Call) and test(n.func) for n in ast.walk(fn))
+
+    recorders = [fn.name for fn in functions
+                 if calls(fn, lambda f: isinstance(f, ast.Attribute) and f.attr == "_record")]
+    assert recorders == ["_op"]
+    assert set(T.__all__) - NOT_OPS <= {fn.name for fn in functions}
+    # grad_check's Tensors are the probes it feeds an op, not an op's output
+    builders = [fn.name for fn in functions
+                if calls(fn, lambda f: isinstance(f, ast.Name) and f.id == "Tensor")]
+    assert builders == ["_op", "grad_check"], f"functions that build a Tensor: {builders}"
 
 
 def test_every_library_name_has_a_caller_outside_the_tests():

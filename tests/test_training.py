@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ def test_agent_with_mode_minus_one_is_not_scored():
     for g, g_scored in zip(grads, grads_scored):
         assert np.array_equal(g[:2], g_scored)
         assert not np.any(g[2])
+
+
+@pytest.mark.parametrize("mode", [2, 5, -2, 1.5])
+def test_a_mode_that_is_not_an_integer_in_minus_one_to_k_raises(mode):
+    # K = 2: mode 2 or 1.5 would get an all-zero one-hot row and still be scored
+    # (0 to the Laplace term, -log(1e-12) to the cross-entropy); -2 would end in
+    # an unrelated error. Each names the bad value
+    loc, sc, probs = batch_of_one(np.zeros((2, 3, 2)))
+    message = re.escape(f"mode {mode!r} is not an integer in [-1, 2)")
+    with pytest.raises(ValueError, match=message):
+        classification_ce(probs, [mode])
+    with pytest.raises(ValueError, match=message):
+        regression_nll(loc, sc, np.zeros((1, 3, 2)), np.ones((1, 3), dtype=bool), [mode])
+    with pytest.raises(ValueError, match=message):
+        classification_ce(Tensor(np.full((3, 2), 0.5)), [0, mode, -1])
 
 
 def test_classification_ce_clamps_zero():
@@ -396,6 +412,19 @@ def test_adamw_inf_grad_names_parameter():
     with pytest.raises(T.NumericalError, match="non-finite gradient for parameter head.bias"):
         opt.step([("head.bias", p)], lr=0.1)
     assert np.array_equal(p.data, np.ones(2))
+
+
+def test_adamw_rejects_a_changed_parameter_list_as_a_program_fault():
+    # a RuntimeError, not a ValueError: the command line reports a ValueError as
+    # a usage error, and a caller that changes the list between steps is at fault
+    opt = AdamW()
+    a, b = (Tensor(np.ones(2), requires_grad=True) for _ in range(2))
+    a.grad, b.grad = np.ones(2), np.ones(2)
+    opt.step([("a", a), ("b", b)], lr=0.1)
+    for changed in ([("a", a)], [("b", b), ("a", a)], [("a", a), ("c", b)]):
+        with pytest.raises(RuntimeError, match="same parameters, in the same order"):
+            opt.step(changed, lr=0.1)
+    assert opt.t == 1
 
 
 def test_flat_adamw_equals_a_per_parameter_loop():
