@@ -127,15 +127,20 @@ def agent_step_features(scenario) -> np.ndarray:
     return feats
 
 
-def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero steps within each polyline: ([S, 3] unit direction + length, [S, 2] midpoints)."""
+def _lane_steps(lanes):
+    """lane_segments, and the [S] index of the polyline each segment lies on."""
     points = np.concatenate([np.zeros((0, 2)), *lanes])                     # [P, 2]
     lane_of = np.repeat(np.arange(len(lanes)), [len(poly) for poly in lanes])
     d = points[1:] - points[:-1]
     length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     keep = (lane_of[1:] == lane_of[:-1]) & (length > 0)
     feats = np.concatenate([d[keep] / length[keep, None], length[keep, None]], axis=1)
-    return feats, 0.5 * (points[:-1] + points[1:])[keep]
+    return feats, 0.5 * (points[:-1] + points[1:])[keep], lane_of[1:][keep]
+
+
+def lane_segments(lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero steps within each polyline: ([S, 3] unit direction + length, [S, 2] midpoints)."""
+    return _lane_steps(lanes)[:2]
 
 
 class SceneBatch:
@@ -158,15 +163,18 @@ class SceneBatch:
         self.agent_histories = np.concatenate([s.agent_histories for s in scenes])  # [A, T, 2]
         self.agent_valid = np.concatenate([s.agent_valid for s in scenes])          # [A, T]
         self.origins = frame_origins(self)                                          # [A, 2]
-        segments = [lane_segments(s.lanes) for s in scenes]
-        s_max = max(feats.shape[0] for feats, _ in segments)
-        seg_feats = np.zeros((len(scenes), s_max, 5))
-        seg_valid = np.zeros((len(scenes), s_max), dtype=bool)
-        for i, (feats, mids) in enumerate(segments):
-            seg_feats[i, :len(feats)] = np.concatenate([feats, mids], axis=1)
-            seg_valid[i, :len(feats)] = True
+        # one pass over every polyline of the batch; the segments come in scene
+        # order, so filling the valid entries in row-major order puts each in its scene's row
+        feats, mids, lane = _lane_steps([poly for s in scenes for poly in s.lanes])
+        scene = np.repeat(np.arange(len(scenes)), [len(s.lanes) for s in scenes])[lane]   # [S]
+        counts = np.bincount(scene, minlength=len(scenes))
+        seg_valid = np.arange(counts.max()) < counts[:, None]                     # [B, S_max]
+        seg_feats = np.zeros(seg_valid.shape + (5,))
+        seg_feats[seg_valid] = np.concatenate([feats, mids], axis=1)
         self.lane_feats = seg_feats[self.scene_of]                                  # [A, S_max, 5]
-        self.lane_feats[..., 3:] -= self.origins[:, None, :]
+        # per column: over the [..., 2] slice numpy's inner loop would run over 2 elements
+        self.lane_feats[..., 3] -= self.origins[:, 0, None]
+        self.lane_feats[..., 4] -= self.origins[:, 1, None]
         self.lane_valid = seg_valid[self.scene_of]                                  # [A, S_max]
 
 

@@ -36,8 +36,8 @@ from .data import (
     save_scenarios, write_atomic,
 )
 from .evaluation import (
-    ablation_to_dict, bench_latency, evaluate_model, format_ablation_table,
-    format_latency_table, format_metrics_table, run_ablation,
+    BENCH_MIN_ITERATIONS, BENCH_MIN_WARMUP, ablation_to_dict, bench_latency, evaluate_model,
+    format_ablation_table, format_latency_table, format_metrics_table, run_ablation,
 )
 from .tensor import NumericalError, Rng
 from .training import (
@@ -458,6 +458,12 @@ def main(argv=None) -> int:
         parser.error("--count must be >= 1")
     if args.command == "bench" and args.scenarios < 1:
         parser.error("--scenarios must be >= 1")
+    # bench_latency's limits, checked before an ablation trains anything
+    for dest, least in (("iterations", BENCH_MIN_ITERATIONS), ("warmup", BENCH_MIN_WARMUP),
+                        ("bench_iterations", BENCH_MIN_ITERATIONS),
+                        ("bench_warmup", BENCH_MIN_WARMUP)):
+        if getattr(args, dest, least) < least:
+            parser.error(f"--{dest.replace('_', '-')} must be >= {least}")
     used, ensemble = getattr(args, "snapshots_used", None), getattr(args, "ensemble", "off")
     if used is not None and used < 1:
         parser.error("--snapshots-used must be >= 1")

@@ -19,6 +19,8 @@ from .layers import make_norm
 from .tensor import Rng, Tensor
 
 MISS_THRESHOLD_M = 2.0
+BENCH_MIN_ITERATIONS = 100  # bench_latency's least timed and warm-up calls
+BENCH_MIN_WARMUP = 10
 
 
 @dataclass
@@ -127,10 +129,10 @@ def bench_latency(predict_fn, scenarios, iterations: int = 1000,
     The timed region only calls predict_fn; no parameter state is created
     inside it. Runs serially to keep the variance interpretable.
     """
-    if iterations < 100:
-        raise ValueError("latency benchmark needs >= 100 iterations")
-    if warmup < 10:
-        raise ValueError("latency benchmark needs >= 10 warmup iterations")
+    if iterations < BENCH_MIN_ITERATIONS:
+        raise ValueError(f"latency benchmark needs >= {BENCH_MIN_ITERATIONS} iterations")
+    if warmup < BENCH_MIN_WARMUP:
+        raise ValueError(f"latency benchmark needs >= {BENCH_MIN_WARMUP} warmup iterations")
     if not scenarios:
         raise ValueError("no scenarios to benchmark")
     order = [scenarios[i % len(scenarios)] for i in range(iterations + warmup)]

@@ -78,12 +78,16 @@ class NumericalError(ValueError):
 class Tensor:
     """An n-dimensional float64 array, optionally participating in a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    # grad_slot: an array of data's shape that a backward pass copies this
+    # tensor's first gradient into, in place of a fresh array, or None
+    # (training.AdamW points it at the tensor's part of its flat gradient vector)
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
+        self.grad_slot = None
 
     @property
     def shape(self):
@@ -166,16 +170,40 @@ def backward(loss: Tensor, tape: Tape):
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t.grad_slot is not None and t.grad_slot.shape == g.shape:
+        t.grad = t.grad_slot
+        t.grad[...] = g
+    else:
+        t.grad = np.array(g, dtype=np.float64)
+
+
+_ones = np.ones(0)
+
+
+def _ones_vector(n: int) -> np.ndarray:
+    """n ones, a slice of one cached vector that grows as needed. A product with
+    it sums a matrix's rows (or columns) in one BLAS call, several times faster
+    than numpy's .sum over an outer axis."""
+    global _ones
+    if _ones.size < n:
+        _ones = np.ones(max(n, 2 * _ones.size))
+    return _ones[:n]
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum-reduce a gradient back to the pre-broadcast shape."""
-    if g.shape == tuple(shape):
+    shape = tuple(shape)
+    if g.shape == shape:
         return g
+    if not shape:
+        return g.sum()
+    d = shape[-1]
+    if g.shape[-1] == d and math.prod(shape) == d and g.flags.c_contiguous:
+        # [D] or [1, ..., 1, D]: every leading axis, summed as one product
+        rows = math.prod(g.shape[:-1])
+        return (_ones_vector(rows) @ g.reshape(rows, d)).reshape(shape)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -302,7 +330,8 @@ def _project(xd, wd, bd=None):
 
 def _project_grads(xd, wd, g, need_x: bool, need_w: bool):
     """The gradients of xd and wd in xd @ wd (+ b) from g, that of the output; b's is g."""
-    gx = np.matmul(g, np.swapaxes(wd, -1, -2)) if need_x else None
+    # numpy's batched product runs up to twice as fast on a contiguous transpose as on a view
+    gx = np.matmul(g, np.ascontiguousarray(np.swapaxes(wd, -1, -2))) if need_x else None
     gw = None
     if need_w and wd.ndim == 2:
         # one matrix product over every leading position at once
@@ -344,7 +373,11 @@ def _normalize(xd, alpha, eps):
 
         def dyt_grad(g, need_x, need_alpha):
             d = g * (1.0 - t * t)
-            return d * alpha if need_x else None, d * xd if need_alpha else None
+            galpha = None
+            if need_alpha:
+                # a scalar alpha's gradient as one dot product, not a product and then a sum
+                galpha = np.vdot(d, xd) if alpha.ndim == 0 and d.shape == xd.shape else d * xd
+            return d * alpha if need_x else None, galpha
 
         return t, dyt_grad
     centered = xd - xd.mean(axis=-1, keepdims=True)
@@ -555,7 +588,11 @@ def _masked_softmax(scores, mask):
         scores = scores - np.where(row_top > _EXP_CEIL, row_top, 0.0)
     # clipping logits that are all in range changes none of them
     weights = _masked_exp(scores, mask, clip=top > _EXP_CEIL or bottom < -_EXP_CEIL)
-    ones = np.ones((weights.shape[-1], 1))  # a matrix product sums rows faster than .sum
+    # a batched matrix product sums rows faster than .sum. One 2-D product over
+    # every row, as the backward pass takes, is faster still, but how BLAS
+    # rounds a row then depends on the whole product's shape, so a stacked
+    # ensemble's slices would no longer equal separate forwards bit for bit
+    ones = np.ones((weights.shape[-1], 1))
     total = np.matmul(weights, ones)
     low = total < _ROW_SUM_FLOOR
     if low.any():
@@ -575,7 +612,9 @@ def _masked_softmax_grad(g, weights, keep, scale):
     0, so its gradient is too."""
     if keep is not None:
         g *= keep
-    g -= (g * weights).sum(axis=-1, keepdims=True)
+    gw = g * weights
+    tk = gw.shape[-1]
+    g -= (gw.reshape(-1, tk) @ _ones_vector(tk)).reshape(gw.shape[:-1] + (1,))
     g *= weights * scale
     return g
 

@@ -142,8 +142,15 @@ def total_loss(model: TrajectoryPredictor, scenarios, lam: float = 1.0,
 class AdamW:
     """Adaptive moments with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
 
-    A step is one pass over flat vectors of every gradient, parameter and
-    moment; each parameter's data becomes a view of the new flat array. A
+    The first step lays the parameters out in one flat vector and their
+    gradients in another: each parameter's data becomes a view of the first,
+    and its grad_slot a view of the second, so a backward pass writes each
+    gradient into place and a step is one pass over flat vectors, with no
+    gathering. The layout is redone whenever some parameter's data is no
+    longer a view of the vector (after load_state_dict, say). Each element
+    is updated in torch.optim.AdamW's form: decay, then the moment step, in
+    place on one scratch vector, so p.grad keeps the step's gradient until
+    the next backward pass writes the next one into the same array. A
     parameter whose grad is None keeps its value and its moments. Every step
     must get the same parameters in the same order.
     """
@@ -154,52 +161,62 @@ class AdamW:
 
     def __init__(self, weight_decay: float = 1e-4):
         self.weight_decay = weight_decay
-        self.names = self.spans = self.m = self.v = None  # set by the first step
+        # set by the first step: spans[i] is parameter i's part of every flat vector
+        self.names = self.spans = self.m = self.v = None
+        self.flat = self.grad = self._scratch = None
         self.t = 0
+
+    def _lay_out(self, params):
+        self.flat = np.concatenate([p.data.ravel() for p in params])
+        for (a, b), p in zip(self.spans, params):
+            p.data = self.flat[a:b].reshape(p.data.shape)
+            p.grad_slot = self.grad[a:b].reshape(p.data.shape)
 
     def step(self, named_params, lr: float):
         names, params = zip(*named_params)
         if self.names is None:
             ends = np.cumsum([p.data.size for p in params]).tolist()
             self.names, self.spans = names, list(zip([0] + ends[:-1], ends))
-            self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
+            self.m, self.v, self.grad = np.zeros(ends[-1]), np.zeros(ends[-1]), np.zeros(ends[-1])
+            self._scratch = np.empty(ends[-1])
         elif names != self.names:
             # a fault of the caller's code, not of its input: not a ValueError, which
             # the command line reports as a usage error
             raise RuntimeError("AdamW.step needs the same parameters, in the same order, every step")
-        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-                            for p in params])
+        if self.flat is None or any(p.data.base is not self.flat for p in params):
+            self._lay_out(params)
+        g, flat = self.grad, self.flat
+        idle = []
+        for (a, b), p in zip(self.spans, params):
+            if p.grad is None:
+                idle.append((a, b, flat[a:b].copy(), self.m[a:b].copy(), self.v[a:b].copy()))
+                g[a:b] = 0.0
+            elif p.grad is not p.grad_slot:
+                g[a:b] = p.grad.ravel()
         if not np.isfinite(g).all():
             bad = next(name for name, p in zip(names, params)
                        if p.grad is not None and not np.isfinite(p.grad).all())
             raise T.NumericalError(f"non-finite gradient for parameter {bad}")
-        idle = [(a, b, self.m[a:b].copy(), self.v[a:b].copy())
-                for (a, b), p in zip(self.spans, params) if p.grad is None]
         self.t += 1
-        # each element sees the operations, in their order, of the per-parameter form
-        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p - lr (m^ / (sqrt(v^) + eps) + wd p),
-        # in place on one scratch vector and on g, which becomes the update
-        scratch = np.multiply(g, 1.0 - self.beta2)
+        scratch = self._scratch
+        # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g
+        np.multiply(g, 1.0 - self.beta1, out=scratch)
+        self.m *= self.beta1
+        self.m += scratch
+        np.multiply(g, 1.0 - self.beta2, out=scratch)
         scratch *= g
         self.v *= self.beta2
         self.v += scratch
-        g *= 1.0 - self.beta1
-        self.m *= self.beta1
-        self.m += g
-        denom = np.divide(self.v, 1.0 - self.beta2 ** self.t, out=scratch)
-        np.sqrt(denom, out=denom)
+        # p (1 - lr wd) - lr / (1 - b1^t) * m / (sqrt(v) / sqrt(1 - b2^t) + eps)
+        denom = np.sqrt(self.v, out=scratch)
+        denom /= math.sqrt(1.0 - self.beta2 ** self.t)
         denom += self.eps
-        update = np.divide(self.m, 1.0 - self.beta1 ** self.t, out=g)
-        update /= denom
-        flat = np.concatenate([p.data.ravel() for p in params])
-        update += np.multiply(flat, self.weight_decay, out=scratch)
-        update *= lr
+        update = np.divide(self.m, denom, out=scratch)
+        update *= lr / (1.0 - self.beta1 ** self.t)
+        flat *= 1.0 - lr * self.weight_decay
         flat -= update
-        for a, b, m, v in idle:
-            self.m[a:b], self.v[a:b] = m, v
-        for (a, b), p in zip(self.spans, params):
-            if p.grad is not None:
-                p.data = flat[a:b].reshape(p.data.shape)
+        for a, b, value, m, v in idle:
+            flat[a:b], self.m[a:b], self.v[a:b] = value, m, v
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 
 from dyttp import tensor as T
 from dyttp.backbone import (
-    ModelConfig, TrajectoryPredictor, agent_step_features, frame_origins,
+    ModelConfig, SceneBatch, TrajectoryPredictor, agent_step_features, frame_origins,
     lane_segments,
 )
 from dyttp.data import (
@@ -112,6 +112,28 @@ def test_lane_segments_equals_per_polyline_loop(lanes):
     got, want = lane_segments(lanes), _lane_segments_per_polyline(lanes)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_scene_batch_lane_features_equal_a_per_scene_loop():
+    # the batch runs one lane pass over every polyline; this oracle runs one per
+    # scene, pads each to S_max and subtracts each agent's origin
+    odd = tiny_scenario(7, n_agents=3, n_lanes=0)
+    odd.lanes[:] = [np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), np.array([[2.0, 2.0]]),
+                    np.array([[5.0, 5.0], [5.0, 6.0]])]
+    scenes = [tiny_scenario(1, n_agents=2, n_lanes=3), tiny_scenario(2, n_agents=1, n_lanes=0),
+              odd, tiny_scenario(3, n_agents=4, n_lanes=1)]
+    per_scene = [np.concatenate(_lane_segments_per_polyline(s.lanes), axis=1) for s in scenes]
+    s_max = max(len(seg) for seg in per_scene)
+    feats, valid = [], []
+    for s, seg in zip(scenes, per_scene):
+        padded = np.zeros((s.num_agents, s_max, 5))
+        padded[:, :len(seg)] = seg
+        padded[..., 3:] -= frame_origins(s)[:, None, :]
+        feats.append(padded)
+        valid.append(np.broadcast_to(np.arange(s_max) < len(seg), (s.num_agents, s_max)))
+    batch, want = SceneBatch(scenes), np.concatenate(feats)
+    assert batch.lane_feats.shape == want.shape and batch.lane_feats.tobytes() == want.tobytes()
+    assert np.array_equal(batch.lane_valid, np.concatenate(valid))
 
 
 def test_frame_origins_last_valid():

@@ -527,6 +527,27 @@ def test_bad_batch_size_is_a_usage_error_before_any_write(tmp_path, capsys, sour
     assert not run.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("ablate", "--bench-iterations", "50"), ("ablate", "--bench-warmup", "5"),
+    ("bench", "--iterations", "99"), ("bench", "--warmup", "9"),
+])
+def test_bench_flags_below_their_limits_are_usage_errors_before_any_work(
+        tmp_path, capsys, monkeypatch, command, flag, value):
+    # an ablation used to train a whole norm kind before bench_latency refused the flag
+    import dyttp.cli
+    import dyttp.training
+    called = []
+    monkeypatch.setattr(dyttp.training, "train", lambda *a, **k: called.append("train"))
+    monkeypatch.setattr(dyttp.cli, "bench_latency", lambda *a, **k: called.append("bench"))
+    argv = [command, "--data", str(gen(tmp_path, count=6)), "--width", "16", "--heads", "2",
+            flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag} must be >= " in capsys.readouterr().err
+    assert called == []
+
+
 @pytest.mark.parametrize("scenarios", ["0", "-2"])
 def test_bench_scenarios_below_one_is_a_usage_error(tmp_path, capsys, scenarios):
     argv, out = _ensemble_argv(tmp_path, "bench", [], checkpoints=False)

@@ -190,6 +190,57 @@ def test_broadcast_backward_unbroadcasts():
     assert w.grad[0] == x.data.sum()
 
 
+def _sum_onto(g, shape):
+    """Oracle for _unbroadcast: each entry of shape sums, with math.fsum, every
+    entry of g that broadcasting maps onto it."""
+    owner = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), g.shape).ravel()
+    parts = [[] for _ in range(math.prod(shape))]
+    for i, value in zip(owner, g.ravel()):
+        parts[i].append(value)
+    return np.array([math.fsum(p) for p in parts]).reshape(shape)
+
+
+@pytest.mark.parametrize("g_shape, shape, transposed", [
+    ((20, 29, 32), (32,), False),        # a bias, gamma or beta: one product with a ones vector
+    ((20, 29, 128), (1, 128), False),
+    ((29, 1, 32), (1, 1, 32), False),
+    ((20, 29, 32), (), False),           # a scalar
+    ((3, 5, 7, 32), (3, 1, 1, 32), False),  # a stacked parameter: numpy's sum
+    ((29, 20, 32), (20, 32), False),
+    ((32, 29, 20), (32,), True),         # a non-contiguous gradient: numpy's sum
+])
+def test_unbroadcast_matches_an_exact_sum(g_shape, shape, transposed):
+    g = Rng(len(g_shape) + len(shape)).normal(g_shape)
+    if transposed:
+        g = g.T
+    got = T._unbroadcast(g, shape)
+    want = _sum_onto(g, shape)
+    assert np.shape(got) == shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_dyt_alpha_gradient_is_the_sum_of_its_products():
+    x, g = Rng(3).normal((20, 29, 32)), Rng(4).normal((20, 29, 32))
+    alpha = np.asarray(0.7)
+    t, grad = T._normalize(x, alpha, None)
+    gx, galpha = grad(g, True, True)
+    d = g * (1.0 - t * t)
+    assert np.shape(galpha) == ()
+    assert abs(galpha - math.fsum((d * x).ravel())) <= 1e-13 * np.abs(d * x).sum()
+    assert np.array_equal(gx, d * alpha)
+
+
+def test_masked_softmax_gradient_matches_its_row_sum_form():
+    scores = Rng(5).normal((2, 4, 6, 7))
+    weights = T._masked_softmax(scores, None)
+    keep = (Rng(6).uniform(weights.shape) > 0.2) / 0.8
+    g = Rng(7).normal(weights.shape)
+    want = g * keep
+    want = (want - (want * weights).sum(axis=-1, keepdims=True)) * (weights * 0.5)
+    got = T._masked_softmax_grad(g.copy(), weights, keep, 0.5)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_getitem_backward_scatters():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with Tape() as tape:

@@ -427,9 +427,10 @@ def test_adamw_rejects_a_changed_parameter_list_as_a_program_fault():
     assert opt.t == 1
 
 
-def test_flat_adamw_equals_a_per_parameter_loop():
-    # the flat pass must give each element the same operations, in the same order,
-    # as this per-parameter loop: bit for bit, over 20 steps with weight decay
+def _adamw_run(per_element_update):
+    """20 steps of AdamW on three parameters, the flat optimizer beside a
+    per-parameter loop whose update of (param, m, v, t, lr) is given: both
+    parameter lists after each step."""
     shapes = [(), (3,), (4, 5)]
     params = [Tensor(Rng(i).normal(s) if s else 0.4, requires_grad=True) for i, s in enumerate(shapes)]
     ref = [p.data.copy() for p in params]
@@ -445,11 +446,38 @@ def test_flat_adamw_equals_a_per_parameter_loop():
         for i, g in enumerate(grads):
             m[i] = m[i] * b1 + (1.0 - b1) * g
             v[i] = v[i] * b2 + (1.0 - b2) * g * g
-            update = (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + AdamW.eps)
-            ref[i] = ref[i] - lr * (update + 0.01 * ref[i])
+            ref[i] = per_element_update(ref[i], m[i], v[i], t, lr)
+        yield params, ref
+
+
+def test_flat_adamw_equals_a_per_parameter_loop():
+    # the flat pass must give each element the same operations, in the same order,
+    # as this per-parameter loop in torch.optim.AdamW's form: bit for bit, over 20
+    # steps with weight decay
+    b1, b2 = AdamW.beta1, AdamW.beta2
+
+    def torch_form(p, m, v, t, lr):
+        p = p * (1.0 - lr * 0.01)
+        return p - m / (np.sqrt(v) / math.sqrt(1.0 - b2 ** t) + AdamW.eps) * (lr / (1.0 - b1 ** t))
+
+    for params, ref in _adamw_run(torch_form):
         for p, r in zip(params, ref):
             assert p.data.shape == r.shape
             assert p.data.tobytes() == r.tobytes()
+
+
+def test_flat_adamw_stays_near_the_textbook_update():
+    # the textbook form, p - lr (m^ / (sqrt(v^) + eps) + wd p), differs from the
+    # flat pass only in rounding: within 1e-12 relative over 20 steps
+    b1, b2 = AdamW.beta1, AdamW.beta2
+
+    def textbook(p, m, v, t, lr):
+        update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + AdamW.eps)
+        return p - lr * (update + 0.01 * p)
+
+    for params, ref in _adamw_run(textbook):
+        for p, r in zip(params, ref):
+            assert np.all(np.abs(p.data - r) <= 1e-12 * np.abs(r))
 
 
 def test_adamw_parameter_without_grad_keeps_value_and_moments():
@@ -466,6 +494,75 @@ def test_adamw_parameter_without_grad_keeps_value_and_moments():
     assert b.data is b_before
     assert np.array_equal(opt.m[start:end], m_before) and np.array_equal(opt.v[start:end], v_before)
     assert not np.array_equal(a.data, a_before)
+
+
+def _model_steps(model, opt, scenes, steps, reload_at=None):
+    """`steps` AdamW steps of `model` on batches of 4 of `scenes`, dropout from
+    Rng(9); before step `reload_at` the model loads its own state. Each step's
+    gradients and p.grad after the step, both copied: the next backward pass
+    writes into the arrays p.grad holds."""
+    drop, out = Rng(9), []
+    for i in range(steps):
+        if i == reload_at:
+            model.load_state_dict(model.state_dict())
+        with Tape() as tape:
+            lb = total_loss(model, scenes[4 * i:4 * i + 4], 0.7, drop, training=True)
+        T.backward(lb.total, tape)
+        grads = [p.grad.copy() for _, p in model.named_params()]
+        opt.step(model.named_params(), 1e-2)
+        out.append((grads, [p.grad.copy() for _, p in model.named_params()]))
+        model.zero_grad()
+    return out
+
+
+def test_flat_adamw_lays_out_again_after_load_state_dict():
+    # the reload leaves each parameter's data outside the flat vector, so the
+    # next step lays it out again; the run is byte for byte the one without it
+    scenes = [s for s in _tiny_split(40).train if eligible_agents(s).any()]
+    cfg = ModelConfig(width=16, heads=2, modes=2, dropout=0.1)
+    a, b = TrajectoryPredictor(cfg, Rng(4)), TrajectoryPredictor(cfg, Rng(4))
+    opt_a, opt_b = AdamW(), AdamW()
+    _model_steps(a, opt_a, scenes, 6)
+    _model_steps(b, opt_b, scenes, 6, reload_at=3)
+    for (name, pa), (_, pb) in zip(a.named_params(), b.named_params()):
+        assert pa.data.tobytes() == pb.data.tobytes(), name
+        assert pb.data.base is opt_b.flat and pb.grad_slot.base is opt_b.grad, name
+    assert opt_a.m.tobytes() == opt_b.m.tobytes() and opt_a.v.tobytes() == opt_b.v.tobytes()
+
+
+def test_p_grad_holds_the_steps_gradient_after_the_step():
+    scenes = [s for s in _tiny_split(40).train if eligible_agents(s).any()]
+    model = TrajectoryPredictor(SMALL, Rng(4))
+    for grads, after in _model_steps(model, AdamW(), scenes, 3):
+        for g, p_grad in zip(grads, after):
+            assert p_grad.tobytes() == g.tobytes()
+    # once laid out, a backward pass writes each gradient into its slot
+    with Tape() as tape:
+        lb = total_loss(model, scenes[:4], training=False)
+    T.backward(lb.total, tape)
+    got = [p for _, p in model.named_params() if p.grad is not None]
+    assert got and all(p.grad is p.grad_slot for p in got)
+
+
+def test_a_parameter_the_loss_does_not_reach_keeps_value_and_moments_through_its_slot():
+    # b's slot still holds its first gradient when the second loss leaves it out
+    opt = AdamW()
+    a = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    b = Tensor(np.array([[2.0, 0.1]]), requires_grad=True)
+    x = np.array([1.5, -0.5])
+    for uses_b in (True, False):
+        with Tape() as tape:
+            y = T.mul(a, x)
+            loss = weighted_sum(T.add(y, T.mul(b, x)) if uses_b else y)
+        T.backward(loss, tape)
+        if not uses_b:
+            start, end = opt.spans[1]
+            before = b.data.tobytes(), opt.m[start:end].tobytes(), opt.v[start:end].tobytes()
+            a_before = a.data.copy()
+        opt.step([("a", a), ("b", b)], lr=0.1)
+        a.grad = b.grad = None
+    assert (b.data.tobytes(), opt.m[start:end].tobytes(), opt.v[start:end].tobytes()) == before
+    assert a.grad_slot is not None and not np.array_equal(a.data, a_before)
 
 
 def test_regression_nll_rejects_non_positive_scale():
